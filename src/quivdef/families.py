@@ -456,7 +456,11 @@ def psi_basis_images(alg: FiniteDimAlgebra, gq: GradedQuotient) -> dict:
         src, tgt = str(s), str(s + 1)
         fwd = [a for a in q.arrows if a.source == src and a.target == tgt]
         back = [a for a in q.arrows if a.source == tgt and a.target == src]
-        assert len(fwd) == 1 and len(back) == 1
+        if len(fwd) != 1 or len(back) != 1:
+            raise ValueError(
+                "expected one arrow each way between %s and %s, found %d forward and %d back"
+                % (src, tgt, len(fwd), len(back))
+            )
         out[a_index(alg, s)] = q.arrow_path(fwd[0].name)
         out[b_index(alg, s)] = q.arrow_path(back[0].name)
     out[loop_index(alg, 1)] = shortest_loop_path(q, "y", 1)
@@ -589,13 +593,6 @@ def symmetric_form(alg: FiniteDimAlgebra, grid_limit: int = 200000):
         "cannot certify absence of a symmetric form: grid of size %d needed"
         % (alg.dim + 1) ** m
     )
-
-
-def _module_span(alg, vectors) -> RowReducer:
-    red = RowReducer()
-    for v in vectors:
-        red.add(v)
-    return red
 
 
 def projective_profile(alg: FiniteDimAlgebra):

@@ -324,7 +324,8 @@ def mu_cocycle(alg: FiniteDimAlgebra) -> dict:
         put(a_index(alg, s), loops[s], {a_index(alg, s): sign})
         put(loops[s], b_index(alg, s), {b_index(alg, s): sign})
     bad = validate_cochain(alg, c)
-    assert bad is None, bad
+    if bad is not None:
+        raise ValueError("mu_cocycle value at %r breaks vertex consistency" % (bad,))
     return c
 
 

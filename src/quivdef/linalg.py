@@ -5,13 +5,16 @@ matrices with Fraction entries.  Two representations are used: plain dense
 lists-of-lists for small matrices (and for the fiber matrices of lattice
 modules), and sparse rows (dict column -> Fraction) for the cochain
 complexes, which are large but very thin.  Elimination is plain rational
-Gaussian elimination; dense below DENSE_LIMIT, sparse incremental
-Gauss-Jordan above.  All functions leave their inputs untouched.
+Gaussian elimination: dense below DENSE_LIMIT, and above it an incremental
+sparse row echelon form that reduces vectors on demand.  `solve` and
+`nullspace` back-substitute that echelon form once into the reduced row
+echelon form.  All functions leave their inputs untouched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 DENSE_LIMIT = 200
 
@@ -39,34 +42,6 @@ def parse_fraction(s: str) -> Fraction:
 # sparse vectors: dict column -> nonzero Fraction
 # ---------------------------------------------------------------------------
 
-def vec_scale(c: Fraction, v: dict) -> dict:
-    if c == 0:
-        return {}
-    return {j: c * x for j, x in v.items()}
-
-
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for j, x in v.items():
-        y = out.get(j, ZERO) + x
-        if y:
-            out[j] = y
-        else:
-            out.pop(j, None)
-    return out
-
-
-def vec_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for j, x in v.items():
-        y = out.get(j, ZERO) - x
-        if y:
-            out[j] = y
-        else:
-            out.pop(j, None)
-    return out
-
-
 def vec_axpy_inplace(target: dict, c: Fraction, v: dict) -> None:
     """target += c*v, destructively."""
     if c == 0:
@@ -80,33 +55,54 @@ def vec_axpy_inplace(target: dict, c: Fraction, v: dict) -> None:
 
 
 class RowReducer:
-    """Incrementally maintained reduced row echelon form over Q.
+    """Incrementally maintained row echelon form over Q.
 
-    Rows are sparse dicts.  `add` reduces a vector against the current
-    pivots and, if a residual remains, normalizes it and back-substitutes
-    into the stored rows, so the row set stays fully reduced.  The pivot of
-    a new row is its smallest remaining column, which makes the whole
-    computation deterministic in the insertion order.
+    Rows are sparse dicts in `rows`, keyed by pivot column.  Each row is
+    monic at its pivot and has no entries left of it; rows are not reduced
+    against each other.  `add` reduces a vector to its normal form modulo
+    the row space and, if a residual remains, stores it normalized with its
+    smallest column as pivot.  The normal form has support on non-pivot
+    columns only and does not depend on how the row space was built, so
+    ranks, pivots and residuals are deterministic in the insertion order.
+    Callers that need the fully reduced rows, such as `solve` and
+    `nullspace`, call `rref()` once at the end.
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict] = {}
+        self.rows: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     def pivot_columns(self) -> list[int]:
-        return sorted(self.pivots)
+        return sorted(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        # stored rows are fully reduced, so eliminating a pivot column can
-        # only introduce free columns: one pass over a key snapshot suffices
+        # eliminate pivot columns in increasing order: a row has nothing
+        # left of its pivot, so an eliminated column never comes back
+        rows = self.rows
         out = {j: x for j, x in vec.items() if x}
-        for j in list(out):
-            c = out.get(j)
-            if c and j in self.pivots:
-                vec_axpy_inplace(out, -c, self.pivots[j])
+        todo = [j for j in out if j in rows]
+        heapify(todo)
+        get = out.get
+        while todo:
+            p = heappop(todo)
+            c = get(p)
+            if c is None:  # cancelled, or a repeated heap entry
+                continue
+            for j, x in rows[p].items():
+                y = get(j)
+                if y is None:
+                    out[j] = -c * x
+                    if j in rows:
+                        heappush(todo, j)
+                else:
+                    y -= c * x
+                    if y:
+                        out[j] = y
+                    else:
+                        del out[j]
         return out
 
     def add(self, vec: dict):
@@ -116,16 +112,26 @@ class RowReducer:
             return None
         p = min(res)
         inv = ONE / res[p]
-        row = {j: inv * x for j, x in res.items()}
-        for q, other in self.pivots.items():
-            c = other.get(p)
-            if c:
-                vec_axpy_inplace(other, -c, row)
-        self.pivots[p] = row
+        self.rows[p] = res if inv == 1 else {j: inv * x for j, x in res.items()}
         return p
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+    def rref(self) -> dict[int, dict]:
+        """Reduced row echelon form (pivot column -> row) of the row space.
+
+        One back-substitution pass in decreasing pivot order: the rows
+        already done are zero at every other pivot column, so clearing the
+        pivot columns of a row cannot create new ones.
+        """
+        done: dict[int, dict] = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for q in [q for q in row if q in done]:
+                vec_axpy_inplace(row, -row[q], done[q])
+            done[p] = row
+        return done
 
 
 def rank_dense(rows: list[list[Fraction]]) -> int:
@@ -202,7 +208,7 @@ def _rref(rows: list[dict]):
     red = RowReducer()
     for r in rows:
         red.add(r)
-    return red.pivots
+    return red.rref()
 
 
 def solve(rows, b, ncols: int):
@@ -252,11 +258,6 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 # small dense matrices (lists of lists of Fractions)
 # ---------------------------------------------------------------------------
-
-def mat_zero(n: int, m: int | None = None):
-    m = n if m is None else m
-    return [[ZERO] * m for _ in range(n)]
-
 
 def mat_eye(n: int):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -576,8 +576,11 @@ class CentralQuotient:
         return self.gq.dim(d) - self._reducer(d).rank
 
     def ideal_rows(self, d: int) -> list[dict]:
-        """Spanning vectors of the degree-d ideal slice, in component coords."""
-        return [dict(row) for row in self._reducer(d).pivots.values()]
+        """Spanning vectors of the degree-d ideal slice, in component coords.
+
+        These are the reducer's echelon rows, not fully reduced ones.
+        """
+        return [dict(row) for row in self._reducer(d).rows.values()]
 
     def kept_indices(self, d: int) -> list[int]:
         piv = set(self._reducer(d).pivot_columns())

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from quivdef.families import (
     a_index,
     atilde_cut_isomorphic_to_a,
@@ -18,6 +20,7 @@ from quivdef.families import (
     phi_arrow_images,
     phi_report,
     projective_profile,
+    psi_basis_images,
     symmetric_form,
 )
 from quivdef.linalg import ONE
@@ -254,3 +257,9 @@ def test_idempotent_cut_is_closed():
     assert cut.dim == 6
     assert cut.check_identity()
     assert cut.check_associativity() is None
+
+
+def test_psi_basis_images_rejects_quiver_of_wrong_shape():
+    # B(2) has no arrows between vertices 2 and 3, which A(3) needs
+    with pytest.raises(ValueError, match="between 2 and 3, found 0 forward and 0 back"):
+        psi_basis_images(make_a(3), make_bhat(2))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import quivdef.hochschild as hochschild
 from quivdef.families import a_index, b_index, e_index, loop_index, make_a
 from quivdef.hochschild import (
     HochschildComplex,
@@ -180,3 +181,9 @@ def test_inhomogeneous_cochain_reported():
     }
     d, witness = graded_cocycle_degree(alg, c, "all_one")
     assert d is None and witness is not None
+
+
+def test_mu_cocycle_raises_on_inconsistent_value(monkeypatch):
+    monkeypatch.setattr(hochschild, "validate_cochain", lambda alg, c: (3, 4))
+    with pytest.raises(ValueError, match=r"\(3, 4\)"):
+        mu_cocycle(make_a(3))

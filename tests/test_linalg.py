@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivdef.linalg import (
+    ONE,
     RowReducer,
     fmt_fraction,
     mat_inv,
@@ -15,6 +16,7 @@ from quivdef.linalg import (
     rank_dense,
     rank_matrix,
     solve,
+    vec_axpy_inplace,
 )
 
 F = Fraction
@@ -137,3 +139,116 @@ def test_small_matrix_helpers():
     binv = mat_inv(b)
     assert mat_mul(b, binv) == [[F(1), F(0)], [F(0), F(1)]]
     assert mat_inv(a) is None
+
+
+# Oracle for RowReducer: a Gauss-Jordan reducer that back-substitutes every
+# new row into the stored ones, so its rows are always the RREF.
+class _GaussJordanReducer:
+    """Incrementally maintained reduced row echelon form over Q.
+
+    Rows are sparse dicts.  `add` reduces a vector against the current
+    pivots and, if a residual remains, normalizes it and back-substitutes
+    into the stored rows, so the row set stays fully reduced.  The pivot of
+    a new row is its smallest remaining column, which makes the whole
+    computation deterministic in the insertion order.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self.pivots)
+
+    def reduce(self, vec: dict) -> dict:
+        # stored rows are fully reduced, so eliminating a pivot column can
+        # only introduce free columns: one pass over a key snapshot suffices
+        out = {j: x for j, x in vec.items() if x}
+        for j in list(out):
+            c = out.get(j)
+            if c and j in self.pivots:
+                vec_axpy_inplace(out, -c, self.pivots[j])
+        return out
+
+    def add(self, vec: dict):
+        """Insert a vector; return its pivot column, or None if dependent."""
+        res = self.reduce(vec)
+        if not res:
+            return None
+        p = min(res)
+        inv = ONE / res[p]
+        row = {j: inv * x for j, x in res.items()}
+        for q, other in self.pivots.items():
+            c = other.get(p)
+            if c:
+                vec_axpy_inplace(other, -c, row)
+        self.pivots[p] = row
+        return p
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+
+nonzero_entries = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(F)
+
+
+@st.composite
+def sparse_system(draw):
+    """Rows over up to 12 columns, an insertion order and probe vectors."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    vector = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), nonzero_entries)
+    nrows = draw(st.integers(min_value=0, max_value=12))
+    rows = draw(st.lists(vector, min_size=nrows, max_size=nrows))
+    order = draw(st.permutations(range(len(rows))))
+    probes = draw(st.lists(vector, min_size=1, max_size=3))
+    return ncols, rows, order, probes
+
+
+@given(sparse_system())
+@settings(max_examples=150, deadline=None)
+def test_echelon_reducer_matches_gauss_jordan(system):
+    ncols, rows, order, probes = system
+    red, ref = RowReducer(), _GaussJordanReducer()
+    for i in order:
+        assert red.add(rows[i]) == ref.add(rows[i])
+    assert red.rank == ref.rank
+    assert red.pivot_columns() == ref.pivot_columns()
+    for p, row in red.rows.items():
+        assert row[p] == 1 and min(row) == p
+    for v in probes + rows:
+        res = red.reduce(v)
+        assert res == ref.reduce(v)
+        assert not set(res) & set(red.rows)
+    assert red.rref() == ref.pivots
+
+
+def dense(rows, ncols):
+    return [[r.get(j, F(0)) for j in range(ncols)] for r in rows]
+
+
+def mat_vec(m, x):
+    return [sum((a * b for a, b in zip(r, x)), F(0)) for r in m]
+
+
+@given(sparse_system(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_and_nullspace_brute_force(system, data):
+    ncols, rows, _, _ = system
+    m = dense(rows, ncols)
+    null = nullspace(rows, ncols)
+    assert rank_matrix(m, ncols) + len(null) == ncols
+    for v in null:
+        assert not any(mat_vec(m, v))
+    x0 = [data.draw(small_entries) for _ in range(ncols)]
+    for b in (mat_vec(m, x0), [data.draw(small_entries) for _ in rows]):
+        res = solve(rows, b, ncols)
+        if res is None:
+            augmented = [r + [bi] for r, bi in zip(m, b)]
+            assert rank_matrix(augmented, ncols + 1) > rank_matrix(m, ncols)
+        else:
+            x, basis = res
+            assert mat_vec(m, x) == b
+            assert basis == null
