@@ -29,7 +29,7 @@ from .hochschild import (
 )
 from .linalg import fr, mat_eq
 from .quiver import QuiverPresentation, bounded_quotient
-from .reports import Check, Report
+from .reports import Check, Report, error_text
 
 DEFAULT_SEED = 2011
 
@@ -380,9 +380,9 @@ def checks_determinism(report: Report):
 
 
 def checks_presentation_file(report: Report, path, bound):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         pres = QuiverPresentation.from_json(text)
         alg = bounded_quotient(pres, bound)
     except Exception as exc:
@@ -392,7 +392,7 @@ def checks_presentation_file(report: Report, path, bound):
                 "presentation parses and the bound captures the quotient",
                 "fail",
                 "a finite quotient",
-                "error: %s" % exc,
+                error_text(exc),
             )
         )
         return

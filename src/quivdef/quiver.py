@@ -354,13 +354,6 @@ class GradedQuotient:
                         del out[j]
         return out
 
-    def idempotent_vector(self, vertex) -> dict:
-        comp = self._component(0)
-        p = trivial_path(vertex)
-        if p not in comp["local"]:
-            raise ValueError("trivial path at %s was killed by the ideal" % vertex)
-        return {comp["local"][p]: ONE}
-
     def element_label(self, d: int, vec: dict) -> str:
         basis = self.component(d)
         bits = ["(%s)%s" % (fmt_fraction(vec[i]), basis[i].label) for i in sorted(vec)]

@@ -38,6 +38,11 @@ def exact(value):
     return str(value)
 
 
+def error_text(exc: Exception) -> str:
+    """Failure text that names the exception type, as in error: KeyError: 'arrows'."""
+    return "error: %s: %s" % (type(exc).__name__, exc)
+
+
 @dataclass
 class Check:
     name: str
@@ -73,7 +78,7 @@ class Report:
             actual = fn()
             status = "pass" if actual == expected else "fail"
         except Exception as exc:  # surfaced, not silenced
-            actual = "error: %s" % exc
+            actual = error_text(exc)
             status = "fail"
         self.checks.append(
             Check(name, anchor, status, expected, actual, (time.monotonic() - start) * 1000.0)

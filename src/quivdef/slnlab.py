@@ -8,7 +8,10 @@ rank-one realization where e_{i,j} scales by a_j + b_j; build_f replaces
 the scalars by X_j + (a_j + b_j) for a tuple of commuting nilpotent
 matrices.  verify_relations checks the defining relations (commutators,
 Cartan actions, Serre relations) at every point where all intermediate
-points exist, counting the instances skipped at the boundary.
+points exist, counting the instances skipped at the boundary.  It works
+in Python integers: every block is scaled once by the lcm D of all block
+denominators, and the terms of a relation are brought to a common power
+of D before they are summed, so the test for zero is exact.
 
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .linalg import (
@@ -87,9 +91,6 @@ class LatticeSupport:
     def is_interior(self, p) -> bool:
         return all(q in self.index for q in self.neighbors(p))
 
-    def interior_points(self):
-        return [p for p in self.points if self.is_interior(p)]
-
 
 def generator_keys(n: int):
     out = []
@@ -119,9 +120,6 @@ class LatticeModule:
 
     def block(self, key, point):
         return self.blocks.get(key, {}).get(point)
-
-    def defined_block_count(self) -> int:
-        return sum(len(v) for v in self.blocks.values())
 
 
 def check_parameters(a, n):
@@ -241,47 +239,101 @@ def _relations(n: int):
     return rels
 
 
-def _monomial_matrix(module: LatticeModule, mono, point):
-    """Compose blocks along a monomial (first entry applied first)."""
+def _common_denominator(module: LatticeModule) -> int:
+    """The lcm D of the denominators of every stored block entry."""
+    dens = {
+        x.denominator
+        for per_point in module.blocks.values()
+        for m in per_point.values()
+        for row in m
+        for x in row
+    }
+    return math.lcm(1, *dens)
+
+
+def _integer_steps(module: LatticeModule, scale: int):
+    """key -> {point: (scale * block as a row-major int tuple, end point)}.
+
+    Flat tuples, and end points shared with the support's own tuples,
+    keep this copy small beside the Fraction blocks.
+    """
+    n = module.n
+    points = {p: p for p in module.support.points}
+    steps = {}
+    for key, per_point in module.blocks.items():
+        shift = gen_shift(n, key)
+        steps[key] = {}
+        for p, m in per_point.items():
+            q = _add(p, shift)
+            steps[key][p] = (
+                tuple(x.numerator * (scale // x.denominator) for row in m for x in row),
+                points.get(q, q),
+            )
+    return steps
+
+
+def _int_mul(a, b, dim):
+    """Product of two row-major dim x dim integer matrices."""
+    rows = [a[i : i + dim] for i in range(0, dim * dim, dim)]
+    cols = [b[j::dim] for j in range(dim)]
+    return tuple(sum(map(operator.mul, row, col)) for row in rows for col in cols)
+
+
+def _int_monomial(steps, mono, point, dim):
+    """D^len(mono) times the composed blocks, or None off the stored blocks."""
     cur = point
     mat = None
     for key in mono:
-        blk = module.block(key, cur)
-        if blk is None:
-            return None, None
-        mat = blk if mat is None else mat_mul(blk, mat)
-        cur = _add(cur, gen_shift(module.n, key))
-    return mat, cur
+        entry = steps.get(key, {}).get(cur)
+        if entry is None:
+            return None
+        blk, cur = entry
+        mat = blk if mat is None else _int_mul(blk, mat, dim)
+    return mat
 
 
 def verify_relations(module: LatticeModule):
     """Check all defining relations pointwise; returns counts and witness.
 
     A relation instance is skipped when some monomial walks outside the
-    stored blocks (the truncation boundary); it is checked otherwise.
+    stored blocks (the truncation boundary), even one whose coefficient
+    is zero; it is checked otherwise.  The witness is the first failing
+    instance in relation order, then point order.
+
+    The check is exact in integer arithmetic.  With D the lcm of the
+    denominators of all block entries, each block B is stored once as the
+    integer matrix D*B, so a monomial of length L composes to D^L times
+    its rational value.  For a relation sum_t c_t M_t with longest
+    monomial L_max and C the lcm of the coefficient denominators, the
+    integer combination sum_t (C c_t D^(L_max - L_t)) (D^L_t M_t) is
+    C D^L_max times the rational sum; C and D are nonzero, so it vanishes
+    exactly when the relation holds.
     """
     n = module.n
     dim = module.fiber_dim
+    scale = _common_denominator(module)
+    steps = _integer_steps(module, scale)
     checked = skipped = 0
     witness = None
     for label, terms in _relations(n):
+        cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
+        longest = max(len(mono) for _coeff, mono in terms)
+        weighted = [
+            (int(coeff * cden) * scale ** (longest - len(mono)), mono) for coeff, mono in terms
+        ]
         for p in module.support.points:
-            total = None
-            ok = True
-            for coeff, mono in terms:
-                mat, _end = _monomial_matrix(module, mono, p)
+            mats = []
+            for weight, mono in weighted:
+                mat = _int_monomial(steps, mono, p, dim)
                 if mat is None:
-                    ok = False
                     break
-                scaled = mat_scale(coeff, mat)
-                total = scaled if total is None else mat_add(total, scaled)
-            if not ok:
+                mats.append((weight, mat))
+            if len(mats) < len(weighted):
                 skipped += 1
                 continue
             checked += 1
-            if not mat_is_zero(total):
-                if witness is None:
-                    witness = (label, p)
+            if witness is None and any(map(sum, zip(*([w * x for x in m] for w, m in mats)))):
+                witness = (label, p)
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
 
 

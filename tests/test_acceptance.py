@@ -5,6 +5,7 @@ with runtime budgets assert them.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines as they pass.
 """
 
+import hashlib
 import time
 
 from quivdef.cli import (
@@ -23,6 +24,9 @@ from quivdef.cli import (
     run_command,
 )
 from quivdef.reports import Report
+
+# md5 of the default verify-all report as printed (with its trailing newline)
+GOLDEN_MD5 = "e5812068730ad8862babd96b3cac0361"
 
 
 def _finish(num, label, report, budget=None, elapsed=None):
@@ -113,6 +117,8 @@ def test_criterion_11_determinism():
     args = parser.parse_args(["verify-all", "--seed", str(DEFAULT_SEED)])
     first = run_command(args).to_json()
     second = run_command(args).to_json()
-    status = "PASS" if first == second else "FAIL"
-    print("ACCEPTANCE 11 %s: verify-all report is byte-identical across runs" % status)
+    golden = hashlib.md5((first + "\n").encode()).hexdigest() == GOLDEN_MD5
+    status = "PASS" if first == second and golden else "FAIL"
+    print("ACCEPTANCE 11 %s: verify-all report is byte-identical across runs and golden" % status)
     assert first == second
+    assert golden

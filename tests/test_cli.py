@@ -4,6 +4,7 @@ import sys
 
 from quivdef.cli import build_parser, run_command
 from quivdef.families import a_presentation
+from quivdef.reports import Report
 
 
 def run_cli(args):
@@ -46,6 +47,33 @@ def test_exit_code_reflects_failures(tmp_path):
     assert doc["summary"]["failed"] == 1
     sym = [c for c in doc["checks"] if c["name"] == "symmetric"][0]
     assert sym["status"] == "fail"
+
+
+def test_presentation_errors_name_the_exception_type(tmp_path):
+    path = tmp_path / "no_arrows.json"
+    path.write_text('{"vertices": ["1"], "relations": []}', encoding="utf-8")
+    args = build_parser().parse_args(["families", "--presentation", str(path)])
+    (load,) = run_command(args).checks
+    assert load.name == "load" and load.status == "fail"
+    assert load.actual == "error: KeyError: 'arrows'"
+
+
+def test_missing_presentation_file_is_a_failing_check(tmp_path):
+    path = tmp_path / "absent.json"
+    proc = run_cli(["families", "--presentation", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    (load,) = doc["checks"]
+    assert load["name"] == "load" and load["status"] == "fail"
+    assert load["actual"].startswith("error: FileNotFoundError: ")
+
+
+def test_raising_check_names_the_exception_type():
+    report = Report("t", {})
+    check = report.run("div", "a check that raises", 1, lambda: 1 // 0)
+    assert check.status == "fail"
+    assert check.actual == "error: ZeroDivisionError: integer division or modulo by zero"
 
 
 def test_emit_and_reload_presentation(tmp_path):

@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from quivdef.linalg import ONE, ZERO, mat_eq, mat_is_zero
+from quivdef.linalg import ONE, ZERO, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale
 from quivdef.slnlab import (
     LatticeSupport,
     NoUniqueExtension,
+    _add,
+    _relations,
     build_f,
     build_n,
     casimir_block,
     compare_modules,
+    gen_shift,
     is_weight_module,
     random_commuting_nilpotents,
     random_parameters,
@@ -20,6 +25,44 @@ from quivdef.slnlab import (
 )
 
 F = Fraction
+
+
+def _monomial_matrix(module, mono, point):
+    """Compose blocks along a monomial (first entry applied first)."""
+    cur = point
+    mat = None
+    for key in mono:
+        blk = module.block(key, cur)
+        if blk is None:
+            return None, None
+        mat = blk if mat is None else mat_mul(blk, mat)
+        cur = _add(cur, gen_shift(module.n, key))
+    return mat, cur
+
+
+def _fraction_verify_relations(module):
+    """Reference check with Fraction matrices: the oracle of verify_relations."""
+    checked = skipped = 0
+    witness = None
+    for label, terms in _relations(module.n):
+        for p in module.support.points:
+            total = None
+            ok = True
+            for coeff, mono in terms:
+                mat, _end = _monomial_matrix(module, mono, p)
+                if mat is None:
+                    ok = False
+                    break
+                scaled = mat_scale(coeff, mat)
+                total = scaled if total is None else mat_add(total, scaled)
+            if not ok:
+                skipped += 1
+                continue
+            checked += 1
+            if not mat_is_zero(total):
+                if witness is None:
+                    witness = (label, p)
+    return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": module.fiber_dim}
 
 
 def test_support_shape():
@@ -86,6 +129,7 @@ def test_non_commuting_matrices_rejected_and_witnessed():
         build_f(3, a, [x1, x2, x3], 1)
     m = build_f(3, a, [x1, x2, x3], 1, check=False)
     rep = verify_relations(m)
+    assert rep == _fraction_verify_relations(m)
     assert rep["witness"] is not None
     label, _p = rep["witness"]
     assert label.startswith("[") or label.startswith("serre")
@@ -180,6 +224,7 @@ def test_reconstruct_fiber_two_equals_build_f():
     assert cmp["mismatched"] == []
     # every solved vertical block came out equal to its horizontal neighbour
     assert log["last_solved"] == log["last_x_equals_b"] > 0
+    assert verify_relations(recon) == _fraction_verify_relations(recon)
 
 
 def test_reconstruct_rejects_integral_sums():
@@ -195,8 +240,6 @@ def test_commuting_operators_commute_blockwise():
     a = random_parameters(4, rng)
     xs = random_commuting_nilpotents(4, 2, rng)
     m = build_f(4, a, xs, 2)
-    from quivdef.slnlab import _monomial_matrix
-
     e12 = ("e", 1, 2)
     e34 = ("e", 3, 4)
     for p in m.support.points:
@@ -206,3 +249,48 @@ def test_commuting_operators_commute_blockwise():
             continue
         assert end1 == end2
         assert mat_eq(m1, m2)
+
+
+fractions = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6)
+)
+parameters = fractions.filter(lambda x: x.denominator != 1)
+
+
+@st.composite
+def nilpotent_polynomials(draw, dim):
+    """c_1 N + ... + c_(dim-1) N^(dim-1) for one Jordan block N; these commute."""
+    jordan = [[F(int(j == i + 1)) for j in range(dim)] for i in range(dim)]
+    x, power = [[ZERO] * dim for _ in range(dim)], jordan
+    for c in draw(st.lists(fractions, min_size=dim - 1, max_size=dim - 1)):
+        x, power = mat_add(x, mat_scale(c, power)), mat_mul(power, jordan)
+    return x
+
+
+@st.composite
+def lattice_modules(draw):
+    """build_f modules with commuting or unchecked fractional X, and extensions."""
+    kind = draw(st.sampled_from(["commuting", "unchecked", "extension"]))
+    n = 3 if kind == "extension" else draw(st.integers(min_value=2, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    # the oracle needs seconds at n = 4, radius 3, fiber dimension 3
+    radius = draw(st.integers(min_value=1, max_value=2 if (n, dim) == (4, 3) else 3))
+    a = tuple(draw(st.lists(parameters, min_size=n, max_size=n)))
+    if kind == "unchecked":
+        square = st.lists(st.lists(fractions, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        return build_f(n, a, draw(st.lists(square, min_size=n, max_size=n)), radius, check=False)
+    xs = [draw(nilpotent_polynomials(dim)) for _ in range(n)]
+    if kind == "commuting":
+        return build_f(n, a, xs, radius)
+    # the extension solver computes its blocks through matrix inverses
+    try:
+        module, _log = reconstruct_extension(3, a, build_f(2, a[:2], xs[:2], radius), xs[2], radius)
+    except NoUniqueExtension:
+        reject()
+    return module
+
+
+@given(lattice_modules())
+@settings(max_examples=30, deadline=None)
+def test_integer_kernel_matches_fraction_oracle(module):
+    assert verify_relations(module) == _fraction_verify_relations(module)
