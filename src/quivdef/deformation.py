@@ -6,15 +6,18 @@ at total degree `order`.  The mu_d are degree-2 cochains in the reduced
 sense, so they vanish whenever an argument is an idempotent and the sum of
 the vertex idempotents stays a strict unit.
 
-check_associativity verifies, for every multi-index up to the order and
-every basis triple, the convolution identity that expresses associativity
-of the star product order by order.  extend_order_by_order builds a
-one-parameter family from a single 2-cocycle by solving the coboundary
-equation for each next term, reporting the obstruction class when the
-right-hand side fails to be a coboundary.  verify_deformation_map checks a
-proposed isomorphism from a star product onto an honestly multiplied
-truncated algebra: unit, homomorphism property, bijectivity, and identity
-modulo the deformation parameters.
+check_associativity verifies the order-by-order associativity equations
+of the star product, for every multi-index up to the order and every
+basis triple.  It hands the structure constants and the family to the
+sparse associator kernel `quiver.associator`, which starts from the
+nonzero values only and so never walks the triples and splits that are
+zero on both sides.  extend_order_by_order builds a one-parameter family
+from a single 2-cocycle.  For each next order it takes the right-hand
+side from the same kernel and solves the coboundary equation, and it
+reports the obstruction class when that side is not a coboundary.
+verify_deformation_map checks a proposed isomorphism from a star product
+onto an honestly multiplied truncated algebra: unit, homomorphism
+property, bijectivity, and identity modulo the deformation parameters.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 
 from .linalg import ONE, ZERO, RowReducer, fr
 from .truncpoly import TruncPoly
-from .quiver import FiniteDimAlgebra
+from .quiver import FiniteDimAlgebra, associator
 from .hochschild import (
     HochschildComplex,
     cochain_eval,
@@ -54,12 +57,6 @@ def multi_indices(m: int, max_total: int, include_zero=True):
             out.append(tuple(d))
     seen = sorted(set(out), key=lambda d: (sum(d), d))
     return seen
-
-
-def sub_indices(d):
-    """All d' <= d componentwise."""
-    ranges = [range(x + 1) for x in d]
-    return [tuple(t) for t in itertools.product(*ranges)]
 
 
 class StarProduct:
@@ -177,39 +174,17 @@ def check_associativity(S: StarProduct):
 
     Verifies, for every multi-index d with |d| <= order and all basis
     triples, that the order-d component of (a*b)*c - a*(b*c) vanishes.
+    The witness is the first failure by the position of d in
+    multi_indices, then by triple.
     """
     alg = S.base
-    dim = alg.dim
     indices = multi_indices(S.params, S.order)
-    active = set(alg.table)
-    for c in S.family.values():
-        active |= set(c)
-    triples = set()
-    for (i, j) in active:
-        for l in range(dim):
-            triples.add((i, j, l))
-            triples.add((l, i, j))
-    for d in indices:
-        splits = [(dp, tuple(x - y for x, y in zip(d, dp))) for dp in sub_indices(d)]
-        for (i, j, l) in sorted(triples):
-            lhs: dict = {}
-            rhs: dict = {}
-            for dp, dq in splits:
-                for out, x in S.mu_left(dp, S.mu_pair(dq, i, j), l).items():
-                    y = lhs.get(out, ZERO) + x
-                    if y:
-                        lhs[out] = y
-                    else:
-                        del lhs[out]
-                for out, x in S.mu_right(dp, i, S.mu_pair(dq, j, l)).items():
-                    y = rhs.get(out, ZERO) + x
-                    if y:
-                        rhs[out] = y
-                    else:
-                        del rhs[out]
-            if lhs != rhs:
-                return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
-    return None
+    position = {d: n for n, d in enumerate(indices)}
+    bad = associator([(indices[0], alg.table)] + sorted(S.family.items()), position)
+    if not bad:
+        return None
+    i, j, l, d = min(bad, key=lambda key: (position[key[3]], key[:3]))
+    return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
 
 
 def deform_from_cocycle(alg: FiniteDimAlgebra, nu: dict, coeffs: dict, params: int, order: int, verify=True) -> StarProduct:
@@ -258,34 +233,14 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int, prescrib
     mus = {1: mu1}
     prescribed = prescribed or {}
 
-    def mu_of(k):
-        return mus.get(k, {})
-
+    tuples3 = set(cx.tuples(3))
     for k in range(2, order + 1):
-        rhs: dict = {}
-        for t in cx.tuples(3):
-            u, v, w = t
-            val: dict = {}
-            for i in range(1, k):
-                inner = cochain_eval(mu_of(k - i), v, w)
-                for l, x in cochain_eval_vec_right(alg, mu_of(i), u, inner).items():
-                    y = val.get(l, ZERO) + x
-                    if y:
-                        val[l] = y
-                    else:
-                        del val[l]
-                inner = cochain_eval(mu_of(k - i), u, v)
-                for l, x in cochain_eval_vec_left(alg, mu_of(i), inner, w).items():
-                    y = val.get(l, ZERO) - x
-                    if y:
-                        val[l] = y
-                    else:
-                        del val[l]
-            if val:
-                rhs[t] = val
+        # the order-k associator of the lower terms, on the reduced triples
+        lower = associator([((i,), c) for i, c in sorted(mus.items())], {(k,)})
+        neg = {key[:3]: lower[key] for key in sorted(lower) if key[:3] in tuples3}
+        rhs = {t: {l: -x for l, x in vec.items()} for t, vec in neg.items()}
         if rhs and cx.apply_d(3, rhs):
             raise AssertionError("right-hand side at order %d is not a 3-cocycle" % k)
-        neg = {t: {l: -x for l, x in vec.items()} for t, vec in rhs.items()}
         if k in prescribed:
             muk = prescribed[k]
             if cx.apply_d(2, muk) != neg:

@@ -13,15 +13,22 @@ degree-2 cocycle that drives all deformations here is mu_cocycle; note it
 carries one value the obvious sign pattern misses, on the square of the
 loop at the first vertex, without which the cocycle identity fails on
 (b1, a1, b1*a1).
+
+is_cocycle and is_associative_cochain do not loop over basis triples.
+They are slices of the sparse associator kernel `quiver.associator`,
+which only extends the nonzero values of the product and the cochain.
+The cocycle identity is the order-one part of the associator of
+xy + c(x, y) t, and associativity of c is its order-two part.  Cochain
+keys and values must be basis indices; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, ZERO, RowReducer, solve
+from .linalg import ONE, ZERO, RowReducer, solve, vec_axpy_inplace
 from .families import a_index, b_index, e_index, loop_index
-from .quiver import FiniteDimAlgebra
+from .quiver import FiniteDimAlgebra, associator
 
 
 class ResourceBoundExceeded(Exception):
@@ -35,29 +42,31 @@ def cochain_eval(c: dict, i: int, j: int) -> dict:
 def cochain_eval_vec_right(alg, c, i, vec) -> dict:
     out = {}
     for j, x in vec.items():
-        for l, y in c.get((i, j), {}).items():
-            z = out.get(l, ZERO) + x * y
-            if z:
-                out[l] = z
-            else:
-                del out[l]
+        vec_axpy_inplace(out, x, c.get((i, j), {}))
     return out
 
 
 def cochain_eval_vec_left(alg, c, vec, j) -> dict:
     out = {}
     for i, x in vec.items():
-        for l, y in c.get((i, j), {}).items():
-            z = out.get(l, ZERO) + x * y
-            if z:
-                out[l] = z
-            else:
-                del out[l]
+        vec_axpy_inplace(out, x, c.get((i, j), {}))
     return out
 
 
+def _check_indices(alg: FiniteDimAlgebra, c: dict) -> None:
+    """Raise ValueError at the first key of c with an index outside the basis."""
+    for key, vec in c.items():
+        chain = key if isinstance(key, tuple) else (key,)
+        if not all(0 <= i < alg.dim for i in (*chain, *vec)):
+            raise ValueError("cochain index out of range at %r" % (key,))
+
+
 def validate_cochain(alg: FiniteDimAlgebra, c: dict):
-    """Vertex consistency: values live in e_t(c1) A e_s(cn); witness or None."""
+    """Vertex consistency: values live in e_t(c1) A e_s(cn); witness or None.
+
+    Raises ValueError when a key or value index is not a basis index.
+    """
+    _check_indices(alg, c)
     for key, vec in c.items():
         chain = key if isinstance(key, tuple) else (key,)
         for a, b in zip(chain, chain[1:]):
@@ -255,12 +264,7 @@ class HochschildComplex:
         cols = self.differential_columns(n)
         out: dict[int, object] = {}
         for r, x in coords.items():
-            for rr, y in cols[r].items():
-                z = out.get(rr, ZERO) + x * y
-                if z:
-                    out[rr] = z
-                else:
-                    del out[rr]
+            vec_axpy_inplace(out, x, cols[r])
         return self.coords_to_cochain(n + 1, out)
 
     def solve_coboundary(self, n: int, c: dict):
@@ -336,36 +340,30 @@ def mu_dual_numbers(alg: FiniteDimAlgebra) -> dict:
 
 
 def is_cocycle(alg: FiniteDimAlgebra, c: dict):
-    """(True, None) iff the 2-cocycle identity holds on all basis triples."""
-    for u in range(alg.dim):
-        for v in range(alg.dim):
-            cuv = cochain_eval(c, u, v)
-            uv = alg.mul_basis(u, v)
-            for w in range(alg.dim):
-                defect = alg.mul({u: ONE}, cochain_eval(c, v, w))
-                for l, x in cochain_eval_vec_left(alg, c, uv, w).items():
-                    defect[l] = defect.get(l, ZERO) - x
-                for l, x in cochain_eval_vec_right(alg, c, u, alg.mul_basis(v, w)).items():
-                    defect[l] = defect.get(l, ZERO) + x
-                for l, x in alg.mul(cuv, {w: ONE}).items():
-                    defect[l] = defect.get(l, ZERO) - x
-                defect = {l: x for l, x in defect.items() if x}
-                if defect:
-                    return False, ((alg.labels[u], alg.labels[v], alg.labels[w]), defect)
-    return True, None
+    """(True, None) iff the 2-cocycle identity holds on all basis triples.
+
+    The defect u.c(v,w) - c(uv,w) + c(u,vw) - c(u,v).w is minus the order-one
+    associator of xy + c(x,y) t; the witness is the first failing triple in
+    index order, with its defect.
+    """
+    _check_indices(alg, c)
+    bad = associator([((0,), alg.table), ((1,), c)], {(1,)})
+    if not bad:
+        return True, None
+    key = min(bad)
+    u, v, w, _ = key
+    defect = {l: -x for l, x in bad[key].items()}
+    return False, ((alg.labels[u], alg.labels[v], alg.labels[w]), defect)
 
 
 def is_associative_cochain(alg: FiniteDimAlgebra, c: dict):
     """(True, None) iff c(c(u,v),w) = c(u,c(v,w)) on all basis triples."""
-    for u in range(alg.dim):
-        for v in range(alg.dim):
-            cuv = cochain_eval(c, u, v)
-            for w in range(alg.dim):
-                left = cochain_eval_vec_left(alg, c, cuv, w)
-                right = cochain_eval_vec_right(alg, c, u, cochain_eval(c, v, w))
-                if left != right:
-                    return False, (alg.labels[u], alg.labels[v], alg.labels[w])
-    return True, None
+    _check_indices(alg, c)
+    bad = associator([((1,), c)], {(2,)})
+    if not bad:
+        return True, None
+    u, v, w, _ = min(bad)
+    return False, (alg.labels[u], alg.labels[v], alg.labels[w])
 
 
 def is_coboundary(alg: FiniteDimAlgebra, c: dict):

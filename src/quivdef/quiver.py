@@ -12,6 +12,8 @@ of the two-sided ideal, i.e. the span of all u*r*v with r a relation.
 This avoids any noncommutative Groebner machinery and is exact.  When all
 components from some bound on vanish, the quotient is finite dimensional
 and is packaged as a FiniteDimAlgebra with explicit structure constants.
+`associator` is the one sparse associativity check: it serves the
+algebra's own check_associativity and the cocycle and star-product checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, RowReducer, fmt_fraction, fr, parse_fraction
+from .linalg import ONE, ZERO, RowReducer, fmt_fraction, fr, parse_fraction, vec_axpy_inplace
 
 
 class BoundTooSmall(Exception):
@@ -406,15 +408,8 @@ class FiniteDimAlgebra:
         for i, c1 in u.items():
             for j, c2 in v.items():
                 t = self.table.get((i, j))
-                if not t:
-                    continue
-                c = c1 * c2
-                for l, x in t.items():
-                    y = out.get(l, ZERO) + c * x
-                    if y:
-                        out[l] = y
-                    else:
-                        del out[l]
+                if t:
+                    vec_axpy_inplace(out, c1 * c2, t)
         return out
 
     def radical_indices(self) -> list[int]:
@@ -445,16 +440,12 @@ class FiniteDimAlgebra:
         return True
 
     def check_associativity(self):
-        """None when associative, else a witness triple of labels."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_basis(i, j)
-                for l in range(self.dim):
-                    left = self.mul(ij, {l: ONE})
-                    right = self.mul({i: ONE}, self.mul_basis(j, l))
-                    if left != right:
-                        return (self.labels[i], self.labels[j], self.labels[l])
-        return None
+        """None when associative, else the first failing triple of labels."""
+        bad = associator([((), self.table)], {()})
+        if not bad:
+            return None
+        i, j, l, _ = min(bad)
+        return (self.labels[i], self.labels[j], self.labels[l])
 
     def check_graded(self, degrees=None):
         """Products must respect the grading; None or a witness pair."""
@@ -479,6 +470,43 @@ class FiniteDimAlgebra:
     def element_label(self, u: dict) -> str:
         bits = ["(%s)%s" % (fmt_fraction(u[i]), self.labels[i]) for i in sorted(u)]
         return " + ".join(bits) if bits else "0"
+
+
+def associator(terms, keep) -> dict:
+    """The nonzero components of (ab)c - a(bc) for a graded product.
+
+    `terms` lists pairs (multi-index d, table), the table mapping basis
+    pairs (i, j) to the sparse vector mu_d(b_i, b_j); for a deformation
+    the zero index carries the algebra's own `table`.  The component of
+    multi-index d on the triple (a, b, c) is the sum over the splits
+    d = d' + d'' of mu_d'(mu_d''(a, b), c) - mu_d'(a, mu_d''(b, c)), and
+    only the d in `keep` are formed.  Each nonzero value mu_d''(i, j) is
+    extended through the entries whose first or second slot is one of its
+    outputs; a triple that is never reached has both sides zero, so no
+    basis triple is skipped.  Returns {(a, b, c, d): vector}, every vector
+    nonzero.
+    """
+    indexed = []
+    for d, table in terms:
+        first: dict = {}
+        second: dict = {}
+        for (i, j), vec in table.items():
+            first.setdefault(i, []).append((j, vec))
+            second.setdefault(j, []).append((i, vec))
+        indexed.append((d, first, second))
+    out: dict = {}
+    for d1, table in terms:
+        for d2, first, second in indexed:
+            d = tuple(x + y for x, y in zip(d1, d2))
+            if d not in keep:
+                continue
+            for (i, j), vec in table.items():
+                for o, x in vec.items():
+                    for l, v in first.get(o, ()):
+                        vec_axpy_inplace(out.setdefault((i, j, l, d), {}), x, v)
+                    for h, v in second.get(o, ()):
+                        vec_axpy_inplace(out.setdefault((h, i, j, d), {}), -x, v)
+    return {key: vec for key, vec in out.items() if vec}
 
 
 def bounded_quotient(pres: QuiverPresentation, bound: int, allow_truncation=False):

@@ -1,0 +1,283 @@
+"""The sparse associator kernel against the dense triple loops it replaced.
+
+The four `_triple_loop_*` functions are the former implementations of
+`deformation.check_associativity`, `hochschild.is_cocycle`,
+`hochschild.is_associative_cochain` and
+`FiniteDimAlgebra.check_associativity`, kept verbatim as oracles: they
+walk every basis triple and every split of every multi-index.
+"""
+
+import copy
+import itertools
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
+
+from quivdef.deformation import (
+    StarProduct,
+    check_associativity,
+    extend_order_by_order,
+    multi_indices,
+)
+from quivdef.families import make_a
+from quivdef.hochschild import (
+    cochain_eval,
+    cochain_eval_vec_left,
+    cochain_eval_vec_right,
+    is_associative_cochain,
+    is_cocycle,
+    mu_cocycle,
+    validate_cochain,
+)
+from quivdef.linalg import ONE, ZERO
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the triple loops, as they were
+# ---------------------------------------------------------------------------
+
+def sub_indices(d):
+    """All d' <= d componentwise."""
+    ranges = [range(x + 1) for x in d]
+    return [tuple(t) for t in itertools.product(*ranges)]
+
+
+def _triple_loop_check_associativity(S):
+    alg = S.base
+    dim = alg.dim
+    indices = multi_indices(S.params, S.order)
+    active = set(alg.table)
+    for c in S.family.values():
+        active |= set(c)
+    triples = set()
+    for (i, j) in active:
+        for l in range(dim):
+            triples.add((i, j, l))
+            triples.add((l, i, j))
+    for d in indices:
+        splits = [(dp, tuple(x - y for x, y in zip(d, dp))) for dp in sub_indices(d)]
+        for (i, j, l) in sorted(triples):
+            lhs: dict = {}
+            rhs: dict = {}
+            for dp, dq in splits:
+                for out, x in S.mu_left(dp, S.mu_pair(dq, i, j), l).items():
+                    y = lhs.get(out, ZERO) + x
+                    if y:
+                        lhs[out] = y
+                    else:
+                        del lhs[out]
+                for out, x in S.mu_right(dp, i, S.mu_pair(dq, j, l)).items():
+                    y = rhs.get(out, ZERO) + x
+                    if y:
+                        rhs[out] = y
+                    else:
+                        del rhs[out]
+            if lhs != rhs:
+                return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
+    return None
+
+
+def _triple_loop_is_cocycle(alg, c):
+    for u in range(alg.dim):
+        for v in range(alg.dim):
+            cuv = cochain_eval(c, u, v)
+            uv = alg.mul_basis(u, v)
+            for w in range(alg.dim):
+                defect = alg.mul({u: ONE}, cochain_eval(c, v, w))
+                for l, x in cochain_eval_vec_left(alg, c, uv, w).items():
+                    defect[l] = defect.get(l, ZERO) - x
+                for l, x in cochain_eval_vec_right(alg, c, u, alg.mul_basis(v, w)).items():
+                    defect[l] = defect.get(l, ZERO) + x
+                for l, x in alg.mul(cuv, {w: ONE}).items():
+                    defect[l] = defect.get(l, ZERO) - x
+                defect = {l: x for l, x in defect.items() if x}
+                if defect:
+                    return False, ((alg.labels[u], alg.labels[v], alg.labels[w]), defect)
+    return True, None
+
+
+def _triple_loop_is_associative_cochain(alg, c):
+    for u in range(alg.dim):
+        for v in range(alg.dim):
+            cuv = cochain_eval(c, u, v)
+            for w in range(alg.dim):
+                left = cochain_eval_vec_left(alg, c, cuv, w)
+                right = cochain_eval_vec_right(alg, c, u, cochain_eval(c, v, w))
+                if left != right:
+                    return False, (alg.labels[u], alg.labels[v], alg.labels[w])
+    return True, None
+
+
+def _triple_loop_algebra_check_associativity(self):
+    for i in range(self.dim):
+        for j in range(self.dim):
+            ij = self.mul_basis(i, j)
+            for l in range(self.dim):
+                left = self.mul(ij, {l: ONE})
+                right = self.mul({i: ONE}, self.mul_basis(j, l))
+                if left != right:
+                    return (self.labels[i], self.labels[j], self.labels[l])
+    return None
+
+
+# ---------------------------------------------------------------------------
+# inputs: mu_cocycle of make_a(k), scaled and perturbed by junk
+# ---------------------------------------------------------------------------
+
+ALGS = {k: make_a(k) for k in (2, 3, 4)}
+MUS = {k: mu_cocycle(alg) for k, alg in ALGS.items()}
+
+
+def _consistent_slots(alg):
+    """(i, j, l): i, j radical and composable, b_l in e_t(i) A e_s(j)."""
+    rad = alg.radical_indices()
+    return [
+        (i, j, l)
+        for i in rad
+        for j in rad
+        if alg.source[i] == alg.target[j]
+        for l in range(alg.dim)
+        if alg.target[l] == alg.target[i] and alg.source[l] == alg.source[j]
+    ]
+
+
+SLOTS = {k: _consistent_slots(alg) for k, alg in ALGS.items()}
+coefficients = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+def _strip(c):
+    """c without zero coefficients and without empty values."""
+    out = {}
+    for key, vec in c.items():
+        vec = {l: x for l, x in vec.items() if x}
+        if vec:
+            out[key] = vec
+    return out
+
+
+def _perturbed(draw, k, scale, table=None):
+    """scale * mu (or a copy of `table`) plus up to three junk values."""
+    base = MUS[k] if table is None else table
+    c = {key: {l: scale * x for l, x in vec.items()} for key, vec in base.items()}
+    for i, j, l in draw(st.lists(st.sampled_from(SLOTS[k]), max_size=3)):
+        vec = c.setdefault((i, j), {})
+        vec[l] = vec.get(l, ZERO) + draw(coefficients)
+    return _strip(c)
+
+
+@st.composite
+def cochains(draw):
+    k = draw(st.sampled_from(sorted(ALGS)))
+    return ALGS[k], _perturbed(draw, k, ONE)
+
+
+@st.composite
+def algebras(draw):
+    """make_a(k) with its structure constants perturbed by junk."""
+    k = draw(st.sampled_from(sorted(ALGS)))
+    alg = copy.copy(ALGS[k])
+    alg.table = _perturbed(draw, k, ONE, table=alg.table)
+    return alg
+
+
+@st.composite
+def star_products(draw):
+    k = draw(st.sampled_from(sorted(ALGS)))
+    params = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    indices = multi_indices(params, order, include_zero=False)
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+    family = {d: _perturbed(draw, k, draw(st.sampled_from((0, 1, -1, F(1, 2), 3)))) for d in chosen}
+    return StarProduct(ALGS[k], params, order, family)
+
+
+# ---------------------------------------------------------------------------
+# the kernel equals the loops, witnesses and defects included
+# ---------------------------------------------------------------------------
+
+@given(cochains())
+@settings(max_examples=100, deadline=None)
+def test_cochain_checks_match_triple_loops(case):
+    alg, c = case
+    assert is_cocycle(alg, c) == _triple_loop_is_cocycle(alg, c)
+    assert is_associative_cochain(alg, c) == _triple_loop_is_associative_cochain(alg, c)
+
+
+@given(algebras())
+@settings(max_examples=60, deadline=None)
+def test_algebra_associativity_matches_triple_loop(alg):
+    assert alg.check_associativity() == _triple_loop_algebra_check_associativity(alg)
+
+
+@given(star_products())
+@settings(max_examples=80, deadline=None)
+def test_star_product_associativity_matches_triple_loop(S):
+    assert check_associativity(S) == _triple_loop_check_associativity(S)
+
+
+def test_strategies_reach_failures_and_passes():
+    """Each property sees failing inputs, not only associative ones."""
+    once = settings(max_examples=500, database=None)
+    for strategy, check in (
+        (cochains(), lambda case: is_cocycle(*case)[0]),
+        (cochains(), lambda case: is_associative_cochain(*case)[0]),
+        (algebras(), lambda alg: alg.check_associativity() is None),
+        (star_products(), lambda S: check_associativity(S) is None),
+    ):
+        find(strategy, lambda x: not check(x), settings=once)
+        find(strategy, check, settings=once)
+
+
+# ---------------------------------------------------------------------------
+# explicit zeros and out-of-range indices
+# ---------------------------------------------------------------------------
+
+def test_explicit_zero_coefficients_act_as_absent():
+    alg = make_a(2)
+    mu = mu_cocycle(alg)
+    a1, b1, l1 = 2, 3, 4  # a1, b1, b1*a1
+    zeroed = dict(mu)
+    zeroed[(a1, b1)] = {l: ZERO for l in mu[(a1, b1)]}
+    padded = dict(mu)
+    padded[(b1, a1)] = {**mu[(b1, a1)], l1: ZERO}  # e1 A e1 holds b1*a1
+    padded[(l1, b1)] = {b1: ZERO}
+    for c in (zeroed, padded):
+        stripped = _strip(c)
+        assert is_cocycle(alg, c) == is_cocycle(alg, stripped)
+        assert is_associative_cochain(alg, c) == is_associative_cochain(alg, stripped)
+        assert check_associativity(StarProduct(alg, 1, 3, {(1,): c})) == check_associativity(
+            StarProduct(alg, 1, 3, {(1,): stripped})
+        )
+    assert is_cocycle(alg, zeroed)[0] is False
+    table = copy.copy(alg)
+    table.table = {**alg.table, (a1, a1): {a1: ZERO}}
+    assert table.check_associativity() is None
+    S = extend_order_by_order(alg, padded, 4, prescribed={2: {(l1, b1): {b1: ZERO}}})
+    T = extend_order_by_order(alg, mu, 4)
+    assert {d: _strip(c) for d, c in S.family.items() if _strip(c)} == T.family
+    assert check_associativity(S) is None
+
+
+@pytest.mark.parametrize("key", [(6 + 5, 0), (-1, 2), (2, 6)])
+def test_out_of_range_cochain_keys_are_rejected(key):
+    alg = make_a(2)
+    assert alg.dim == 6
+    bad = {key: {0: ONE}}
+    message = re.escape(repr(key))
+    for check in (is_cocycle, is_associative_cochain, validate_cochain):
+        with pytest.raises(ValueError, match=message):
+            check(alg, bad)
+    with pytest.raises(ValueError, match=message):
+        StarProduct(alg, 1, 2, {(1,): bad})
+
+
+def test_out_of_range_value_index_is_rejected():
+    alg = make_a(2)
+    bad = {(2, 3): {alg.dim: ONE}}
+    with pytest.raises(ValueError, match=re.escape(repr((2, 3)))):
+        is_cocycle(alg, bad)
