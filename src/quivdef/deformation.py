@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, ZERO, RowReducer, fr
+from .linalg import ONE, ZERO, RowReducer, fr, vec_axpy_inplace
 from .truncpoly import TruncPoly
 from .quiver import FiniteDimAlgebra, associator
 from .hochschild import (
@@ -326,12 +326,7 @@ def verify_psi(k: int, order: int, scale=1):
     def reduction(tv):
         out: dict = {}
         for l, c in tv.items():
-            for m, x in apply_on_path(alg, phi_im, target.basis[l]).items():
-                y = out.get(m, ZERO) + c * x
-                if y:
-                    out[m] = y
-                else:
-                    del out[m]
+            vec_axpy_inplace(out, c, apply_on_path(alg, phi_im, target.basis[l]))
         return out
 
     report = verify_deformation_map(S, target, images, [t_img], reduction)

@@ -6,12 +6,17 @@ loop "b1*a1" starts with a1).  A presentation consists of a quiver with
 nonnegative arrow degrees and a list of relations, each a rational linear
 combination of parallel paths, homogeneous in degree.
 
-Quotients are computed degree by degree: the degree-d component of the
-quotient algebra is the span of degree-d paths modulo the degree-d slice
-of the two-sided ideal, i.e. the span of all u*r*v with r a relation.
-This avoids any noncommutative Groebner machinery and is exact.  When all
-components from some bound on vanish, the quotient is finite dimensional
-and is packaged as a FiniteDimAlgebra with explicit structure constants.
+Quotients are computed degree by degree, bottom-up, as spans of normal
+words: the paths that are not the smallest path of any element of the
+ideal (Bergman, "The diamond lemma for ring theory", Adv. Math. 29
+(1978)).  Degree 0 row-reduces the degree-0 paths modulo all u*r*v.  A
+higher degree d only has the columns z*a*n, n a normal word of lower
+degree, and the rows that the relations and the degree-0 ideal give on
+them once rewritten (see GradedQuotient), so its cost follows the
+dimension of the quotient, not the number of paths.  Elimination is exact
+over Q.  When all components from some bound on vanish, the quotient is
+finite dimensional and is packaged as a FiniteDimAlgebra with explicit
+structure constants.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 """
@@ -223,87 +228,170 @@ class QuiverPresentation:
         return cls(quiver, relations)
 
 
+def _finish_component(paths, col, red) -> dict:
+    """A component: its columns, their reducer, and the non-pivot columns
+    as the basis."""
+    pivots = set(red.pivot_columns())
+    basis = [p for i, p in enumerate(paths) if i not in pivots]
+    return {
+        "paths": paths,
+        "col": col,
+        "reducer": red,
+        "basis": basis,
+        "local": {p: i for i, p in enumerate(basis)},
+    }
+
+
+def _normal_form(comp: dict, w: Path) -> dict:
+    """Basis coordinates of the column w of a component."""
+    paths, local = comp["paths"], comp["local"]
+    res = comp["reducer"].reduce({comp["col"][w]: ONE})
+    return {local[paths[j]]: x for j, x in res.items()}
+
+
 class GradedQuotient:
     """Path algebra modulo homogeneous relations, one degree at a time.
 
     component(d) is the list of basis paths of the degree-d piece of the
     quotient; reduce_path expresses any path as coordinates in the basis of
     its degree; mul composes homogeneous vectors.  Components are computed
-    lazily, so an infinite graded quotient is usable degree by degree.
+    lazily and bottom-up, so an infinite graded quotient is usable degree
+    by degree.
+
+    The basis of degree d is the set of normal words: the paths that are
+    not the smallest path, under `Quiver.path_key`, of any element of the
+    ideal.  Degree 0 row-reduces the degree-0 paths modulo all u*r*v;
+    there are finitely many because no cycle of degree-0 arrows is allowed
+    (`paths_of_degree(0)` checks that first).  In degree d > 0 the columns
+    are only the paths z*a*n: z of degree 0, a an arrow of positive degree,
+    n a basis path of degree d - deg(a).  A path z*a*p', a its leftmost
+    arrow of positive degree, is congruent to z*a*NF(p'), NF the normal
+    form of a lower degree.  This rewriting maps the degree-d slice of the
+    ideal onto the span of two kinds of rows: the rewritten u*r*n (r a
+    relation of positive degree, u of degree 0, n a basis path) and w*a*n
+    (w an echelon row of the degree-0 ideal).
+
+    The basis is the one that row-reducing the whole path space against
+    every u*r*v gives.  `RowReducer` pivots on the smallest column, and
+    left multiplication keeps the order of parallel paths of one degree,
+    so every tail of a normal word is normal and every normal word is a
+    column.  Both eliminations leave dim(quotient) non-pivot columns, so
+    the non-pivot columns are exactly the normal words.  Normal forms are
+    unique, so reduce_path agrees too.
     """
 
     def __init__(self, presentation: QuiverPresentation):
         self.pres = presentation
         self.quiver = presentation.quiver
         self.truncated = False
-        self._paths_max = -1
-        self._paths_by_deg: dict[int, list[Path]] = {}
         self._components: dict[int, dict] = {}
+        self._zero_from: dict = {}  # degree-0 paths by source vertex
+        self._arrow_cache: dict = {}
         self._prod_cache: dict = {}
 
-    def _ensure_paths(self, d: int):
-        if d <= self._paths_max:
-            return
-        by_deg: dict[int, list[Path]] = {g: [] for g in range(d + 1)}
-        for p in self.quiver.enumerate_paths(d):
-            by_deg[p.degree].append(p)
-        self._paths_by_deg = by_deg
-        self._from_vertex = {}
-        self._into_vertex = {}
-        for g, paths in by_deg.items():
-            for p in paths:
-                self._from_vertex.setdefault((g, p.source), []).append(p)
-                self._into_vertex.setdefault((g, p.target), []).append(p)
-        self._paths_max = d
-
     def paths_of_degree(self, d: int) -> list[Path]:
-        self._ensure_paths(d)
-        return self._paths_by_deg.get(d, [])
-
-    def paths_from(self, d: int, vertex) -> list[Path]:
-        self._ensure_paths(d)
-        return self._from_vertex.get((d, vertex), [])
-
-    def paths_into(self, d: int, vertex) -> list[Path]:
-        self._ensure_paths(d)
-        return self._into_vertex.get((d, vertex), [])
+        """Every path of degree d; components enumerate degree 0 only."""
+        return [p for p in self.quiver.enumerate_paths(d) if p.degree == d]
 
     def _component(self, d: int) -> dict:
-        if d in self._components:
-            return self._components[d]
-        paths = self.paths_of_degree(d)
+        if d < 0:
+            return _finish_component([], {}, RowReducer())
+        comps = self._components
+        for g in range(len(comps), d + 1):
+            comps[g] = self._degree_zero() if g == 0 else self._positive_degree(g)
+        return comps[d]
+
+    def _degree_zero(self) -> dict:
+        paths = self.paths_of_degree(0)
+        self._zero_from = {v: [p for p in paths if p.source == v] for v in self.quiver.vertices}
         col = {p: i for i, p in enumerate(paths)}
         red = RowReducer()
         for r in self.pres.relations:
-            g = r.degree
-            if g > d:
+            if r.degree:
                 continue
-            for du in range(d - g + 1):
-                dv = d - g - du
-                for left in self.paths_from(du, r.target):
-                    for right in self.paths_into(dv, r.source):
-                        vec = {}
+            for u in self._zero_from[r.target]:
+                for v in paths:
+                    if v.target == r.source:
+                        vec: dict = {}
                         for c, term in r.terms:
-                            w = compose(compose(left, term), right)
-                            j = col[w]
-                            x = vec.get(j, ZERO) + c
-                            if x:
-                                vec[j] = x
-                            else:
-                                del vec[j]
-                        if vec:
-                            red.add(vec)
-        pivots = set(red.pivot_columns())
-        basis = [p for i, p in enumerate(paths) if i not in pivots]
-        comp = {
-            "paths": paths,
-            "col": col,
-            "reducer": red,
-            "basis": basis,
-            "local": {p: i for i, p in enumerate(basis)},
+                            vec_axpy_inplace(vec, c, {col[compose(compose(u, term), v)]: ONE})
+                        red.add(vec)
+        return _finish_component(paths, col, red)
+
+    def _positive_degree(self, d: int) -> dict:
+        comps = self._components
+        # every a*n, a of positive degree; the columns are the z*a*n
+        arrow_basis = [
+            compose(self.quiver.arrow_path(a.name), n)
+            for a in self.quiver.arrows
+            if 0 < a.degree <= d
+            for n in comps[d - a.degree]["basis"]
+            if n.target == a.source
+        ]
+        paths = [compose(z, an) for an in arrow_basis for z in self._zero_from[an.target]]
+        paths.sort(key=self.quiver.path_key)
+        col = {p: i for i, p in enumerate(paths)}
+        red = RowReducer()
+        for r in self.pres.relations:
+            if not 0 < r.degree <= d:
+                continue
+            for n in comps[d - r.degree]["basis"]:
+                if n.target != r.source:
+                    continue
+                for u in self._zero_from[r.target]:
+                    vec: dict = {}
+                    for c, term in r.terms:
+                        vec_axpy_inplace(vec, c, self._rewrite(u, term, n, col))
+                    red.add(vec)
+        zero = comps[0]
+        for row in zero["reducer"].rows.values():
+            w = [(zero["paths"][j], x) for j, x in row.items()]
+            for an in arrow_basis:
+                if an.target == w[0][0].source:
+                    red.add({col[compose(z, an)]: x for z, x in w})
+        return _finish_component(paths, col, red)
+
+    def _rewrite(self, u: Path, term: Path, n: Path, col: dict) -> dict:
+        """u*term*n = z*a*p' as z*a*NF(p'), in the columns `col`.
+
+        a is the leftmost arrow of positive degree; u has degree 0, so a
+        lies in the term, and p' is the rest of the term times n.
+        """
+        arrow = self.quiver.arrow_by_name
+        k = next(k for k, name in enumerate(term.arrows) if arrow[name].degree)
+        a = arrow[term.arrows[k]]
+        tail = Path(term.source, a.source, term.arrows[k + 1 :], term.degree - a.degree)
+        head = u.arrows + term.arrows[: k + 1]
+        basis = self._components[tail.degree + n.degree]["basis"]
+        degree = term.degree + n.degree
+        return {
+            col[Path(n.source, u.target, head + basis[i].arrows, degree)]: x
+            for i, x in self.mul_paths(tail, n).items()
         }
-        self._components[d] = comp
-        return comp
+
+    def _arrow_times(self, name: str, d: int, i: int) -> dict:
+        """Coordinates of arrow * (basis path i of degree d), cached.
+
+        The product is a column of its degree: a degree-0 path, e*a*n for
+        an arrow of positive degree, or (a*z)*b*n' for a degree-0 arrow and
+        a basis path z*b*n' (n' is normal, as a tail of a normal word).
+        """
+        key = (name, d, i)
+        nf = self._arrow_cache.get(key)
+        if nf is None:
+            w = compose(self.quiver.arrow_path(name), self._components[d]["basis"][i])
+            nf = self._arrow_cache[key] = _normal_form(self._component(w.degree), w)
+        return nf
+
+    def _left_multiply(self, arrows, d: int, vec: dict) -> dict:
+        """Coordinates of word*v for v = vec of degree d, one arrow at a time."""
+        for name in reversed(arrows):
+            out: dict = {}
+            for i, c in vec.items():
+                vec_axpy_inplace(out, c, self._arrow_times(name, d, i))
+            vec = out
+            d += self.quiver.arrow_by_name[name].degree
+        return vec
 
     def component(self, d: int) -> list[Path]:
         return self._component(d)["basis"]
@@ -313,47 +401,36 @@ class GradedQuotient:
 
     def reduce_path(self, p: Path) -> dict:
         """Coordinates of the class of p in the basis of its degree."""
-        comp = self._component(p.degree)
-        res = comp["reducer"].reduce({comp["col"][p]: ONE})
-        paths = comp["paths"]
-        return {comp["local"][paths[j]]: x for j, x in res.items()}
+        start = _normal_form(self._component(0), trivial_path(p.source))
+        return self._left_multiply(p.arrows, 0, start)
 
     def reduce_combination(self, terms, d: int) -> dict:
-        out = {}
+        out: dict = {}
         for c, p in terms:
             if p.degree != d:
                 raise ValueError("inhomogeneous combination")
-            for i, x in self.reduce_path(p).items():
-                y = out.get(i, ZERO) + fr(c) * x
-                if y:
-                    out[i] = y
-                else:
-                    del out[i]
+            vec_axpy_inplace(out, fr(c), self.reduce_path(p))
         return out
+
+    def mul_paths(self, p: Path, q: Path) -> dict:
+        """Coordinates of p*q for a basis path q; {} when they do not compose."""
+        if p.source != q.target:
+            return {}
+        return self._left_multiply(p.arrows, q.degree, {self._component(q.degree)["local"][q]: ONE})
 
     def mul_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         key = (d1, i1, d2, i2)
         if key in self._prod_cache:
             return self._prod_cache[key]
-        p = self._component(d1)["basis"][i1]
-        q = self._component(d2)["basis"][i2]
-        w = compose(p, q)
-        out = {} if w is None else self.reduce_path(w)
-        self._prod_cache[key] = out
+        out = self._prod_cache[key] = self.mul_paths(self.component(d1)[i1], self.component(d2)[i2])
         return out
 
     def mul(self, d1: int, v1: dict, d2: int, v2: dict) -> dict:
         """Product of homogeneous vectors; the result lives in degree d1+d2."""
-        out = {}
+        out: dict = {}
         for i1, c1 in v1.items():
             for i2, c2 in v2.items():
-                c = c1 * c2
-                for j, x in self.mul_basis(d1, i1, d2, i2).items():
-                    y = out.get(j, ZERO) + c * x
-                    if y:
-                        out[j] = y
-                    else:
-                        del out[j]
+                vec_axpy_inplace(out, c1 * c2, self.mul_basis(d1, i1, d2, i2))
         return out
 
     def element_label(self, d: int, vec: dict) -> str:
@@ -539,7 +616,7 @@ def bounded_quotient(pres: QuiverPresentation, bound: int, allow_truncation=Fals
         d = p.degree + q.degree
         if d >= bound:
             return {}
-        vec = gq.reduce_path(compose(p, q))
+        vec = gq.mul_paths(p, q)
         comp = gq.component(d)
         return {alg_index[comp[i]]: x for i, x in vec.items()}
 
@@ -629,7 +706,7 @@ class CentralQuotient:
             d = p.degree + q.degree
             if d >= bound:
                 return {}
-            vec = self.project(d, gq.reduce_path(compose(p, q)))
+            vec = self.project(d, gq.mul_paths(p, q))
             comp = gq.component(d)
             return {alg_index[comp[i]]: x for i, x in vec.items()}
 

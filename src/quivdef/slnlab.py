@@ -156,7 +156,16 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
                 if not mat_commute(matrices[i], matrices[j]):
                     raise ValueError("fiber matrices %d and %d do not commute" % (i + 1, j + 1))
     support = LatticeSupport(n, radius)
-    eye = mat_eye(dim)
+    xs = [[[fr(x) for x in row] for row in m] for m in matrices]
+    diffs = [mat_sub(xs[i], xs[i + 1]) for i in range(n - 1)]
+
+    def shifted(x, scal):
+        """x + scal*Id as a fresh matrix."""
+        out = [list(row) for row in x]
+        for r in range(dim):
+            out[r][r] += scal
+        return out
+
     blocks = {key: {} for key in generator_keys(n)}
     for p in support.points:
         for i in range(1, n):
@@ -165,12 +174,10 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
                 q = _add(p, _shift(n, s, t))
                 if q in support:
                     j = t
-                    scal = a[j - 1] + p[j - 1]
-                    blocks[key][p] = mat_add(matrices[j - 1], mat_scale(scal, eye))
+                    blocks[key][p] = shifted(xs[j - 1], a[j - 1] + p[j - 1])
         for i in range(1, n):
             scal = a[i - 1] + p[i - 1] - a[i] - p[i]
-            m = mat_add(mat_sub(matrices[i - 1], matrices[i]), mat_scale(scal, eye))
-            blocks[("h", i)][p] = m
+            blocks[("h", i)][p] = shifted(diffs[i - 1], scal)
     return LatticeModule(n, a, support, dim, blocks)
 
 

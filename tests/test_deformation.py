@@ -203,6 +203,16 @@ def test_verify_psi_rescaled_parameter_fails():
     assert report["witness"] is not None
 
 
+def test_verify_psi_higher_orders():
+    # graded components of B(k) from normal words reach these orders fast
+    for k, order in ((4, 8), (6, 6)):
+        report = verify_psi(k, order)
+        assert report["ok"], report
+        assert report["target_dim"] == (order + 1) * (4 * k - 2)
+    report = verify_psi(4, 8, scale=2)
+    assert not report["ok"] and not report["homomorphism"]
+
+
 def test_identity_map_on_trivial_deformation():
     alg = make_a(2)
     S = StarProduct(alg, 1, 0, {})

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
+from quivdef.families import BHAT_GRADINGS, a_presentation, atilde_presentation, bhat_presentation
+from quivdef.linalg import ONE, ZERO, RowReducer
 from quivdef.quiver import (
     Arrow,
     BoundTooSmall,
@@ -207,3 +211,168 @@ def test_graded_multiplication_respects_relations():
     x2 = gq.reduce_path(gq.quiver.arrow_path("x2"))
     loop = gq.mul(1, x2, 1, x1)
     assert gq.element_label(2, loop) == "(1)x2*x1"
+
+
+# ---------------------------------------------------------------------------
+# the normal-word components against the span of every u*r*v
+# ---------------------------------------------------------------------------
+
+class SpanQuotient:
+    """The span method: each component row-reduces the whole path space.
+
+    The former GradedQuotient._component, kept verbatim as the oracle of
+    the normal-word recursion.
+    """
+
+    def __init__(self, presentation):
+        self.pres = presentation
+        self.quiver = presentation.quiver
+        self._paths_max = -1
+        self._paths_by_deg = {}
+        self._components = {}
+
+    def _ensure_paths(self, d: int):
+        if d <= self._paths_max:
+            return
+        by_deg = {g: [] for g in range(d + 1)}
+        for p in self.quiver.enumerate_paths(d):
+            by_deg[p.degree].append(p)
+        self._paths_by_deg = by_deg
+        self._from_vertex = {}
+        self._into_vertex = {}
+        for g, paths in by_deg.items():
+            for p in paths:
+                self._from_vertex.setdefault((g, p.source), []).append(p)
+                self._into_vertex.setdefault((g, p.target), []).append(p)
+        self._paths_max = d
+
+    def paths_of_degree(self, d: int):
+        self._ensure_paths(d)
+        return self._paths_by_deg.get(d, [])
+
+    def paths_from(self, d: int, vertex):
+        self._ensure_paths(d)
+        return self._from_vertex.get((d, vertex), [])
+
+    def paths_into(self, d: int, vertex):
+        self._ensure_paths(d)
+        return self._into_vertex.get((d, vertex), [])
+
+    def _component(self, d: int) -> dict:
+        if d in self._components:
+            return self._components[d]
+        paths = self.paths_of_degree(d)
+        col = {p: i for i, p in enumerate(paths)}
+        red = RowReducer()
+        for r in self.pres.relations:
+            g = r.degree
+            if g > d:
+                continue
+            for du in range(d - g + 1):
+                dv = d - g - du
+                for left in self.paths_from(du, r.target):
+                    for right in self.paths_into(dv, r.source):
+                        vec = {}
+                        for c, term in r.terms:
+                            w = compose(compose(left, term), right)
+                            j = col[w]
+                            x = vec.get(j, ZERO) + c
+                            if x:
+                                vec[j] = x
+                            else:
+                                del vec[j]
+                        if vec:
+                            red.add(vec)
+        pivots = set(red.pivot_columns())
+        basis = [p for i, p in enumerate(paths) if i not in pivots]
+        comp = {
+            "paths": paths,
+            "col": col,
+            "reducer": red,
+            "basis": basis,
+            "local": {p: i for i, p in enumerate(basis)},
+        }
+        self._components[d] = comp
+        return comp
+
+    def component(self, d: int):
+        return self._component(d)["basis"]
+
+    def reduce_path(self, p) -> dict:
+        comp = self._component(p.degree)
+        res = comp["reducer"].reduce({comp["col"][p]: ONE})
+        paths = comp["paths"]
+        return {comp["local"][paths[j]]: x for j, x in res.items()}
+
+
+def assert_matches_span_oracle(pres, max_degree):
+    gq = GradedQuotient(pres)
+    oracle = SpanQuotient(pres)
+    for d in range(max_degree + 1):
+        assert gq.component(d) == oracle.component(d), d
+    for p in pres.quiver.enumerate_paths(max_degree):
+        assert gq.reduce_path(p) == oracle.reduce_path(p), p
+
+
+@st.composite
+def presentations(draw):
+    """Up to 3 vertices and 5 arrows of degree 0..2, degree-0 arrows
+    following a drawn vertex order (so they form no cycle), and 0..4
+    homogeneous relations of degree <= 3 with 1..3 rational terms."""
+    vertices = [str(i) for i in range(1, draw(st.integers(1, 3)) + 1)]
+    order = draw(st.permutations(vertices))
+    arrows = []
+    for i in range(draw(st.integers(1, 5))):
+        s = draw(st.sampled_from(vertices))
+        t = draw(st.sampled_from(vertices))
+        degrees = (0, 1, 2) if order.index(s) < order.index(t) else (1, 2)
+        arrows.append(Arrow("a%d" % i, s, t, draw(st.sampled_from(degrees))))
+    q = Quiver(vertices, arrows)
+    parallel = {}
+    for p in q.enumerate_paths(3):
+        parallel.setdefault((p.source, p.target, p.degree), []).append(p)
+    keys = sorted(parallel)
+    coefficients = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        group = parallel[draw(st.sampled_from(keys))]
+        terms = draw(st.lists(st.sampled_from(group), min_size=1, max_size=3, unique=True))
+        relations.append(Relation([(draw(coefficients), p) for p in terms]))
+    return QuiverPresentation(q, relations)
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_normal_words_match_span_oracle(pres):
+    assert_matches_span_oracle(pres, 5)
+
+
+def test_presentation_strategy_reaches_the_interesting_cases():
+    once = settings(max_examples=500, database=None, phases=[Phase.generate])
+
+    def ideal_is_nonzero(pres):
+        gq = GradedQuotient(pres)
+        return any(gq.dim(d) < len(gq.paths_of_degree(d)) for d in range(4))
+
+    find(presentations(), lambda pres: any(a.degree == 0 for a in pres.quiver.arrows), settings=once)
+    find(presentations(), lambda pres: any(len(r.terms) == 2 for r in pres.relations), settings=once)
+    find(presentations(), ideal_is_nonzero, settings=once)
+
+
+# the span oracle enumerates the whole path space; in the right_one grading
+# the degree-0 left arrows make it 59k paths at k = 3 and 184k (160 MB) at
+# k = 4 by degree 8, so those two stop lower
+FAMILY_ORACLE_DEGREES = {("right_one", 3): 7, ("right_one", 4): 6}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_line_algebras_match_span_oracle(k):
+    assert_matches_span_oracle(a_presentation(k), 8)
+    assert_matches_span_oracle(atilde_presentation(k), 8)
+
+
+@pytest.mark.parametrize("grading", BHAT_GRADINGS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_loop_quivers_match_span_oracle(k, grading):
+    degree = FAMILY_ORACLE_DEGREES.get((grading, k), 8)
+    assert_matches_span_oracle(bhat_presentation(k, grading), degree)
