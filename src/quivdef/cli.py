@@ -293,7 +293,44 @@ def checks_koszul(report: Report, ks, hom_degree, max_internal):
         )
 
 
+def _built_once(build):
+    """A thunk that calls build() on first use and then returns its result.
+
+    An exception from build() is raised again on every use, so each check
+    that needs the value fails with the same error text.
+    """
+    box = []
+
+    def get():
+        if not box:
+            try:
+                box.append((build(), None))
+            except Exception as exc:
+                box.append((None, exc))
+        value, exc = box[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+def _lattice_argument_errors(n, radius, fiber):
+    """The bounds a lattice module's size arguments violate, as text."""
+    bounds = [("n", n, 2), ("radius", radius, 0), ("fiber", fiber, 1)]
+    return ["%s = %d is below %d" % (name, value, low) for name, value, low in bounds if value < low]
+
+
 def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
+    errors = _lattice_argument_errors(min(ns), radius, max_fiber)
+    if errors:
+        report.run(
+            "arguments",
+            "lattice modules need n >= 2, radius >= 0 and fiber >= 1",
+            [],
+            lambda: errors,
+        )
+        return
     for n in ns:
         for seed in seeds:
             rng = random.Random(seed)
@@ -304,38 +341,34 @@ def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
                 "relations_N_n%d_s%d" % (n, seed),
                 "rank-one lattice module satisfies the defining relations",
                 None,
-                lambda n=n, a=a: slnlab.verify_relations(
-                    slnlab.build_n(n, a, radius)
+                lambda n=n, a=a: slnlab.certify_relations(
+                    slnlab.build_n(n, a, radius), [[[0]]] * n
                 )["witness"],
             )
+            # one module for the three checks below, freed before the next is built
+            module = _built_once(lambda n=n, a=a, xs=xs: slnlab.build_f(n, a, xs, radius))
             report.run(
                 "relations_F_n%d_s%d" % (n, seed),
                 "matrix-fiber lattice module satisfies the defining relations",
                 None,
-                lambda n=n, a=a, xs=xs: slnlab.verify_relations(
-                    slnlab.build_f(n, a, xs, radius)
-                )["witness"],
+                lambda module=module, xs=xs: slnlab.certify_relations(module(), xs)["witness"],
             )
             report.run(
                 "roundtrip_n%d_s%d" % (n, seed),
                 "fiber matrices are recovered from the Cartan and Casimir blocks",
                 True,
-                lambda n=n, a=a, xs=xs: all(
-                    mat_eq(x, y)
-                    for x, y in zip(
-                        xs, slnlab.recover_x(slnlab.build_f(n, a, xs, radius), a)
-                    )
+                lambda module=module, a=a, xs=xs: all(
+                    mat_eq(x, y) for x, y in zip(xs, slnlab.recover_x(module(), a))
                 ),
             )
             report.run(
                 "weight_criterion_n%d_s%d" % (n, seed),
                 "diagonalizable Cartan action iff all fiber matrices are equal",
                 True,
-                lambda n=n, a=a, xs=xs: slnlab.is_weight_module(
-                    slnlab.build_f(n, a, xs, radius)
-                )
+                lambda module=module, xs=xs: slnlab.is_weight_module(module())
                 == all(mat_eq(xs[0], x) for x in xs[1:]),
             )
+            del module
     for seed in seeds:
         rng = random.Random(seed + 17)
         a = slnlab.random_parameters(3, rng, extension_safe=True)
@@ -557,7 +590,11 @@ def emit_data(args):
         view = koszul.view_from_graded_quotient(fam.make_bhat(args.k, "all_one"))
         cert = koszul.koszulity_certificate(view, args.hom_degree, args.max_degree)
         return json.dumps(cert, indent=2, sort_keys=True)
-    if args.command == "slnlab" and args.dump:
+    if (
+        args.command == "slnlab"
+        and args.dump
+        and not _lattice_argument_errors(args.n, args.radius, args.fiber)
+    ):
         rng = random.Random(args.seed)
         a = slnlab.random_parameters(args.n, rng, extension_safe=True)
         xs = slnlab.random_commuting_nilpotents(args.n, args.fiber, rng)

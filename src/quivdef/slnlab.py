@@ -13,6 +13,16 @@ in Python integers: every block is scaled once by the lcm D of all block
 denominators, and the terms of a relation are brought to a common power
 of D before they are summed, so the test for zero is exact.
 
+certify_relations checks a module that claims the build_f blocks of
+given X at a cost that does not depend on the radius: every stored block
+equals the formula, and every relation vanishes on the formula blocks at
+the C(n+2, 3) points of the simplex {b_1..b_(n-1) >= 0, sum <= 3}.  A
+relation instance is a matrix polynomial of degree <= 3 in b_1..b_(n-1),
+and that set is unisolvent for such polynomials, so the formula satisfies
+every relation at every point of every radius.  The CLI battery uses the
+certificate; verify_relations stays for modules of any other shape, such
+as reconstruct_extension's, and as the certificate's oracle in the tests.
+
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
 square root of the Casimir block with the sign fixed by nilpotency.
@@ -132,6 +142,44 @@ def check_parameters(a, n):
     return a
 
 
+def _coordinate(key, p):
+    """The one coordinate of p that the build_f block of key depends on."""
+    if key[0] == "h":
+        return p[key[1] - 1] - p[key[1]]
+    return p[key[2] - 1]
+
+
+class _BlockFormula(dict):
+    """(key, v) -> the build_f block of key where its coordinate is v.
+
+    The block of e_(s,t) at b is X_t + (a_t + b_t) Id, a function of
+    v = b_t alone; the block of h_i is X_i - X_(i+1) + (a_i - a_(i+1) + v) Id
+    with v = b_i - b_(i+1).  Each block is made on first lookup, at any v;
+    build_f stores copies of it.
+    """
+
+    def __init__(self, n, a, matrices):
+        super().__init__()
+        xs = [[[fr(x) for x in row] for row in m] for m in matrices]
+        self.n = n
+        self.parts = {}  # key -> (matrix part, parameter part)
+        for i in range(1, n):
+            self.parts[("e", i, i + 1)] = (xs[i], a[i])
+            self.parts[("e", i + 1, i)] = (xs[i - 1], a[i - 1])
+            self.parts[("h", i)] = (mat_sub(xs[i - 1], xs[i]), a[i - 1] - a[i])
+        self.denominators = {x.denominator for m in xs for row in m for x in row}
+        self.denominators.update(c.denominator for c in a)
+
+    def __missing__(self, key_value):
+        key, v = key_value
+        x, c = self.parts[key]
+        out = [list(row) for row in x]
+        for r in range(len(out)):
+            out[r][r] += c + v
+        self[key_value] = out
+        return out
+
+
 def build_n(n: int, a, radius: int) -> LatticeModule:
     """The rank-one lattice module: e_{i,j} scales by a_j + b_j."""
     return build_f(n, a, [[[ZERO]]] * n, radius)
@@ -156,28 +204,15 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
                 if not mat_commute(matrices[i], matrices[j]):
                     raise ValueError("fiber matrices %d and %d do not commute" % (i + 1, j + 1))
     support = LatticeSupport(n, radius)
-    xs = [[[fr(x) for x in row] for row in m] for m in matrices]
-    diffs = [mat_sub(xs[i], xs[i + 1]) for i in range(n - 1)]
-
-    def shifted(x, scal):
-        """x + scal*Id as a fresh matrix."""
-        out = [list(row) for row in x]
-        for r in range(dim):
-            out[r][r] += scal
-        return out
-
-    blocks = {key: {} for key in generator_keys(n)}
-    for p in support.points:
-        for i in range(1, n):
-            for (s, t) in ((i, i + 1), (i + 1, i)):
-                key = ("e", s, t)
-                q = _add(p, _shift(n, s, t))
-                if q in support:
-                    j = t
-                    blocks[key][p] = shifted(xs[j - 1], a[j - 1] + p[j - 1])
-        for i in range(1, n):
-            scal = a[i - 1] + p[i - 1] - a[i] - p[i]
-            blocks[("h", i)][p] = shifted(diffs[i - 1], scal)
+    formula = _BlockFormula(n, a, matrices)
+    blocks = {}
+    for key in generator_keys(n):
+        shift = gen_shift(n, key)
+        blocks[key] = {
+            p: [list(row) for row in formula[key, _coordinate(key, p)]]
+            for p in support.points
+            if key[0] == "h" or _add(p, shift) in support
+        }
     return LatticeModule(n, a, support, dim, blocks)
 
 
@@ -258,6 +293,11 @@ def _common_denominator(module: LatticeModule) -> int:
     return math.lcm(1, *dens)
 
 
+def _scaled(m, scale):
+    """scale * m as a row-major tuple of Python ints; scale clears every denominator."""
+    return tuple(x.numerator * (scale // x.denominator) for row in m for x in row)
+
+
 def _integer_steps(module: LatticeModule, scale: int):
     """key -> {point: (scale * block as a row-major int tuple, end point)}.
 
@@ -272,11 +312,30 @@ def _integer_steps(module: LatticeModule, scale: int):
         steps[key] = {}
         for p, m in per_point.items():
             q = _add(p, shift)
-            steps[key][p] = (
-                tuple(x.numerator * (scale // x.denominator) for row in m for x in row),
-                points.get(q, q),
-            )
+            steps[key][p] = (_scaled(m, scale), points.get(q, q))
     return steps
+
+
+class _FormulaSteps(dict):
+    """point -> (scale * formula block as an int tuple, end point) of one generator.
+
+    Entries are made on first lookup, so walks may leave any truncation;
+    `get` is the lookup that makes them, which is how _int_monomial reads.
+    """
+
+    def __init__(self, formula: _BlockFormula, key, scale: int):
+        super().__init__()
+        self.formula = formula
+        self.key = key
+        self.scale = scale
+        self.shift = gen_shift(formula.n, key)
+
+    def __missing__(self, p):
+        m = self.formula[self.key, _coordinate(self.key, p)]
+        entry = self[p] = (_scaled(m, self.scale), _add(p, self.shift))
+        return entry
+
+    get = dict.__getitem__
 
 
 def _int_mul(a, b, dim):
@@ -299,27 +358,20 @@ def _int_monomial(steps, mono, point, dim):
     return mat
 
 
-def verify_relations(module: LatticeModule):
-    """Check all defining relations pointwise; returns counts and witness.
+def _check_instances(steps, points, n: int, dim: int, scale: int):
+    """Every relation of _relations(n) at every point: (checked, skipped, witness).
 
-    A relation instance is skipped when some monomial walks outside the
-    stored blocks (the truncation boundary), even one whose coefficient
-    is zero; it is checked otherwise.  The witness is the first failing
-    instance in relation order, then point order.
-
-    The check is exact in integer arithmetic.  With D the lcm of the
-    denominators of all block entries, each block B is stored once as the
-    integer matrix D*B, so a monomial of length L composes to D^L times
-    its rational value.  For a relation sum_t c_t M_t with longest
+    steps maps key -> {point: (D * block as a row-major int tuple, end
+    point)} with D = scale, so a monomial of length L composes to D^L
+    times its rational value.  For a relation sum_t c_t M_t with longest
     monomial L_max and C the lcm of the coefficient denominators, the
     integer combination sum_t (C c_t D^(L_max - L_t)) (D^L_t M_t) is
     C D^L_max times the rational sum; C and D are nonzero, so it vanishes
-    exactly when the relation holds.
+    exactly when the relation holds.  An instance is skipped when some
+    monomial walks off the blocks in steps, even one whose coefficient is
+    zero.  The witness is the first failing instance in relation order,
+    then point order.
     """
-    n = module.n
-    dim = module.fiber_dim
-    scale = _common_denominator(module)
-    steps = _integer_steps(module, scale)
     checked = skipped = 0
     witness = None
     for label, terms in _relations(n):
@@ -328,7 +380,7 @@ def verify_relations(module: LatticeModule):
         weighted = [
             (int(coeff * cden) * scale ** (longest - len(mono)), mono) for coeff, mono in terms
         ]
-        for p in module.support.points:
+        for p in points:
             mats = []
             for weight, mono in weighted:
                 mat = _int_monomial(steps, mono, p, dim)
@@ -341,7 +393,93 @@ def verify_relations(module: LatticeModule):
             checked += 1
             if witness is None and any(map(sum, zip(*([w * x for x in m] for w, m in mats)))):
                 witness = (label, p)
+    return checked, skipped, witness
+
+
+def verify_relations(module: LatticeModule):
+    """Check all defining relations pointwise; returns counts and witness.
+
+    A relation instance is checked at every support point where all its
+    monomials walk along stored blocks, and skipped otherwise (the
+    truncation boundary).  The check is exact in integer arithmetic: each
+    block B is stored once as D*B, with D the lcm of the denominators of
+    all block entries (see _check_instances).  It applies to any module,
+    reconstruct_extension's output included.
+    """
+    dim = module.fiber_dim
+    scale = _common_denominator(module)
+    checked, skipped, witness = _check_instances(
+        _integer_steps(module, scale), module.support.points, module.n, dim, scale
+    )
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
+
+
+def _block_label(key):
+    if key[0] == "h":
+        return "block h%d" % key[1]
+    return "block %s%d" % ("e" if key[1] < key[2] else "f", min(key[1:]))
+
+
+def _simplex_points(n: int, degree: int):
+    """Points b with b_1..b_(n-1) >= 0 summing to at most degree, b_n = -(that sum)."""
+    return [
+        rest + (-sum(rest),)
+        for rest in itertools.product(range(degree + 1), repeat=n - 1)
+        if sum(rest) <= degree
+    ]
+
+
+def certify_relations(module: LatticeModule, xs):
+    """Certify every defining relation of a module with the build_f blocks of xs.
+
+    Two passes, whose cost does not depend on the radius:
+
+    1. Every stored block equals the build_f formula X_t + (a_t + b_t) Id
+       (h_i: X_i - X_(i+1) + (a_i + b_i - a_(i+1) - b_(i+1)) Id), with a the
+       module's parameters and X = xs.  The formula block depends on one
+       coordinate of b, so this compares each block with one of a few
+       shared matrices; no products are formed.
+    2. Every relation vanishes on the formula blocks at the simplex set
+       {b_1..b_(n-1) >= 0, b_1 + ... + b_(n-1) <= 3}, off the support
+       too, with the integer scaling of verify_relations.
+
+    The formula blocks are affine in b, so a relation instance at b (at
+    most three blocks long) is a matrix polynomial of total degree <= 3
+    in b_1..b_(n-1).  Such a polynomial that vanishes on the simplex set,
+    C(n+2, 3) points, vanishes everywhere: that set is unisolvent for
+    polynomials of degree <= 3 (Chung and Yao, SIAM J. Numer. Anal. 14
+    (1977)).  So the formula satisfies every relation at every point of
+    every radius, and stored blocks equal to it make every instance that
+    verify_relations checks pass.  The converse does not hold: a block off
+    the formula fails here even where no checked instance reaches it.
+    (sl_2 has no Serre relation; its degree, and its simplex, is 2.)
+
+    Returns the number of blocks compared, of relation instances checked
+    on the simplex set, and the witness: (("block e1"|"block f1"|"block
+    h1"...), point) for a block off the formula, found in generator
+    order, else the first failing (relation, simplex point), else None.
+    """
+    n = module.n
+    if len(xs) != n:
+        raise ValueError("expected %d fiber matrices" % n)
+    formula = _BlockFormula(n, module.a, xs)
+    blocks = 0
+    for key in generator_keys(n):
+        for p, m in module.blocks.get(key, {}).items():
+            blocks += 1
+            key_value = (key, _coordinate(key, p))
+            if m != formula[key_value]:
+                return {"blocks": blocks, "checked": 0, "witness": (_block_label(key), p)}
+            # m has the formula's values; build_f's blocks of one key_value
+            # share their entries, so the next ones compare by identity
+            formula[key_value] = m
+    scale = math.lcm(1, *formula.denominators)
+    steps = {key: _FormulaSteps(formula, key, scale) for key in generator_keys(n)}
+    degree = max(len(mono) for _label, terms in _relations(n) for _coeff, mono in terms)
+    checked, _skipped, witness = _check_instances(
+        steps, _simplex_points(n, degree), n, len(xs[0]), scale
+    )
+    return {"blocks": blocks, "checked": checked, "witness": witness}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from quivdef import cli, slnlab
 from quivdef.cli import build_parser, run_command
 from quivdef.families import a_presentation
+from quivdef.linalg import ONE
 from quivdef.reports import Report
 
 
@@ -110,3 +114,52 @@ def test_timings_flag_adds_elapsed():
     timed = json.loads(report.to_json(with_timings=True))
     assert "elapsed_ms" not in plain["checks"][0]
     assert "elapsed_ms" in timed["checks"][0]
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivdef", "families", "--k", "2"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "families" and doc["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "args, bound",
+    [
+        (["--n", "0"], "n = 0 is below 2"),
+        (["--n", "1"], "n = 1 is below 2"),
+        (["--radius", "-1"], "radius = -1 is below 0"),
+        (["--fiber", "0"], "fiber = 0 is below 1"),
+    ],
+)
+def test_slnlab_arguments_out_of_range_fail_one_check(args, bound):
+    proc = run_cli(["slnlab"] + args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "arguments" and check["status"] == "fail"
+    assert check["actual"] == [bound]
+
+
+def test_slnlab_battery_builds_each_module_once(monkeypatch):
+    # fiber matrices that build_f rejects: the three checks on the module
+    # fail with one error, raised by a single build in the first of them
+    report = Report("t", {})
+    monkeypatch.setattr(slnlab, "random_commuting_nilpotents", lambda n, dim, rng: [[[ONE]]] * n)
+    real = slnlab.build_f
+    during = []
+
+    def build_f(*args, **kwargs):
+        during.append(len(report.checks))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slnlab, "build_f", build_f)
+    cli.checks_slnlab(report, [2], 1, 1, [5])
+    names = [c.name for c in report.checks[:4]]
+    assert names == ["relations_N_n2_s5", "relations_F_n2_s5", "roundtrip_n2_s5", "weight_criterion_n2_s5"]
+    assert report.checks[0].status == "pass"
+    assert {c.actual for c in report.checks[1:4]} == {"error: ValueError: fiber matrix 1 is not nilpotent"}
+    # build_n's own build during check 0, then one build during check 1
+    assert [i for i in during if i < 4] == [0, 1]

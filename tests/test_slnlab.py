@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,17 +6,21 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from quivdef.linalg import ONE, ZERO, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale
+from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale, mat_sub
 from quivdef.slnlab import (
+    LatticeModule,
     LatticeSupport,
     NoUniqueExtension,
     _add,
     _relations,
+    _shift,
     build_f,
     build_n,
     casimir_block,
+    certify_relations,
     compare_modules,
     gen_shift,
+    generator_keys,
     is_weight_module,
     random_commuting_nilpotents,
     random_parameters,
@@ -63,6 +68,32 @@ def _fraction_verify_relations(module):
                 if witness is None:
                     witness = (label, p)
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": module.fiber_dim}
+
+
+def _reference_build_f(n, a, matrices, radius):
+    """build_f as it adds the scalar to every diagonal entry at every point: its oracle."""
+    a = tuple(fr(x) for x in a)
+    dim = len(matrices[0])
+    support = LatticeSupport(n, radius)
+    xs = [[[fr(x) for x in row] for row in m] for m in matrices]
+    diffs = [mat_sub(xs[i], xs[i + 1]) for i in range(n - 1)]
+
+    def shifted(x, scal):
+        out = [list(row) for row in x]
+        for r in range(dim):
+            out[r][r] += scal
+        return out
+
+    blocks = {key: {} for key in generator_keys(n)}
+    for p in support.points:
+        for i in range(1, n):
+            for (s, t) in ((i, i + 1), (i + 1, i)):
+                if _add(p, _shift(n, s, t)) in support:
+                    blocks[("e", s, t)][p] = shifted(xs[t - 1], a[t - 1] + p[t - 1])
+        for i in range(1, n):
+            scal = a[i - 1] + p[i - 1] - a[i] - p[i]
+            blocks[("h", i)][p] = shifted(diffs[i - 1], scal)
+    return LatticeModule(n, a, support, dim, blocks)
 
 
 def test_support_shape():
@@ -130,9 +161,9 @@ def test_non_commuting_matrices_rejected_and_witnessed():
     m = build_f(3, a, [x1, x2, x3], 1, check=False)
     rep = verify_relations(m)
     assert rep == _fraction_verify_relations(m)
-    assert rep["witness"] is not None
-    label, _p = rep["witness"]
-    assert label.startswith("[") or label.startswith("serre")
+    assert rep["witness"] == ("[e1,f1]", (0, 0, 0))
+    # the blocks are those of the formula; the relations fail on the simplex set
+    assert certify_relations(m, [x1, x2, x3])["witness"] == ("[e1,f1]", (0, 0, 0))
 
 
 def test_recover_x_on_rank_one():
@@ -294,3 +325,76 @@ def lattice_modules(draw):
 @settings(max_examples=30, deadline=None)
 def test_integer_kernel_matches_fraction_oracle(module):
     assert verify_relations(module) == _fraction_verify_relations(module)
+
+
+@st.composite
+def build_f_modules(draw):
+    """(module, xs): build_f modules with commuting or unchecked fractional X, maybe one block off."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    radius = draw(st.integers(min_value=1, max_value=2 if (n, dim) == (4, 3) else 3))
+    a = tuple(draw(st.lists(parameters, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        xs = [draw(nilpotent_polynomials(dim)) for _ in range(n)]
+        module = build_f(n, a, xs, radius)
+    else:
+        square = st.lists(st.lists(fractions, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        xs = draw(st.lists(square, min_size=n, max_size=n))
+        module = build_f(n, a, xs, radius, check=False)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(generator_keys(n)))
+        p = draw(st.sampled_from(sorted(module.blocks[key])))
+        r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        module.blocks[key][p][r][c] += draw(fractions.filter(bool))
+    return module, xs
+
+
+@given(build_f_modules())
+@settings(max_examples=40, deadline=None)
+def test_certificate_fails_whenever_pointwise_fails(case):
+    module, xs = case
+    if verify_relations(module)["witness"] is not None:
+        assert certify_relations(module, xs)["witness"] is not None
+
+
+def test_certificate_alone_sees_an_unreached_boundary_block():
+    # radius 2: build_f stores no e1 block at (2, -2), whose target (3, -3)
+    # is off the support; a wrong one stored there is on no checked walk
+    a = (F(1, 2), F(1, 3))
+    xs = [[[ZERO, ONE], [ZERO, ZERO]], [[ZERO, F(2, 3)], [ZERO, ZERO]]]
+    module = build_f(2, a, xs, 2)
+    assert certify_relations(module, xs)["witness"] is None
+    module.blocks[("e", 1, 2)][(2, -2)] = [[F(7), ZERO], [ZERO, F(7)]]
+    assert verify_relations(module)["witness"] is None
+    assert certify_relations(module, xs)["witness"] == ("block e1", (2, -2))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificate_passes_up_to_sl8(n):
+    rng = random.Random(n)
+    dim = 1 + n % 2
+    a = random_parameters(n, rng, extension_safe=True)
+    xs = random_commuting_nilpotents(n, dim, rng)
+    module = build_f(n, a, xs, 1)
+    rep = certify_relations(module, xs)
+    assert rep["witness"] is None
+    assert rep["blocks"] == sum(len(per_point) for per_point in module.blocks.values())
+    # sl_2 has no Serre relation, so its relations have degree 2, not 3
+    degree = 3 if n > 2 else 2
+    assert rep["checked"] == len(_relations(n)) * math.comb(n - 1 + degree, degree)
+
+
+@given(build_f_modules())
+@settings(max_examples=25, deadline=None)
+def test_build_f_matches_reference_construction(case):
+    module, xs = case
+    want = _reference_build_f(module.n, module.a, xs, module.support.radius)
+    got = build_f(module.n, module.a, xs, module.support.radius, check=False)
+    assert got.blocks == want.blocks
+    assert [list(per_point) for per_point in got.blocks.values()] == [
+        list(per_point) for per_point in want.blocks.values()
+    ]
+    # every block and every row is its own list, so editing one edits no other
+    mats = [m for per_point in got.blocks.values() for m in per_point.values()]
+    assert len({id(m) for m in mats}) == len(mats)
+    assert len({id(row) for m in mats for row in m}) == len(mats) * got.fiber_dim
