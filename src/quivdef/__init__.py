@@ -2,8 +2,8 @@
 
 The package is organized in layers:
 
-* linalg, truncpoly: exact rational linear algebra and truncated
-  polynomial rings, the coefficient domain for everything else.
+* linalg: exact rational linear algebra with one elimination path
+  (RowReducer), the coefficient domain for everything else.
 * quiver: quivers, paths, presentations, graded quotients of path
   algebras and finite dimensional algebras with structure constants.
 * families: the line algebras A(k) (dimension 4k-2), their extensions,
@@ -25,7 +25,6 @@ The package is organized in layers:
 """
 
 from .linalg import fmt_fraction, parse_fraction, rank_matrix, solve, nullspace
-from .truncpoly import TruncPoly
 from .quiver import (
     Arrow,
     BoundTooSmall,

@@ -27,7 +27,7 @@ from .hochschild import (
     is_cocycle,
     mu_cocycle,
 )
-from .linalg import fr, mat_eq
+from .linalg import mat_eq
 from .quiver import QuiverPresentation, bounded_quotient
 from .reports import Check, Report, error_text
 
@@ -315,21 +315,30 @@ def _built_once(build):
     return get
 
 
-def _lattice_argument_errors(n, radius, fiber):
-    """The bounds a lattice module's size arguments violate, as text."""
-    bounds = [("n", n, 2), ("radius", radius, 0), ("fiber", fiber, 1)]
+def _argument_errors(bounds):
+    """The (name, value, low) bounds with value below low, as text."""
     return ["%s = %d is below %d" % (name, value, low) for name, value, low in bounds if value < low]
 
 
-def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
-    errors = _lattice_argument_errors(min(ns), radius, max_fiber)
+def _check_arguments(report: Report, bounds) -> bool:
+    """True when every bound holds; else add one failing `arguments` check."""
+    errors = _argument_errors(bounds)
     if errors:
-        report.run(
-            "arguments",
-            "lattice modules need n >= 2, radius >= 0 and fiber >= 1",
-            [],
-            lambda: errors,
-        )
+        need = ", ".join("%s >= %d" % (name, low) for name, _, low in bounds)
+        report.run("arguments", "size arguments need " + need, [], lambda: errors)
+    return not errors
+
+
+def _lattice_bounds(n, radius, fiber):
+    return [("n", n, 2), ("radius", radius, 0), ("fiber", fiber, 1)]
+
+
+def _deform_bounds(args):
+    return [("k", args.k, 2), ("order", args.order, 1), ("params", args.params, 1)]
+
+
+def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
+    if not _check_arguments(report, _lattice_bounds(min(ns), radius, max_fiber)):
         return
     for n in ns:
         for seed in seeds:
@@ -532,8 +541,9 @@ def run_command(args) -> Report:
             "deform",
             {"k": args.k, "order": args.order, "params": args.params, "seed": args.seed},
         )
-        checks_deform(report, [args.k], args.order, args.params, args.seed)
-        checks_psi(report, [args.k], args.order)
+        if _check_arguments(report, _deform_bounds(args)):
+            checks_deform(report, [args.k], args.order, args.params, args.seed)
+            checks_psi(report, [args.k], args.order)
         return report
     if args.command == "koszul":
         report = Report(
@@ -581,7 +591,11 @@ def emit_data(args):
             "bhat": fam.bhat_presentation,
         }[args.family](args.k)
         return pres.to_json()
-    if args.command == "deform" and args.emit_family:
+    if (
+        args.command == "deform"
+        and args.emit_family
+        and not _argument_errors(_deform_bounds(args))
+    ):
         S = defo.extend_order_by_order(
             fam.make_a(args.k), mu_cocycle(fam.make_a(args.k)), args.order
         )
@@ -593,7 +607,7 @@ def emit_data(args):
     if (
         args.command == "slnlab"
         and args.dump
-        and not _lattice_argument_errors(args.n, args.radius, args.fiber)
+        and not _argument_errors(_lattice_bounds(args.n, args.radius, args.fiber))
     ):
         rng = random.Random(args.seed)
         a = slnlab.random_parameters(args.n, rng, extension_safe=True)

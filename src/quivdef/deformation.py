@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, ZERO, RowReducer, fr, vec_axpy_inplace
-from .truncpoly import TruncPoly
+from .linalg import ONE, RowReducer, fr, vec_axpy_inplace
 from .quiver import FiniteDimAlgebra, associator
 from .hochschild import (
     HochschildComplex,
@@ -64,7 +63,6 @@ class StarProduct:
         self.base = base
         self.params = params
         self.order = order
-        self.variables = ("t",) if params == 1 else tuple("u%d" % (i + 1) for i in range(params))
         self.family = {}
         radical = set(base.radical_indices())
         for d, c in family.items():
@@ -100,20 +98,6 @@ class StarProduct:
             return self.base.mul({i: ONE}, vec)
         return cochain_eval_vec_right(self.base, self.family.get(d, {}), i, vec)
 
-    # -- elements over the truncated parameter ring --------------------------
-
-    def poly(self, c=1) -> TruncPoly:
-        return TruncPoly.const(c, self.variables, self.order)
-
-    def monomial(self, d) -> TruncPoly:
-        return TruncPoly.monomial(self.variables, self.order, d)
-
-    def element(self, vec: dict) -> dict:
-        return {i: self.poly(c) for i, c in vec.items()}
-
-    def unit_element(self) -> dict:
-        return self.element(self.base.unit())
-
     def star_basis(self, i: int, j: int) -> dict:
         """b_i * b_j as {multi-index: value vector}, including the zero index."""
         out = {}
@@ -127,31 +111,26 @@ class StarProduct:
         return out
 
     def star(self, x: dict, y: dict) -> dict:
-        """Star product of elements with TruncPoly coefficients."""
-        out: dict = {}
-        for i, p in x.items():
-            for j, q in y.items():
-                pq = p * q
-                if not pq:
-                    continue
-                for d, vec in self.star_basis(i, j).items():
-                    shift = pq * self.monomial(d)
-                    if not shift:
-                        continue
-                    for l, c in vec.items():
-                        cur = out.get(l)
-                        add = shift * c
-                        out[l] = add if cur is None else cur + add
-        return {l: p for l, p in out.items() if p}
+        """Star product of elements {multi-index: vector}.
 
-    def at_zero(self, x: dict) -> dict:
-        """Reduce an element modulo the parameters."""
-        out = {}
-        for i, p in x.items():
-            c = p.constant_term()
-            if c:
-                out[i] = c
-        return out
+        An element of A[[u]]/m^(order+1) is a vector per multi-index; terms
+        of total degree above the order are dropped and zero vectors
+        stripped.  The unit is {zero index: base.unit()}, and the value
+        at u = 0 of an element x is x.get(zero index, {}).
+        """
+        out: dict = {}
+        for e, u in x.items():
+            for f, v in y.items():
+                ef = [p + q for p, q in zip(e, f)]
+                if sum(ef) > self.order:
+                    continue
+                for i, a in u.items():
+                    for j, b in v.items():
+                        for d, vec in self.star_basis(i, j).items():
+                            g = tuple(p + q for p, q in zip(ef, d))
+                            if sum(g) <= self.order:
+                                vec_axpy_inplace(out.setdefault(g, {}), a * b, vec)
+        return {g: vec for g, vec in out.items() if vec}
 
     def family_table(self) -> dict:
         """The family as a serializable table with exact coefficients."""
@@ -360,11 +339,10 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
         "bijective": None,
         "identity_mod_m": None,
     }
-    one = {}
-    for v, i in alg.idempotent.items():
-        for l, x in images[i].items():
-            one[l] = one.get(l, ZERO) + x
-    report["unit"] = {l: x for l, x in one.items() if x} == target.unit()
+    one: dict = {}
+    for i in alg.idempotent.values():
+        vec_axpy_inplace(one, ONE, images[i])
+    report["unit"] = one == target.unit()
     report["params_central"] = all(is_central(target, tz) for tz in param_images)
 
     def power(d):
@@ -377,21 +355,10 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     def push(parts: dict) -> dict:
         total: dict = {}
         for d, vec in parts.items():
-            td = power(d)
             img: dict = {}
             for i, c in vec.items():
-                for l, x in images[i].items():
-                    y = img.get(l, ZERO) + c * x
-                    if y:
-                        img[l] = y
-                    else:
-                        del img[l]
-            for l, x in target.mul(img, td).items():
-                y = total.get(l, ZERO) + x
-                if y:
-                    total[l] = y
-                else:
-                    del total[l]
+                vec_axpy_inplace(img, c, images[i])
+            vec_axpy_inplace(total, ONE, target.mul(img, power(d)))
         return total
 
     ok = True

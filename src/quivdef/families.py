@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import ONE, ZERO, RowReducer, fr, nullspace, rank_matrix
+from .linalg import ONE, ZERO, RowReducer, fr, nullspace, rank_matrix, vec_axpy_inplace
 from .quiver import (
     Arrow,
     CentralQuotient,
@@ -301,15 +301,9 @@ def shortest_loop_path(quiver: Quiver, letter: str, v) -> "Path":
 
 def central_t(gq: GradedQuotient) -> dict:
     """The degree-2 element sum over vertices of (x-loop minus y-loop)."""
-    q = gq.quiver
-    terms = []
-    for v in q.vertices:
-        xl = shortest_loop_path(q, "x", v)
-        yl = shortest_loop_path(q, "y", v)
-        if xl.degree != 2 or yl.degree != 2:
-            raise ValueError("central element needs the loops-degree-two grading")
-        terms.append((ONE, xl))
-        terms.append((-ONE, yl))
+    terms = central_t_paths(gq)
+    if any(p.degree != 2 for _, p in terms):
+        raise ValueError("central element needs the loops-degree-two grading")
     return gq.reduce_combination(terms, 2)
 
 
@@ -362,14 +356,9 @@ def apply_on_path(alg: FiniteDimAlgebra, images: dict, path) -> dict:
 
 
 def apply_on_combination(alg, images, terms) -> dict:
-    out = {}
+    out: dict = {}
     for c, p in terms:
-        for l, x in apply_on_path(alg, images, p).items():
-            y = out.get(l, ZERO) + fr(c) * x
-            if y:
-                out[l] = y
-            else:
-                del out[l]
+        vec_axpy_inplace(out, fr(c), apply_on_path(alg, images, p))
     return out
 
 
@@ -497,20 +486,21 @@ def hom_dimensions(alg: FiniteDimAlgebra):
     return {v: dict(dims[v]) for v in alg.quiver.vertices}
 
 
+def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:
+    """b_i b_j - b_j b_i as a sparse vector."""
+    out = dict(alg.mul_basis(i, j))
+    vec_axpy_inplace(out, -ONE, alg.mul_basis(j, i))
+    return out
+
+
 def center_basis(alg: FiniteDimAlgebra):
     """Exact basis of the center, as the nullspace of all commutators."""
     rows = []
     for b in range(alg.dim):
         cols = {}
         for i in range(alg.dim):
-            diff = {}
-            for l, c in alg.mul_basis(i, b).items():
-                diff[l] = diff.get(l, ZERO) + c
-            for l, c in alg.mul_basis(b, i).items():
-                diff[l] = diff.get(l, ZERO) - c
-            for l, c in diff.items():
-                if c:
-                    cols.setdefault(l, {})[i] = c
+            for l, c in _commutator(alg, i, b).items():
+                cols.setdefault(l, {})[i] = c
         rows.extend(cols.values())
     vecs = nullspace(rows, alg.dim)
     return [{i: c for i, c in enumerate(v) if c} for v in vecs]
@@ -518,17 +508,7 @@ def center_basis(alg: FiniteDimAlgebra):
 
 def symmetric_space(alg: FiniteDimAlgebra):
     """Basis of functionals tau with tau(uv) = tau(vu), as dense lists."""
-    rows = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            row = {}
-            for l, c in alg.mul_basis(i, j).items():
-                row[l] = row.get(l, ZERO) + c
-            for l, c in alg.mul_basis(j, i).items():
-                row[l] = row.get(l, ZERO) - c
-            row = {l: c for l, c in row.items() if c}
-            if row:
-                rows.append(row)
+    rows = [_commutator(alg, i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)]
     return nullspace(rows, alg.dim)
 
 

@@ -156,12 +156,6 @@ class HochschildComplex:
         self._basis_index[n] = {bw: r for r, bw in enumerate(out)}
         return out
 
-    def _value_ok(self, t, w) -> bool:
-        if not self.reduced:
-            return True
-        alg = self.alg
-        return alg.target[w] == alg.target[t[0]] and alg.source[w] == alg.source[t[-1]]
-
     def _tuple_ok(self, t) -> bool:
         alg = self.alg
         if self.reduced:

@@ -17,7 +17,7 @@ the minimality and degreewise Euler characteristic cross-checks.
 
 from __future__ import annotations
 
-from .linalg import ONE, ZERO, RowReducer, nullspace
+from .linalg import ONE, RowReducer, nullspace, vec_axpy_inplace
 from .quiver import FiniteDimAlgebra, GradedQuotient
 
 
@@ -121,13 +121,8 @@ class FreeCover:
         comp = self.comp(d)
         for r, c in vec.items():
             g, (dm, im) = comp[r]
-            for jm, x in self.view.mul(ad, ai, dm, im).items():
-                rr = idx[(g, (dm + ad, jm))]
-                y = out.get(rr, ZERO) + c * x
-                if y:
-                    out[rr] = y
-                else:
-                    del out[rr]
+            prod = self.view.mul(ad, ai, dm, im)
+            vec_axpy_inplace(out, c, {idx[(g, (dm + ad, jm))]: x for jm, x in prod.items()})
         return out
 
 

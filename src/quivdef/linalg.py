@@ -4,19 +4,17 @@ Everything in this package reduces to ranks, solves and nullspaces of
 matrices with Fraction entries.  Two representations are used: plain dense
 lists-of-lists for small matrices (and for the fiber matrices of lattice
 modules), and sparse rows (dict column -> Fraction) for the cochain
-complexes, which are large but very thin.  Elimination is plain rational
-Gaussian elimination: dense below DENSE_LIMIT, and above it an incremental
-sparse row echelon form that reduces vectors on demand.  `solve` and
-`nullspace` back-substitute that echelon form once into the reduced row
-echelon form.  All functions leave their inputs untouched.
+complexes, which are large but very thin.  There is one elimination path,
+RowReducer: an incremental sparse row echelon form that reduces vectors on
+demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
+back-substitute that echelon form once into the reduced row echelon form.
+All functions leave their inputs untouched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-
-DENSE_LIMIT = 200
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -134,65 +132,6 @@ class RowReducer:
         return done
 
 
-def rank_dense(rows: list[list[Fraction]]) -> int:
-    """Rank by classical Gaussian elimination on a dense copy."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, nrows):
-            c = m[i][col]
-            if c:
-                f = c / pv
-                mi, mr = m[i], m[row]
-                for j in range(col, ncols):
-                    mi[j] -= f * mr[j]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank_sparse(rows) -> int:
-    red = RowReducer()
-    for r in rows:
-        if isinstance(r, dict):
-            red.add(r)
-        else:
-            red.add({j: x for j, x in enumerate(r) if x})
-    return red.rank
-
-
-def rank_matrix(rows, ncols=None) -> int:
-    """Exact rank over Q; dense elimination for small dense inputs."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    if ncols is None and not isinstance(rows[0], dict):
-        ncols = len(rows[0])
-    if (
-        not isinstance(rows[0], dict)
-        and len(rows) < DENSE_LIMIT
-        and (ncols or 0) < DENSE_LIMIT
-    ):
-        return rank_dense(rows)
-    return rank_sparse(rows)
-
-
 def _to_sparse_rows(rows):
     out = []
     for r in rows:
@@ -203,12 +142,17 @@ def _to_sparse_rows(rows):
     return out
 
 
-def _rref(rows: list[dict]):
-    """Reduced row echelon form; returns (pivot_col -> row) fully reduced."""
+def _reducer(rows: list[dict]) -> RowReducer:
+    """A RowReducer holding the sparse rows."""
     red = RowReducer()
     for r in rows:
         red.add(r)
-    return red.rref()
+    return red
+
+
+def rank_matrix(rows) -> int:
+    """Exact rank over Q of the rows (dense lists or sparse dicts)."""
+    return _reducer(_to_sparse_rows(rows)).rank
 
 
 def solve(rows, b, ncols: int):
@@ -225,7 +169,7 @@ def solve(rows, b, ncols: int):
         bi = fr(b[i])
         if bi:
             r[aug] = bi
-    pivots = _rref(srows)
+    pivots = _reducer(srows).rref()
     if aug in pivots:
         return None
     x = [ZERO] * ncols
@@ -251,7 +195,7 @@ def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list[Frac
 
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """Basis of the exact kernel of M (rows over ncols columns)."""
-    pivots = _rref(_to_sparse_rows(rows))
+    pivots = _reducer(_to_sparse_rows(rows)).rref()
     return nullspace_from_pivots(pivots, ncols)
 
 

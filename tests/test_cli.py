@@ -143,6 +143,23 @@ def test_slnlab_arguments_out_of_range_fail_one_check(args, bound):
     assert check["actual"] == [bound]
 
 
+@pytest.mark.parametrize(
+    "args, bounds",
+    [
+        (["--k", "0"], ["k = 0 is below 2"]),
+        (["--k", "1", "--emit-family"], ["k = 1 is below 2"]),
+        (["--order", "0", "--params", "0"], ["order = 0 is below 1", "params = 0 is below 1"]),
+    ],
+)
+def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
+    proc = run_cli(["deform"] + args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "arguments" and check["status"] == "fail"
+    assert check["actual"] == bounds
+
+
 def test_slnlab_battery_builds_each_module_once(monkeypatch):
     # fiber matrices that build_f rejects: the three checks on the module
     # fail with one error, raised by a single build in the first of them

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivdef.deformation import (
     StarProduct,
@@ -27,31 +30,30 @@ def test_multi_indices_counts():
     assert len(multi_indices(3, 2)) == 10
 
 
+def basis_element(S, i, d=None):
+    """u^d b_i as an element {multi-index: vector}; d defaults to zero."""
+    return {d or (0,) * S.params: {i: ONE}}
+
+
 def test_dual_numbers_x_star_x_is_t():
     alg = make_a(1)
     S = deform_from_cocycle(alg, mu_dual_numbers(alg), {(1,): 1}, params=1, order=3)
-    x = loop_index(alg, 1)
-    prod = S.star(S.element({x: ONE}), S.element({x: ONE}))
-    e1 = e_index(alg, 1)
-    assert set(prod) == {e1}
-    assert prod[e1] == S.monomial((1,))
+    x = basis_element(S, loop_index(alg, 1))
+    assert S.star(x, x) == {(1,): {e_index(alg, 1): ONE}}
 
 
 def test_a2_star_of_arrows():
     S = mu_star_product(2, 3)
     alg = S.base
-    a1, b1 = a_index(alg, 1), b_index(alg, 1)
-    prod = S.star(S.element({a1: ONE}), S.element({b1: ONE}))
-    loop2 = loop_index(alg, 2)
-    assert prod[loop2] == S.poly(1)
-    assert prod[e_index(alg, 2)] == S.monomial((1,))
+    prod = S.star(basis_element(S, a_index(alg, 1)), basis_element(S, b_index(alg, 1)))
+    assert prod == {(0,): {loop_index(alg, 2): ONE}, (1,): {e_index(alg, 2): ONE}}
 
 
 def test_unitality():
     S = mu_star_product(2, 2)
-    one = S.unit_element()
+    one = {(0,): S.base.unit()}
     for i in range(S.base.dim):
-        x = S.element({i: ONE})
+        x = basis_element(S, i)
         assert S.star(one, x) == x
         assert S.star(x, one) == x
 
@@ -62,14 +64,74 @@ def test_star_associativity_on_elements():
     rng = random.Random(7)
 
     def rand_elem():
-        return {
-            i: S.poly(rng.randint(-3, 3)) + S.monomial((1,)) * rng.randint(-2, 2)
-            for i in range(alg.dim)
-        }
+        x = {}
+        for i in range(alg.dim):
+            for d, c in (((0,), rng.randint(-3, 3)), ((1,), rng.randint(-2, 2))):
+                if c:
+                    x.setdefault(d, {})[i] = F(c)
+        return x
 
     for _ in range(5):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
+
+
+@pytest.mark.parametrize("params, order", [(1, 3), (2, 2)])
+def test_star_of_shifted_basis_elements_is_mu_pair(params, order):
+    # u^e b_i * u^f b_j = sum over d of mu_d(b_i, b_j) u^(e+f+d), cut at the order
+    alg = make_a(2)
+    indices = multi_indices(params, order)
+    coeffs = {d: F(n + 1, 2) for n, d in enumerate(indices[1:])}
+    S = deform_from_cocycle(alg, mu_cocycle(alg), coeffs, params, order, verify=False)
+    for e in indices:
+        for f in indices:
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    want = {}
+                    for d in indices:
+                        g = tuple(a + b + c for a, b, c in zip(e, f, d))
+                        if sum(g) <= order and S.mu_pair(d, i, j):
+                            want[g] = S.mu_pair(d, i, j)
+                    have = S.star(basis_element(S, i, e), basis_element(S, j, f))
+                    assert have == want, (e, f, i, j)
+
+
+@lru_cache(maxsize=None)
+def line_algebra_and_cocycle(k):
+    alg = make_a(k)
+    return alg, mu_cocycle(alg)
+
+
+nonzero = st.integers(min_value=-3, max_value=3).filter(bool).map(F)
+
+
+@st.composite
+def flat_family_and_elements(draw):
+    """A cocycle-generated family on make_a(2..3) and three random elements."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    params = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=3 if params == 1 else 2))
+    alg, mu = line_algebra_and_cocycle(k)
+    indices = multi_indices(params, order)
+    coeffs = draw(st.dictionaries(st.sampled_from(indices[1:]), nonzero, min_size=1))
+    S = deform_from_cocycle(alg, mu, coeffs, params, order, verify=False)
+    term = st.tuples(st.sampled_from(indices), st.integers(min_value=0, max_value=alg.dim - 1), nonzero)
+
+    def element(terms):
+        x = {}
+        for d, i, c in terms:
+            x.setdefault(d, {})[i] = c
+        return x
+
+    elements = st.lists(term, min_size=1, max_size=4).map(element)
+    return S, draw(elements), draw(elements), draw(elements)
+
+
+@given(flat_family_and_elements())
+@settings(max_examples=60, deadline=None)
+def test_star_is_associative_on_flat_families(case):
+    S, x, y, z = case
+    assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
 
 
 def test_deform_from_cocycle_is_associative():
@@ -109,6 +171,12 @@ def test_junk_second_order_term_is_caught():
     witness = check_associativity(S)
     assert witness is not None
     assert witness[0] == (2,)
+    # the star product itself fails on the named triple at the named index
+    d, labels = witness
+    x, y, z = (basis_element(S, alg.labels.index(label)) for label in labels)
+    lhs, rhs = S.star(S.star(x, y), z), S.star(x, S.star(y, z))
+    assert lhs.get(d, {}) != rhs.get(d, {})
+    assert all(lhs.get(e, {}) == rhs.get(e, {}) for e in [(0,), (1,)])
 
 
 def test_setting_parameters_to_zero_recovers_base():
@@ -116,8 +184,8 @@ def test_setting_parameters_to_zero_recovers_base():
     alg = S.base
     for i in range(alg.dim):
         for j in range(alg.dim):
-            prod = S.star(S.element({i: ONE}), S.element({j: ONE}))
-            assert S.at_zero(prod) == alg.mul_basis(i, j)
+            prod = S.star(basis_element(S, i), basis_element(S, j))
+            assert prod.get((0,), {}) == alg.mul_basis(i, j)
 
 
 def test_extend_order_by_order_from_mu():

@@ -239,6 +239,8 @@ def test_bhat_alternative_gradings():
     # in the one-sided grading the central combination sits in degree one
     right = make_bhat(2, "right_one")
     assert all(p.degree == 1 for _, p in central_t_paths(right))
+    with pytest.raises(ValueError, match="loops-degree-two grading"):
+        central_t(right)
 
 
 def test_family_preconditions():
