@@ -189,7 +189,7 @@ def checks_deform(report: Report, ks, order, max_params, seed):
     for k in ks:
         alg = fam.make_a(k)
         mu = mu_cocycle(alg)
-        for m in (1, max_params):
+        for m in sorted({1, max_params}):
             coeffs = {
                 d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for d in defo.multi_indices(m, order, include_zero=False)

@@ -268,10 +268,8 @@ def psi_target(k: int, order: int):
     from .quiver import CentralQuotient
 
     gq = make_bhat(k, "loops_two")
-    t = central_t(gq)
-    cq = CentralQuotient(gq, t, 2, power=order + 1)
-    target = cq.to_algebra(2 * order + 3)
-    return gq, cq, t, target
+    cq = CentralQuotient(gq, central_t(gq), 2, power=order + 1)
+    return cq, cq.to_algebra(2 * order + 3)
 
 
 def verify_psi(k: int, order: int, scale=1):
@@ -283,24 +281,22 @@ def verify_psi(k: int, order: int, scale=1):
     make_a(k) as the identity-mod-m reduction.  `scale` rescales the image
     of the deformation parameter (useful as a negative control).
     """
-    from .families import apply_on_path, make_a, phi_arrow_images, psi_basis_images
+    from .families import apply_on_path, central_t, make_a, phi_arrow_images, psi_basis_images
 
     alg = make_a(k)
     S = mu_star_product(k, order)
-    gq, cq, t, target = psi_target(k, order)
+    cq, target = psi_target(k, order)
     if target.dim != (order + 1) * (4 * k - 2):
         raise AssertionError("truncated quotient has unexpected dimension")
 
-    def path_to_target(p):
-        vec = cq.project(p.degree, gq.reduce_path(p))
-        comp = gq.component(p.degree)
+    def to_target(d, vec):
+        comp = cq.component(d)
         return {target.index[comp[i]]: x for i, x in vec.items()}
 
-    images = {i: path_to_target(p) for i, p in psi_basis_images(alg, gq).items()}
-    comp2 = gq.component(2)
-    t_img = {target.index[comp2[i]]: fr(scale) * x for i, x in cq.project(2, t).items()}
+    images = {i: to_target(p.degree, cq.reduce_path(p)) for i, p in psi_basis_images(alg, cq).items()}
+    t_img = {l: fr(scale) * x for l, x in to_target(2, central_t(cq)).items()}
 
-    phi_im = phi_arrow_images(gq, alg)
+    phi_im = phi_arrow_images(cq, alg)
 
     def reduction(tv):
         out: dict = {}

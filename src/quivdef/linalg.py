@@ -113,9 +113,6 @@ class RowReducer:
         self.rows[p] = res if inv == 1 else {j: inv * x for j, x in res.items()}
         return p
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def rref(self) -> dict[int, dict]:
         """Reduced row echelon form (pivot column -> row) of the row space.
 

@@ -14,8 +14,11 @@ higher degree d only has the columns z*a*n, n a normal word of lower
 degree, and the rows that the relations and the degree-0 ideal give on
 them once rewritten (see GradedQuotient), so its cost follows the
 dimension of the quotient, not the number of paths.  Elimination is exact
-over Q.  When all components from some bound on vanish, the quotient is
-finite dimensional and is packaged as a FiniteDimAlgebra with explicit
+over Q.  A quotient by an element, such as a power of a central element
+(CentralQuotient), is one more presentation: the element's vertex pieces
+are appended to the relations.  When all components from some bound on
+vanish, the quotient is finite dimensional, and GradedQuotient.to_algebra,
+the one packaging path, makes it a FiniteDimAlgebra with explicit
 structure constants.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
@@ -25,9 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import ONE, ZERO, RowReducer, fmt_fraction, fr, parse_fraction, vec_axpy_inplace
+from .linalg import ONE, RowReducer, fmt_fraction, fr, parse_fraction, vec_axpy_inplace
 
 
 class BoundTooSmall(Exception):
@@ -438,6 +440,33 @@ class GradedQuotient:
         bits = ["(%s)%s" % (fmt_fraction(vec[i]), basis[i].label) for i in sorted(vec)]
         return " + ".join(bits) if bits else "0"
 
+    def to_algebra(self, bound: int) -> FiniteDimAlgebra:
+        """The quotient as a FiniteDimAlgebra, verified finite within the bound.
+
+        Computes the components up to `bound` plus a window of width
+        max(arrow degree); the window components must all vanish, which
+        proves that every path of degree >= bound lies in the ideal (such a
+        path has a prefix landing inside the window).  If they do not
+        vanish the quotient was not captured: raise BoundTooSmall.
+        """
+        width = max(1, self.quiver.max_arrow_degree())
+        leftover = [d for d in range(bound, bound + width) if self.dim(d) > 0]
+        if leftover:
+            raise BoundTooSmall(
+                "components in degrees %s survive past the bound %d" % (leftover, bound)
+            )
+        basis = [p for d in range(bound) for p in self.component(d)]
+        alg_index = {p: i for i, p in enumerate(basis)}
+
+        def mul_path_fn(p, q):
+            d = p.degree + q.degree
+            if d >= bound:
+                return {}
+            comp = self.component(d)
+            return {alg_index[comp[i]]: x for i, x in self.mul_paths(p, q).items()}
+
+        return FiniteDimAlgebra(self.quiver, basis, mul_path_fn, presentation=self.pres)
+
 
 class FiniteDimAlgebra:
     """Basis paths, structure constants, idempotents, and a grading."""
@@ -499,14 +528,6 @@ class FiniteDimAlgebra:
         for i in range(self.dim):
             out[self.target[i]][self.source[i]] += 1
         return out
-
-    def left_mult_rows(self, u: dict) -> list[list[Fraction]]:
-        """Dense matrix of z -> u*z in the basis (columns index z)."""
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for l, x in self.mul(u, {j: ONE}).items():
-                rows[l][j] = x
-        return rows
 
     def check_identity(self) -> bool:
         one = self.unit()
@@ -587,129 +608,43 @@ def associator(terms, keep) -> dict:
 
 
 def bounded_quotient(pres: QuiverPresentation, bound: int, allow_truncation=False):
-    """Quotient of the path algebra, verified finite within the bound.
+    """GradedQuotient(pres).to_algebra(bound), or a marked truncation.
 
-    Computes the graded components up to `bound` plus a window of width
-    max(arrow degree); the window components must all vanish, which proves
-    that every path of degree >= bound lies in the ideal (such a path has a
-    prefix landing inside the window).  If they do not vanish the quotient
-    was not captured: raise BoundTooSmall or, with allow_truncation, return
-    the GradedQuotient marked as a truncation.
+    When the bound does not capture the quotient, raise BoundTooSmall or,
+    with allow_truncation, return the GradedQuotient marked as a truncation.
     """
     gq = GradedQuotient(pres)
-    width = max(1, pres.quiver.max_arrow_degree())
-    leftover = [d for d in range(bound, bound + width) if gq.dim(d) > 0]
-    if leftover:
-        if allow_truncation:
-            gq.truncated = True
-            return gq
-        raise BoundTooSmall(
-            "components in degrees %s survive past the bound %d" % (leftover, bound)
-        )
-
-    basis = []
-    for d in range(bound):
-        basis.extend(gq.component(d))
-    alg_index = {p: i for i, p in enumerate(basis)}
-
-    def mul_path_fn(p, q):
-        d = p.degree + q.degree
-        if d >= bound:
-            return {}
-        vec = gq.mul_paths(p, q)
-        comp = gq.component(d)
-        return {alg_index[comp[i]]: x for i, x in vec.items()}
-
-    alg = FiniteDimAlgebra(pres.quiver, basis, mul_path_fn, presentation=pres)
-    alg.graded_quotient = gq
-    return alg
+    try:
+        return gq.to_algebra(bound)
+    except BoundTooSmall:
+        if not allow_truncation:
+            raise
+        gq.truncated = True
+        return gq
 
 
-class CentralQuotient:
-    """Quotient of a graded quotient by the ideal of tau^power.
+class CentralQuotient(GradedQuotient):
+    """Quotient of a graded quotient by the two-sided ideal of tau^power.
 
-    tau must be homogeneous and central; centrality is verified against
-    every basis monomial that enters the computation, which makes the
-    one-sided span z*tau^power a two-sided ideal slice.
+    tau is a homogeneous vector of `gq` in degree tau_degree.  tau^power,
+    reduced in `gq`, splits into its vertex pieces e_w*tau^power*e_v, each a
+    combination of parallel normal words; the pieces generate the same
+    two-sided ideal, so the quotient is `gq`'s presentation with the pieces
+    as extra relations.  No centrality is assumed.  When tau is central,
+    each ideal slice is the span of the z*tau^power, and the basis is
+    `gq`'s basis minus the pivots of those rows.
     """
 
     def __init__(self, gq: GradedQuotient, tau: dict, tau_degree: int, power: int = 1):
         if power < 1:
             raise ValueError("power must be positive")
-        self.gq = gq
-        self.tau = dict(tau)
-        self.tau_degree = tau_degree
-        self.power = power
-        tpow = dict(tau)
-        deg = tau_degree
+        tpow, deg = dict(tau), tau_degree
         for _ in range(power - 1):
             tpow = gq.mul(deg, tpow, tau_degree, tau)
             deg += tau_degree
-        self.tpow = tpow
-        self.tpow_degree = deg
-        self._reducers: dict[int, RowReducer] = {}
-
-    def _reducer(self, d: int) -> RowReducer:
-        if d in self._reducers:
-            return self._reducers[d]
-        red = RowReducer()
-        zdeg = d - self.tpow_degree
-        if zdeg >= 0:
-            gq = self.gq
-            for i in range(gq.dim(zdeg)):
-                zv = {i: ONE}
-                left = gq.mul(zdeg, zv, self.tpow_degree, self.tpow)
-                right = gq.mul(self.tpow_degree, self.tpow, zdeg, zv)
-                if left != right:
-                    raise ValueError(
-                        "quotient element is not central against %s"
-                        % gq.component(zdeg)[i].label
-                    )
-                if left:
-                    red.add(left)
-        self._reducers[d] = red
-        return red
-
-    def dim(self, d: int) -> int:
-        return self.gq.dim(d) - self._reducer(d).rank
-
-    def ideal_rows(self, d: int) -> list[dict]:
-        """Spanning vectors of the degree-d ideal slice, in component coords.
-
-        These are the reducer's echelon rows, not fully reduced ones.
-        """
-        return [dict(row) for row in self._reducer(d).rows.values()]
-
-    def kept_indices(self, d: int) -> list[int]:
-        piv = set(self._reducer(d).pivot_columns())
-        return [i for i in range(self.gq.dim(d)) if i not in piv]
-
-    def project(self, d: int, vec: dict) -> dict:
-        return self._reducer(d).reduce(vec)
-
-    def to_algebra(self, bound: int) -> FiniteDimAlgebra:
-        gq = self.gq
-        width = max(1, gq.quiver.max_arrow_degree())
-        leftover = [d for d in range(bound, bound + width) if self.dim(d) > 0]
-        if leftover:
-            raise BoundTooSmall(
-                "central quotient survives in degrees %s past the bound %d"
-                % (leftover, bound)
-            )
-        basis = []
-        for d in range(bound):
-            comp = gq.component(d)
-            basis.extend(comp[i] for i in self.kept_indices(d))
-        alg_index = {p: i for i, p in enumerate(basis)}
-
-        def mul_path_fn(p, q):
-            d = p.degree + q.degree
-            if d >= bound:
-                return {}
-            vec = self.project(d, gq.mul_paths(p, q))
-            comp = gq.component(d)
-            return {alg_index[comp[i]]: x for i, x in vec.items()}
-
-        alg = FiniteDimAlgebra(gq.quiver, basis, mul_path_fn, presentation=gq.pres)
-        alg.central_quotient = self
-        return alg
+        comp = gq.component(deg)
+        pieces: dict = {}
+        for i in sorted(tpow):
+            pieces.setdefault((comp[i].target, comp[i].source), []).append((tpow[i], comp[i]))
+        relations = [Relation(pieces[key]) for key in sorted(pieces)]
+        super().__init__(QuiverPresentation(gq.quiver, gq.pres.relations + relations))

@@ -85,9 +85,6 @@ class Report:
         )
         return self.checks[-1]
 
-    def skip(self, name, anchor, reason):
-        self.checks.append(Check(name, anchor, "skipped", None, reason))
-
     @property
     def failed(self) -> int:
         return sum(1 for c in self.checks if c.status == "fail")

@@ -92,15 +92,6 @@ class LatticeSupport:
     def __contains__(self, p):
         return p in self.index
 
-    def neighbors(self, p):
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if i != j:
-                    yield _add(p, _shift(self.n, i, j))
-
-    def is_interior(self, p) -> bool:
-        return all(q in self.index for q in self.neighbors(p))
-
 
 def generator_keys(n: int):
     out = []

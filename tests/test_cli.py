@@ -160,6 +160,13 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
     assert check["actual"] == bounds
 
 
+def test_deform_check_names_are_unique_for_one_parameter():
+    args = build_parser().parse_args(["deform", "--params", "1", "--order", "2"])
+    names = [c.name for c in run_command(args).checks]
+    assert "flat_deformation_A2_m1" in names
+    assert len(names) == len(set(names)), names
+
+
 def test_slnlab_battery_builds_each_module_once(monkeypatch):
     # fiber matrices that build_f rejects: the three checks on the module
     # fail with one error, raised by a single build in the first of them

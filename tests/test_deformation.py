@@ -254,7 +254,7 @@ def test_infinitesimal_class_trivial_for_coboundary():
 
 def test_psi_target_dimensions():
     for k in (2, 3):
-        gq, cq, t, target = psi_target(k, 2)
+        cq, target = psi_target(k, 2)
         assert target.dim == 3 * (4 * k - 2)
         assert target.check_identity()
 

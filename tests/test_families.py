@@ -221,7 +221,6 @@ def test_phi_report_all_k():
         assert rep["well_defined"]
         assert rep["surjective"]
         assert rep["kills_t"]
-        assert rep["central_witness"] is None
         assert rep["bijective"]
 
 

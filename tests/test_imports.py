@@ -1,8 +1,15 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+function, class and method it defines is named somewhere.
 
-`__init__.py` is left out: it imports names to re-export them.  A name
-counts as used when it appears as an identifier anywhere in the module,
-annotations included.
+`__init__.py` is left out of the import check: it imports names to
+re-export them.  A name counts as used when it appears as an identifier
+anywhere in the module, annotations included.
+
+A definition counts as named when its name appears, other than in its own
+`def` or `class` statement, as an identifier, an attribute, an imported
+name or a string constant (bench/instrument.py patches methods by name) in
+any file of src/, tests/ or bench/.  Dunder names are left out: Python
+calls them.
 """
 
 import ast
@@ -10,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quivdef"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quivdef"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +45,51 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """Non-dunder function, class and method names -> line of definition."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("__")
+    }
+
+
+def named_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_checker_sees_dead_and_named_definitions():
+    source = (
+        "class A:\n    def __init__(self): pass\n    def used(self): pass\n    def dead(self): pass\n"
+        "def helper(): pass\ndef patched(): pass\nA().used()\nhelper()\ngetattr(A, 'patched')\n"
+    )
+    dead = set(defined_names(source)) - named_names(source)
+    assert dead == {"dead"}
+
+
+def test_every_definition_is_named():
+    named = set()
+    for path in SOURCES:
+        named |= named_names(path.read_text(encoding="utf-8"))
+    dead = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in defined_names(path.read_text(encoding="utf-8")).items()
+        if name not in named
+    ]
+    assert dead == []

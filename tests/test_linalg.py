@@ -117,8 +117,8 @@ def test_row_reducer_membership():
     red.add({0: F(1), 1: F(2)})
     red.add({1: F(1), 2: F(1)})
     assert red.rank == 2
-    assert red.contains({0: F(2), 1: F(5), 2: F(1)})
-    assert not red.contains({2: F(1)})
+    assert not red.reduce({0: F(2), 1: F(5), 2: F(1)})
+    assert red.reduce({2: F(1)})
 
 
 def test_fraction_roundtrip():

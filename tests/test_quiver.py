@@ -4,11 +4,19 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from quivdef.families import BHAT_GRADINGS, a_presentation, atilde_presentation, bhat_presentation
-from quivdef.linalg import ONE, ZERO, RowReducer
+from quivdef.families import (
+    BHAT_GRADINGS,
+    a_presentation,
+    atilde_presentation,
+    bhat_presentation,
+    central_t,
+    make_bhat,
+)
+from quivdef.linalg import ONE, ZERO, RowReducer, rank_matrix
 from quivdef.quiver import (
     Arrow,
     BoundTooSmall,
+    CentralQuotient,
     GradedQuotient,
     Quiver,
     QuiverPresentation,
@@ -135,9 +143,11 @@ def test_bounded_quotient_a4_dimension():
 def test_a2_left_multiplication_rank():
     alg = bounded_quotient(a2_presentation(), 3)
     loop = alg.index[alg.quiver.path_from_arrows(["a1", "b1"])]
-    rows = alg.left_mult_rows({loop: F(1)})
-    from quivdef.linalg import rank_matrix
-
+    # column j holds loop * basis element j
+    rows = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    for j in range(alg.dim):
+        for l, x in alg.mul({loop: F(1)}, {j: ONE}).items():
+            rows[l][j] = x
     assert rank_matrix(rows) == 1
 
 
@@ -376,3 +386,113 @@ def test_line_algebras_match_span_oracle(k):
 def test_loop_quivers_match_span_oracle(k, grading):
     degree = FAMILY_ORACLE_DEGREES.get((grading, k), 8)
     assert_matches_span_oracle(bhat_presentation(k, grading), degree)
+
+
+# ---------------------------------------------------------------------------
+# quotients by tau^power against the one-sided construction and the span
+# ---------------------------------------------------------------------------
+
+class OneSidedCentralQuotient:
+    """The former CentralQuotient, kept verbatim as the oracle: the degree-d
+    ideal slice is the span of the z*tau^power, z a basis path of `gq`,
+    row-reduced in `gq`'s component, with tau checked central on every z."""
+
+    def __init__(self, gq: GradedQuotient, tau: dict, tau_degree: int, power: int = 1):
+        if power < 1:
+            raise ValueError("power must be positive")
+        self.gq = gq
+        self.tau = dict(tau)
+        self.tau_degree = tau_degree
+        self.power = power
+        tpow = dict(tau)
+        deg = tau_degree
+        for _ in range(power - 1):
+            tpow = gq.mul(deg, tpow, tau_degree, tau)
+            deg += tau_degree
+        self.tpow = tpow
+        self.tpow_degree = deg
+        self._reducers: dict[int, RowReducer] = {}
+
+    def _reducer(self, d: int) -> RowReducer:
+        if d in self._reducers:
+            return self._reducers[d]
+        red = RowReducer()
+        zdeg = d - self.tpow_degree
+        if zdeg >= 0:
+            gq = self.gq
+            for i in range(gq.dim(zdeg)):
+                zv = {i: ONE}
+                left = gq.mul(zdeg, zv, self.tpow_degree, self.tpow)
+                right = gq.mul(self.tpow_degree, self.tpow, zdeg, zv)
+                if left != right:
+                    raise ValueError(
+                        "quotient element is not central against %s"
+                        % gq.component(zdeg)[i].label
+                    )
+                if left:
+                    red.add(left)
+        self._reducers[d] = red
+        return red
+
+    def dim(self, d: int) -> int:
+        return self.gq.dim(d) - self._reducer(d).rank
+
+    def kept_indices(self, d: int) -> list[int]:
+        piv = set(self._reducer(d).pivot_columns())
+        return [i for i in range(self.gq.dim(d)) if i not in piv]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_central_quotient_matches_one_sided_oracle(k):
+    gq = make_bhat(k, "loops_two")
+    t = central_t(gq)
+    for power in range(1, 5):
+        cq = CentralQuotient(gq, t, 2, power)
+        oracle = OneSidedCentralQuotient(gq, t, 2, power)
+        for d in range(2 * power + 5):
+            kept = [gq.component(d)[i] for i in oracle.kept_indices(d)]
+            assert cq.dim(d) == oracle.dim(d), (power, d)
+            assert cq.component(d) == kept, (power, d)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_central_quotient_matches_span_oracle(k, power):
+    gq = make_bhat(k, "loops_two")
+    cq = CentralQuotient(gq, central_t(gq), 2, power)
+    assert_matches_span_oracle(cq.pres, 2 * power + 4)
+
+
+def test_non_central_tau_gives_the_two_sided_quotient():
+    gq = make_bhat(2, "loops_two")
+    q = gq.quiver
+    x1, x2 = q.arrow_path("x1"), q.arrow_path("x2")
+    # tau = x1 is not central, so the one-sided oracle refuses it
+    with pytest.raises(ValueError):
+        OneSidedCentralQuotient(gq, gq.reduce_path(x1), 1).dim(1)
+    # (x1 + x2)^2 = x2*x1 + x1*x2 splits into its pieces at vertices 1 and 2
+    cases = [
+        (gq.reduce_path(x1), 1, [[x1]]),
+        (gq.reduce_combination([(1, x1), (1, x2)], 1), 2, [[compose(x2, x1)], [compose(x1, x2)]]),
+    ]
+    for tau, power, generators in cases:
+        cq = CentralQuotient(gq, tau, 1, power)
+        extra = [Relation([(1, p) for p in terms]) for terms in generators]
+        oracle = SpanQuotient(QuiverPresentation(q, gq.pres.relations + extra))
+        for d in range(7):
+            assert cq.component(d) == oracle.component(d), (power, d)
+        for p in q.enumerate_paths(6):
+            assert cq.reduce_path(p) == oracle.reduce_path(p), p
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_central_quotient_bound_too_small(power):
+    # B(2)/(t^power) lives in degrees 0..2*power
+    gq = make_bhat(2, "loops_two")
+    cq = CentralQuotient(gq, central_t(gq), 2, power)
+    with pytest.raises(BoundTooSmall):
+        cq.to_algebra(2 * power)
+    with pytest.raises(BoundTooSmall):
+        bounded_quotient(cq.pres, 2 * power)
+    assert cq.to_algebra(2 * power + 1).dim == power * 6
+    assert bounded_quotient(cq.pres, 2 * power + 1).dim == power * 6

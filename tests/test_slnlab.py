@@ -102,8 +102,6 @@ def test_support_shape():
     s3 = LatticeSupport(3, 2)
     assert all(sum(p) == 0 for p in s3.points)
     assert (0, 0, 0) in s3
-    assert s3.is_interior((0, 0, 0))
-    assert not s3.is_interior((2, -2, 0))
 
 
 def test_build_n_blocks_match_formula():
