@@ -60,7 +60,6 @@ from .hochschild import (
     is_coboundary,
     is_cocycle,
     mu_cocycle,
-    mu_dual_numbers,
 )
 from .deformation import (
     Obstructed,

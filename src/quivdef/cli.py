@@ -337,8 +337,9 @@ def _deform_bounds(args):
     return [("k", args.k, 2), ("order", args.order, 1), ("params", args.params, 1)]
 
 
-def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
-    if not _check_arguments(report, _lattice_bounds(min(ns), radius, max_fiber)):
+def checks_slnlab(report: Report, ns, radius, max_fiber, seeds, bounds=()):
+    """The lattice checks; the sizes and the extra (name, value, low) bounds come first."""
+    if not _check_arguments(report, _lattice_bounds(min(ns), radius, max_fiber) + list(bounds)):
         return
     for n in ns:
         for seed in seeds:
@@ -574,7 +575,9 @@ def run_command(args) -> Report:
         checks_psi(report, [2, 3, 4], 4)
         checks_koszul(report, [2, 3, 4], 3, 5)
         seeds = [args.seed + i for i in range(args.slnlab_seeds)]
-        checks_slnlab(report, [2, 3, 4], args.radius, 3, seeds)
+        checks_slnlab(
+            report, [2, 3, 4], args.radius, 3, seeds, [("slnlab_seeds", args.slnlab_seeds, 1)]
+        )
         checks_determinism(report)
         return report
     raise SystemExit("unknown command %r" % args.command)

@@ -327,12 +327,6 @@ def mu_cocycle(alg: FiniteDimAlgebra) -> dict:
     return c
 
 
-def mu_dual_numbers(alg: FiniteDimAlgebra) -> dict:
-    """The 2-cocycle X (x) X -> 1 on make_a(1)."""
-    x = loop_index(alg, 1)
-    return {(x, x): {e_index(alg, 1): ONE}}
-
-
 def is_cocycle(alg: FiniteDimAlgebra, c: dict):
     """(True, None) iff the 2-cocycle identity holds on all basis triples.
 

@@ -211,10 +211,6 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
     }
 
 
-def resolution_step_degrees(resolution, step: int):
-    return sorted(d for _v, d in resolution["steps"][step - 1])
-
-
 def is_linear(resolution) -> bool:
     for j, gens in enumerate(resolution["steps"], start=1):
         if any(d != j for _v, d in gens):

@@ -435,11 +435,6 @@ class GradedQuotient:
                 vec_axpy_inplace(out, c1 * c2, self.mul_basis(d1, i1, d2, i2))
         return out
 
-    def element_label(self, d: int, vec: dict) -> str:
-        basis = self.component(d)
-        bits = ["(%s)%s" % (fmt_fraction(vec[i]), basis[i].label) for i in sorted(vec)]
-        return " + ".join(bits) if bits else "0"
-
     def to_algebra(self, bound: int) -> FiniteDimAlgebra:
         """The quotient as a FiniteDimAlgebra, verified finite within the bound.
 
@@ -564,10 +559,6 @@ class FiniteDimAlgebra:
         self.alt_gradings[name] = degs
         self.alt_arrow_degrees[name] = dict(arrow_degrees)
         return degs
-
-    def element_label(self, u: dict) -> str:
-        bits = ["(%s)%s" % (fmt_fraction(u[i]), self.labels[i]) for i in sorted(u)]
-        return " + ".join(bits) if bits else "0"
 
 
 def associator(terms, keep) -> dict:

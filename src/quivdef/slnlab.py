@@ -11,7 +11,11 @@ Cartan actions, Serre relations) at every point where all intermediate
 points exist, counting the instances skipped at the boundary.  It works
 in Python integers: every block is scaled once by the lcm D of all block
 denominators, and the terms of a relation are brought to a common power
-of D before they are summed, so the test for zero is exact.
+of D before they are summed, so the test for zero is exact.  Within one
+check each distinct matrix product and each distinct relation instance is
+computed once: equal scaled blocks are one object, and products and
+verdicts are kept in tables keyed by the objects they were made from, so
+a table hit returns the integers a recomputation would.
 
 certify_relations checks a module that claims the build_f blocks of
 given X at a cost that does not depend on the radius: every stored block
@@ -292,18 +296,22 @@ def _scaled(m, scale):
 def _integer_steps(module: LatticeModule, scale: int):
     """key -> {point: (scale * block as a row-major int tuple, end point)}.
 
-    Flat tuples, and end points shared with the support's own tuples,
-    keep this copy small beside the Fraction blocks.
+    Equal scaled blocks are interned, one tuple for each distinct value,
+    so _check_instances meets a repeated block as the same object; this
+    and end points shared with the support's own tuples keep the copy
+    small beside the Fraction blocks.
     """
     n = module.n
     points = {p: p for p in module.support.points}
+    interned = {}
     steps = {}
     for key, per_point in module.blocks.items():
         shift = gen_shift(n, key)
         steps[key] = {}
         for p, m in per_point.items():
             q = _add(p, shift)
-            steps[key][p] = (_scaled(m, scale), points.get(q, q))
+            blk = _scaled(m, scale)
+            steps[key][p] = (interned.setdefault(blk, blk), points.get(q, q))
     return steps
 
 
@@ -311,7 +319,9 @@ class _FormulaSteps(dict):
     """point -> (scale * formula block as an int tuple, end point) of one generator.
 
     Entries are made on first lookup, so walks may leave any truncation;
-    `get` is the lookup that makes them, which is how _int_monomial reads.
+    `get` is the lookup that makes them, which is how _check_instances
+    reads.  The block is scaled once per coordinate value, and the points
+    that share the value share the tuple.
     """
 
     def __init__(self, formula: _BlockFormula, key, scale: int):
@@ -320,10 +330,14 @@ class _FormulaSteps(dict):
         self.key = key
         self.scale = scale
         self.shift = gen_shift(formula.n, key)
+        self.scaled = {}  # coordinate value -> scale * formula block
 
     def __missing__(self, p):
-        m = self.formula[self.key, _coordinate(self.key, p)]
-        entry = self[p] = (_scaled(m, self.scale), _add(p, self.shift))
+        v = _coordinate(self.key, p)
+        blk = self.scaled.get(v)
+        if blk is None:
+            blk = self.scaled[v] = _scaled(self.formula[self.key, v], self.scale)
+        entry = self[p] = (blk, _add(p, self.shift))
         return entry
 
     get = dict.__getitem__
@@ -334,19 +348,6 @@ def _int_mul(a, b, dim):
     rows = [a[i : i + dim] for i in range(0, dim * dim, dim)]
     cols = [b[j::dim] for j in range(dim)]
     return tuple(sum(map(operator.mul, row, col)) for row in rows for col in cols)
-
-
-def _int_monomial(steps, mono, point, dim):
-    """D^len(mono) times the composed blocks, or None off the stored blocks."""
-    cur = point
-    mat = None
-    for key in mono:
-        entry = steps.get(key, {}).get(cur)
-        if entry is None:
-            return None
-        blk, cur = entry
-        mat = blk if mat is None else _int_mul(blk, mat, dim)
-    return mat
 
 
 def _check_instances(steps, points, n: int, dim: int, scale: int):
@@ -362,28 +363,67 @@ def _check_instances(steps, points, n: int, dim: int, scale: int):
     monomial walks off the blocks in steps, even one whose coefficient is
     zero.  The witness is the first failing instance in relation order,
     then point order.
+
+    Each distinct product and each distinct instance is computed once per
+    call.  A walk composes blk o mat through a product table keyed by the
+    identities of its two operands; the product it stores is the object
+    the walk carries on, so longer monomials are keyed by identity too.
+    Per relation, since the weights differ between relations, a verdict
+    table keyed by the identities of the composed monomials runs the zero
+    test once per distinct instance.  Every key
+    names objects that steps or the product table keep alive for the whole
+    call, so an identity is never reused; equal keys mean the same integer
+    matrices, and the tables return exactly what recomputing would.
     """
     checked = skipped = 0
     witness = None
+    products = {}  # (id(blk), id(mat)) -> blk o mat
+
+    def compose(walk, point):
+        """D^len(walk) times the composed blocks, or None off the stored blocks."""
+        cur = point
+        mat = None
+        for table in walk:
+            entry = table.get(cur)
+            if entry is None:
+                return None
+            blk, cur = entry
+            if mat is None:
+                mat = blk
+                continue
+            pair = (id(blk), id(mat))
+            prod = products.get(pair)
+            if prod is None:
+                prod = products[pair] = _int_mul(blk, mat, dim)
+            mat = prod
+        return mat
+
     for label, terms in _relations(n):
         cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
         longest = max(len(mono) for _coeff, mono in terms)
-        weighted = [
-            (int(coeff * cden) * scale ** (longest - len(mono)), mono) for coeff, mono in terms
-        ]
+        weights = [int(coeff * cden) * scale ** (longest - len(mono)) for coeff, mono in terms]
+        walks = [[steps.get(key, {}) for key in mono] for _coeff, mono in terms]
+        verdicts = {}  # ids of the composed monomials -> the instance fails
         for p in points:
             mats = []
-            for weight, mono in weighted:
-                mat = _int_monomial(steps, mono, p, dim)
+            for walk in walks:
+                mat = compose(walk, p)
                 if mat is None:
                     break
-                mats.append((weight, mat))
-            if len(mats) < len(weighted):
+                mats.append(mat)
+            if len(mats) < len(terms):
                 skipped += 1
                 continue
             checked += 1
-            if witness is None and any(map(sum, zip(*([w * x for x in m] for w, m in mats)))):
-                witness = (label, p)
+            if witness is None:
+                ids = tuple(map(id, mats))
+                fails = verdicts.get(ids)
+                if fails is None:
+                    fails = verdicts[ids] = any(
+                        map(sum, zip(*([w * x for x in m] for w, m in zip(weights, mats))))
+                    )
+                if fails:
+                    witness = (label, p)
     return checked, skipped, witness
 
 
@@ -394,8 +434,9 @@ def verify_relations(module: LatticeModule):
     monomials walk along stored blocks, and skipped otherwise (the
     truncation boundary).  The check is exact in integer arithmetic: each
     block B is stored once as D*B, with D the lcm of the denominators of
-    all block entries (see _check_instances).  It applies to any module,
-    reconstruct_extension's output included.
+    all block entries, and equal D*B are one object, so each distinct
+    product and instance is computed once (see _check_instances).  It
+    applies to any module, reconstruct_extension's output included.
     """
     dim = module.fiber_dim
     scale = _common_denominator(module)

@@ -187,3 +187,13 @@ def test_slnlab_battery_builds_each_module_once(monkeypatch):
     assert {c.actual for c in report.checks[1:4]} == {"error: ValueError: fiber matrix 1 is not nilpotent"}
     # build_n's own build during check 0, then one build during check 1
     assert [i for i in during if i < 4] == [0, 1]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_all_without_lattice_seeds_fails_one_check(seeds, tmp_path):
+    # no seed would run none of the lattice checks and still exit 0
+    out = tmp_path / "report.json"
+    assert cli.main(["verify-all", "--slnlab-seeds", seeds, "--output", str(out)]) == 1
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    failed = [(c["name"], c["actual"]) for c in checks if c["status"] != "pass"]
+    assert failed == [("arguments", ["slnlab_seeds = %s is below 1" % seeds])]

@@ -19,10 +19,16 @@ from quivdef.deformation import (
     verify_psi,
 )
 from quivdef.families import a_index, b_index, e_index, loop_index, make_a
-from quivdef.hochschild import HochschildComplex, mu_cocycle, mu_dual_numbers
+from quivdef.hochschild import HochschildComplex, mu_cocycle
 from quivdef.linalg import ONE
 
 F = Fraction
+
+
+def mu_dual_numbers(alg):
+    """The 2-cocycle X (x) X -> 1 on make_a(1)."""
+    x = loop_index(alg, 1)
+    return {(x, x): {e_index(alg, 1): ONE}}
 
 
 def test_multi_indices_counts():

@@ -23,10 +23,17 @@ from quivdef.families import (
     psi_basis_images,
     symmetric_form,
 )
-from quivdef.linalg import ONE
+from quivdef.linalg import ONE, fmt_fraction
 from quivdef.quiver import Arrow, Quiver, QuiverPresentation, bounded_quotient
 
 F = Fraction
+
+
+def element_label(gq, d, vec):
+    """The homogeneous vector vec of degree d as "(c)path + ..." in basis order."""
+    basis = gq.component(d)
+    bits = ["(%s)%s" % (fmt_fraction(vec[i]), basis[i].label) for i in sorted(vec)]
+    return " + ".join(bits) if bits else "0"
 
 
 def test_make_a_dimensions():
@@ -178,7 +185,7 @@ def test_bhat3_degree_one_component():
 def test_central_t_formula_k2():
     gq = make_bhat(2)
     t = central_t(gq)
-    assert gq.element_label(2, t) == "(1)x2*x1 + (-1)y1 + (1)x1*x2 + (-1)y2"
+    assert element_label(gq, 2, t) == "(1)x2*x1 + (-1)y1 + (1)x1*x2 + (-1)y2"
 
 
 def test_central_t_commutes():

@@ -12,12 +12,17 @@ from quivdef.hochschild import (
     is_coboundary,
     is_cocycle,
     mu_cocycle,
-    mu_dual_numbers,
     validate_cochain,
 )
 from quivdef.linalg import ONE
 
 F = Fraction
+
+
+def mu_dual_numbers(alg):
+    """The 2-cocycle X (x) X -> 1 on make_a(1)."""
+    x = loop_index(alg, 1)
+    return {(x, x): {e_index(alg, 1): ONE}}
 
 
 def dual_numbers_hh_oracle(max_degree):

@@ -12,7 +12,7 @@ from quivdef.families import (
     central_t,
     make_bhat,
 )
-from quivdef.linalg import ONE, ZERO, RowReducer, rank_matrix
+from quivdef.linalg import ONE, ZERO, RowReducer, fmt_fraction, rank_matrix
 from quivdef.quiver import (
     Arrow,
     BoundTooSmall,
@@ -27,6 +27,13 @@ from quivdef.quiver import (
 )
 
 F = Fraction
+
+
+def element_label(gq, d, vec):
+    """The homogeneous vector vec of degree d as "(c)path + ..." in basis order."""
+    basis = gq.component(d)
+    bits = ["(%s)%s" % (fmt_fraction(vec[i]), basis[i].label) for i in sorted(vec)]
+    return " + ".join(bits) if bits else "0"
 
 
 def a2_quiver():
@@ -220,7 +227,7 @@ def test_graded_multiplication_respects_relations():
     assert gq.mul(1, x1, 2, y1) == {}
     x2 = gq.reduce_path(gq.quiver.arrow_path("x2"))
     loop = gq.mul(1, x2, 1, x1)
-    assert gq.element_label(2, loop) == "(1)x2*x1"
+    assert element_label(gq, 2, loop) == "(1)x2*x1"
 
 
 # ---------------------------------------------------------------------------

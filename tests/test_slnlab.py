@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from quivdef import slnlab
 from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale, mat_sub
 from quivdef.slnlab import (
     LatticeModule,
@@ -326,11 +327,11 @@ def test_integer_kernel_matches_fraction_oracle(module):
 
 
 @st.composite
-def build_f_modules(draw):
+def build_f_modules(draw, max_radius=3, changed=st.booleans()):
     """(module, xs): build_f modules with commuting or unchecked fractional X, maybe one block off."""
     n = draw(st.integers(min_value=2, max_value=4))
     dim = draw(st.integers(min_value=1, max_value=3))
-    radius = draw(st.integers(min_value=1, max_value=2 if (n, dim) == (4, 3) else 3))
+    radius = draw(st.integers(min_value=1, max_value=2 if (n, dim) == (4, 3) else max_radius))
     a = tuple(draw(st.lists(parameters, min_size=n, max_size=n)))
     if draw(st.booleans()):
         xs = [draw(nilpotent_polynomials(dim)) for _ in range(n)]
@@ -339,12 +340,78 @@ def build_f_modules(draw):
         square = st.lists(st.lists(fractions, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
         xs = draw(st.lists(square, min_size=n, max_size=n))
         module = build_f(n, a, xs, radius, check=False)
-    if draw(st.booleans()):
+    if draw(changed):
         key = draw(st.sampled_from(generator_keys(n)))
         p = draw(st.sampled_from(sorted(module.blocks[key])))
         r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
         module.blocks[key][p][r][c] += draw(fractions.filter(bool))
     return module, xs
+
+
+@given(build_f_modules(max_radius=2, changed=st.just(True)))
+@settings(max_examples=30, deadline=None)
+def test_integer_kernel_matches_fraction_oracle_with_one_entry_changed(case):
+    # build_f's equal blocks are interned; the changed one must stay apart
+    module, _xs = case
+    assert verify_relations(module) == _fraction_verify_relations(module)
+
+
+def test_changed_interior_block_is_not_merged_with_its_equals():
+    rng = random.Random(9)
+    a = random_parameters(3, rng)
+    xs = random_commuting_nilpotents(3, 3, rng)
+    module = build_f(3, a, xs, 2)
+    origin = (0, 0, 0)
+    # every e2 block with b_3 = 0 equals this one before the change
+    assert module.blocks[("e", 2, 3)][(1, -1, 0)] == module.blocks[("e", 2, 3)][origin]
+    module.blocks[("e", 2, 3)][origin][2][0] += 1
+    rep = verify_relations(module)
+    assert rep == _fraction_verify_relations(module)
+    assert rep["witness"] == ("[e2,f1]", origin)
+
+
+def test_verdicts_are_kept_per_relation():
+    # sl_2 on three points with 1x1 blocks; the [h1,e1] instance at (-1, 1)
+    # and the [h1,f1] instance at (1, -1) compose the same three integer
+    # matrices (every block of value 1 is one interned object), but their
+    # coefficients differ: the first holds and the second fails
+    support = LatticeSupport(2, 1)
+    one = [[F(1)]]
+    blocks = {
+        ("e", 1, 2): {(-1, 1): one, (0, 0): [[F(0)]]},
+        ("e", 2, 1): {(0, 0): [[F(3)]], (1, -1): one},
+        ("h", 1): {(-1, 1): one, (0, 0): [[F(3)]], (1, -1): one},
+    }
+    module = LatticeModule(2, (F(1, 2), F(1, 3)), support, 1, blocks)
+    rep = verify_relations(module)
+    assert rep == _fraction_verify_relations(module)
+    assert rep["witness"] == ("[h1,f1]", (1, -1))
+
+
+def test_products_are_composed_once_per_call(monkeypatch):
+    # a fixed sl_4 module of fiber dimension 3, radius 3
+    jordan = [[F(int(j == i + 1)) for j in range(3)] for i in range(3)]
+    square = mat_mul(jordan, jordan)
+    coeffs = ((1, 0), (2, -1), (-1, 3), (0, 1))
+    xs = [mat_add(mat_scale(c, jordan), mat_scale(d, square)) for c, d in coeffs]
+    module = build_f(4, (F(1, 2), F(1, 3), F(-3, 5), F(5, 7)), xs, 3)
+    calls = []
+    real = slnlab._int_mul
+    monkeypatch.setattr(slnlab, "_int_mul", lambda *args: calls.append(1) or real(*args))
+    rep = verify_relations(module)
+    assert (rep["checked"], rep["skipped"], rep["witness"]) == (6318, 2922, None)
+    # one composition per step after the first of every monomial of every
+    # checked instance; composing each walk afresh takes 16945 products here
+    compositions = sum(
+        len(mono) - 1
+        for _label, terms in _relations(4)
+        for p in module.support.points
+        if all(_monomial_matrix(module, mono, p)[0] is not None for _coeff, mono in terms)
+        for _coeff, mono in terms
+    )
+    assert compositions == 15836
+    assert len(calls) == 3056
+    assert 5 * len(calls) < compositions
 
 
 @given(build_f_modules())
