@@ -337,6 +337,20 @@ def _deform_bounds(args):
     return [("k", args.k, 2), ("order", args.order, 1), ("params", args.params, 1)]
 
 
+def _hochschild_bounds(args):
+    return [("k", args.k, 1), ("max_degree", args.max_degree, 0)]
+
+
+def _koszul_bounds(args):
+    # A(k) fails linearity first at homological degree k, internal degree
+    # k + 1, so not_koszul_A3 needs 3 steps and a budget of 4
+    return [
+        ("k", args.k, 2),
+        ("hom_degree", args.hom_degree, 3),
+        ("max_degree", args.max_degree, max(4, args.hom_degree)),
+    ]
+
+
 def checks_slnlab(report: Report, ns, radius, max_fiber, seeds, bounds=()):
     """The lattice checks; the sizes and the extra (name, value, low) bounds come first."""
     if not _check_arguments(report, _lattice_bounds(min(ns), radius, max_fiber) + list(bounds)):
@@ -526,6 +540,8 @@ def run_command(args) -> Report:
         return report
     if args.command == "hochschild":
         report = Report("hochschild", {"k": args.k, "max_degree": args.max_degree})
+        if not _check_arguments(report, _hochschild_bounds(args)):
+            return report
         report.run(
             "hh_dims_A%d" % args.k,
             "Hochschild cohomology dims are k+1, then all 1",
@@ -551,7 +567,8 @@ def run_command(args) -> Report:
             "koszul",
             {"k": args.k, "hom_degree": args.hom_degree, "max_degree": args.max_degree},
         )
-        checks_koszul(report, [args.k], args.hom_degree, args.max_degree)
+        if _check_arguments(report, _koszul_bounds(args)):
+            checks_koszul(report, [args.k], args.hom_degree, args.max_degree)
         return report
     if args.command == "slnlab":
         report = Report(
@@ -603,7 +620,11 @@ def emit_data(args):
             fam.make_a(args.k), mu_cocycle(fam.make_a(args.k)), args.order
         )
         return json.dumps(S.family_table(), indent=2, sort_keys=True)
-    if args.command == "koszul" and args.emit_table:
+    if (
+        args.command == "koszul"
+        and args.emit_table
+        and not _argument_errors(_koszul_bounds(args))
+    ):
         view = koszul.view_from_graded_quotient(fam.make_bhat(args.k, "all_one"))
         cert = koszul.koszulity_certificate(view, args.hom_degree, args.max_degree)
         return json.dumps(cert, indent=2, sort_keys=True)

@@ -8,6 +8,12 @@ usual Hochschild cohomology; the full bar complex (tuples over the whole
 basis, unconstrained values) is also available as an independent check,
 it just gets large quickly.
 
+The differentials read a copy of the structure constants in which every
+integral value is a Python int, so the line algebras give integer columns
+and `RowReducer` eliminates them in ints up to the few pivots other than
+1 and -1; non-integral constants stay Fractions.  Each differential is ranked once per complex, and
+`hh_dim(i)` and `hh_dim(i+1)` share the rank of d_i.
+
 Cochains are dicts mapping index tuples to sparse value vectors.  The
 degree-2 cocycle that drives all deformations here is mu_cocycle; note it
 carries one value the obvious sign pattern misses, on the square of the
@@ -94,13 +100,19 @@ class HochschildComplex:
         self._basis: dict[int, list] = {}
         self._basis_index: dict[int, dict] = {}
         self._columns: dict[int, list] = {}
+        self._ranks: dict[int, int] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
         self._scope_set = set(self.scope)
+        # the structure constants with integral values as Python ints
+        self._table = {
+            key: {l: x.numerator if x.denominator == 1 else x for l, x in prod.items()}
+            for key, prod in alg.table.items()
+        }
         # reverse multiplication index: l -> [((i, j), coeff)] over scope pairs
         self._rev = {}
         for i in self.scope:
             for j in self.scope:
-                for l, x in alg.mul_basis(i, j).items():
+                for l, x in self._table.get((i, j), {}).items():
                     self._rev.setdefault(l, []).append(((i, j), x))
 
     def tuples(self, n: int) -> list:
@@ -165,14 +177,19 @@ class HochschildComplex:
         return True
 
     def differential_columns(self, n: int) -> list[dict]:
-        """Matrix of d: C^n -> C^(n+1) as sparse columns over the C^(n+1) basis."""
+        """Matrix of d: C^n -> C^(n+1) as sparse columns over the C^(n+1) basis.
+
+        Integral entries are Python ints, so integral structure constants
+        give int columns.
+        """
         if n in self._columns:
             return self._columns[n]
         alg = self.alg
+        mul = self._table
         self.basis(n + 1)
         ridx = self._basis_index[n + 1]
         scope = self.scope
-        sign_last = ONE if (n + 1) % 2 == 0 else -ONE
+        sign_last = 1 if (n + 1) % 2 == 0 else -1
         cols = []
         for (t, w) in self.basis(n):
             col: dict[int, object] = {}
@@ -181,7 +198,7 @@ class HochschildComplex:
                 r = ridx.get((T, l))
                 if r is None:
                     return
-                x = col.get(r, ZERO) + coeff
+                x = col.get(r, 0) + coeff
                 if x:
                     col[r] = x
                 else:
@@ -189,20 +206,20 @@ class HochschildComplex:
 
             if n == 0:
                 for c0 in scope:
-                    for l, x in alg.mul_basis(c0, w).items():
+                    for l, x in mul.get((c0, w), {}).items():
                         put((c0,), l, x)
-                    for l, x in alg.mul_basis(w, c0).items():
+                    for l, x in mul.get((w, c0), {}).items():
                         put((c0,), l, -x)
             else:
                 # c1 . f(...)
                 for c0 in scope:
                     if self.reduced and alg.source[c0] != alg.target[t[0]]:
                         continue
-                    for l, x in alg.mul_basis(c0, w).items():
+                    for l, x in mul.get((c0, w), {}).items():
                         put((c0,) + t, l, x)
                 # alternating contractions
                 for pos in range(n):
-                    sign = ONE if (pos + 1) % 2 == 0 else -ONE
+                    sign = 1 if (pos + 1) % 2 == 0 else -1
                     for (u, v), x in self._rev.get(t[pos], ()):
                         T = t[:pos] + (u, v) + t[pos + 1:]
                         if self._tuple_ok(T):
@@ -211,17 +228,20 @@ class HochschildComplex:
                 for cn in scope:
                     if self.reduced and alg.target[cn] != alg.source[t[-1]]:
                         continue
-                    for l, x in alg.mul_basis(w, cn).items():
+                    for l, x in mul.get((w, cn), {}).items():
                         put(t + (cn,), l, sign_last * x)
             cols.append(col)
         self._columns[n] = cols
         return cols
 
     def differential_rank(self, n: int) -> int:
-        red = RowReducer()
-        for col in self.differential_columns(n):
-            red.add(col)
-        return red.rank
+        """Rank of d_n, eliminated once and then remembered."""
+        if n not in self._ranks:
+            red = RowReducer()
+            for col in self.differential_columns(n):
+                red.add(col)
+            self._ranks[n] = red.rank
+        return self._ranks[n]
 
     def hh_dim(self, i: int) -> int:
         """dim ker d_i - rank d_(i-1), exactly."""

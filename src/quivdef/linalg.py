@@ -8,7 +8,10 @@ complexes, which are large but very thin.  There is one elimination path,
 RowReducer: an incremental sparse row echelon form that reduces vectors on
 demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
 back-substitute that echelon form once into the reduced row echelon form.
-All functions leave their inputs untouched.
+RowReducer also takes Python ints, or a mix of ints and Fractions; int
+entries stay ints for as long as every pivot is 1 or -1, as nearly every
+pivot of the Hochschild differentials of the line algebras is.  All
+functions leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ class RowReducer:
     ranks, pivots and residuals are deterministic in the insertion order.
     Callers that need the fully reduced rows, such as `solve` and
     `nullspace`, call `rref()` once at the end.
+
+    Entries are Fractions or ints.  A residual with pivot 1 is stored as
+    it is and one with pivot -1 is negated, so int rows stay ints while
+    every pivot is a unit; any other pivot is inverted as a Fraction.
     """
 
     def __init__(self):
@@ -109,8 +116,13 @@ class RowReducer:
         if not res:
             return None
         p = min(res)
-        inv = ONE / res[p]
-        self.rows[p] = res if inv == 1 else {j: inv * x for j, x in res.items()}
+        c = res[p]
+        if c == -1:
+            res = {j: -x for j, x in res.items()}
+        elif c != 1:
+            inv = ONE / c
+            res = {j: inv * x for j, x in res.items()}
+        self.rows[p] = res
         return p
 
     def rref(self) -> dict[int, dict]:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -11,11 +13,12 @@ from quivdef.linalg import ONE
 from quivdef.reports import Report
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "quivdef.cli"] + args,
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -158,6 +161,45 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
     (check,) = json.loads(proc.stdout)["checks"]
     assert check["name"] == "arguments" and check["status"] == "fail"
     assert check["actual"] == bounds
+
+
+@pytest.mark.parametrize(
+    "args, bounds",
+    [
+        (["hochschild", "--k", "0"], ["k = 0 is below 1"]),
+        (["hochschild", "--k", "2", "--max-degree", "-1"], ["max_degree = -1 is below 0"]),
+        (["koszul", "--k", "2", "--hom-degree", "-1"], ["hom_degree = -1 is below 3"]),
+        (["koszul", "--k", "2", "--hom-degree", "2"], ["hom_degree = 2 is below 3"]),
+        (["koszul", "--k", "1"], ["k = 1 is below 2"]),
+        (["koszul", "--k", "2", "--hom-degree", "6"], ["max_degree = 5 is below 6"]),
+        (["koszul", "--k", "2", "--max-degree", "1", "--emit-table"], ["max_degree = 1 is below 4"]),
+    ],
+)
+def test_size_arguments_out_of_range_fail_one_check(args, bounds):
+    proc = run_cli(args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "arguments" and check["status"] == "fail"
+    assert check["actual"] == bounds
+
+
+# md5 of the printed output under PYTHONHASHSEED=0; a value printed with a
+# different type (an int where a Fraction was) changes it
+@pytest.mark.parametrize(
+    "args, md5",
+    [
+        (["hochschild", "--k", "2", "--max-degree", "6"], "fc97b3a110fb0bb647ce117b00b3bcf1"),
+        (
+            ["deform", "--k", "3", "--order", "5", "--params", "2", "--emit-family"],
+            "56ddf8daa297a32746a026f6fec0cf76",
+        ),
+    ],
+)
+def test_cli_output_is_pinned(args, md5):
+    proc = run_cli(args, env={**os.environ, "PYTHONHASHSEED": "0"})
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
 
 
 def test_deform_check_names_are_unique_for_one_parameter():

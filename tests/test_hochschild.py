@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from quivdef.hochschild import (
     mu_cocycle,
     validate_cochain,
 )
-from quivdef.linalg import ONE
+from quivdef.linalg import ONE, ZERO, RowReducer
 
 F = Fraction
 
@@ -192,3 +193,119 @@ def test_mu_cocycle_raises_on_inconsistent_value(monkeypatch):
     monkeypatch.setattr(hochschild, "validate_cochain", lambda alg, c: (3, 4))
     with pytest.raises(ValueError, match=r"\(3, 4\)"):
         mu_cocycle(make_a(3))
+
+
+def fraction_differential_columns(cx, n):
+    """The Fraction-valued differential columns, as computed before the
+    integer structure constants; an oracle for `differential_columns`."""
+    alg = cx.alg
+    rev = {}
+    for i in cx.scope:
+        for j in cx.scope:
+            for l, x in alg.mul_basis(i, j).items():
+                rev.setdefault(l, []).append(((i, j), x))
+    cx.basis(n + 1)
+    ridx = cx._basis_index[n + 1]
+    scope = cx.scope
+    sign_last = ONE if (n + 1) % 2 == 0 else -ONE
+    cols = []
+    for (t, w) in cx.basis(n):
+        col = {}
+
+        def put(T, l, coeff):
+            r = ridx.get((T, l))
+            if r is None:
+                return
+            x = col.get(r, ZERO) + coeff
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+
+        if n == 0:
+            for c0 in scope:
+                for l, x in alg.mul_basis(c0, w).items():
+                    put((c0,), l, x)
+                for l, x in alg.mul_basis(w, c0).items():
+                    put((c0,), l, -x)
+        else:
+            # c1 . f(...)
+            for c0 in scope:
+                if cx.reduced and alg.source[c0] != alg.target[t[0]]:
+                    continue
+                for l, x in alg.mul_basis(c0, w).items():
+                    put((c0,) + t, l, x)
+            # alternating contractions
+            for pos in range(n):
+                sign = ONE if (pos + 1) % 2 == 0 else -ONE
+                for (u, v), x in rev.get(t[pos], ()):
+                    T = t[:pos] + (u, v) + t[pos + 1:]
+                    if cx._tuple_ok(T):
+                        put(T, w, sign * x)
+            # f(...) . c_{n+1}
+            for cn in scope:
+                if cx.reduced and alg.target[cn] != alg.source[t[-1]]:
+                    continue
+                for l, x in alg.mul_basis(w, cn).items():
+                    put(t + (cn,), l, sign_last * x)
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "k, reduced, degrees",
+    [(1, True, 4), (2, True, 4), (3, True, 3), (4, True, 3), (1, False, 2), (2, False, 2)],
+)
+def test_differential_columns_match_fraction_oracle(k, reduced, degrees):
+    cx = HochschildComplex(make_a(k), reduced=reduced)
+    for n in range(degrees):
+        cols = cx.differential_columns(n)
+        assert cols == fraction_differential_columns(cx, n)
+        # integral structure constants give int columns
+        assert all(type(x) is int for col in cols for x in col.values())
+
+
+def rescaled_basis_vector(alg, i, s):
+    """The algebra alg with basis vector i replaced by s times it.
+
+    With b_i' = s_i b_i the structure constants become s_i s_j / s_l c_ij^l.
+    """
+    scale = [ONE] * alg.dim
+    scale[i] = s
+    out = copy.copy(alg)
+    out.table = {
+        (u, v): {l: scale[u] * scale[v] / scale[l] * x for l, x in prod.items()}
+        for (u, v), prod in alg.table.items()
+    }
+    return out
+
+
+@pytest.mark.parametrize("k, degrees, full_degrees", [(2, 3, 2), (3, 3, 1)])
+def test_non_integral_structure_constants(k, degrees, full_degrees):
+    # a_1 / 2 in place of a_1: a_1 b_1 = l_1 becomes (1/2) l_1
+    alg = make_a(k)
+    half = rescaled_basis_vector(alg, a_index(alg, 1), F(1, 2))
+    assert half.check_associativity() is None
+    assert any(x.denominator != 1 for prod in half.table.values() for x in prod.values())
+    dims = hh_dimensions(half, degrees)
+    assert dims == hh_dimensions(alg, degrees) == [k + 1] + [1] * degrees
+    assert dims[: full_degrees + 1] == hh_dimensions(half, full_degrees, reduced=False)
+    cx = HochschildComplex(half)
+    for n in range(degrees):
+        assert cx.differential_columns(n) == fraction_differential_columns(cx, n)
+
+
+@pytest.mark.parametrize("k, degrees", [(2, 4), (4, 3)])
+def test_hh_dimensions_rank_each_differential_once(k, degrees, monkeypatch):
+    alg = make_a(k)  # building the algebra eliminates too
+    calls = []
+    add = RowReducer.add
+
+    def counting_add(self, vec):
+        calls.append(1)
+        return add(self, vec)
+
+    monkeypatch.setattr(RowReducer, "add", counting_add)
+    assert hh_dimensions(alg, degrees) == [k + 1] + [1] * degrees
+    cx = HochschildComplex(alg)
+    assert len(calls) == sum(len(cx.differential_columns(n)) for n in range(degrees + 1))

@@ -239,10 +239,7 @@ def sparse_system(draw):
     return ncols, rows, order, probes
 
 
-@given(sparse_system())
-@settings(max_examples=150, deadline=None)
-def test_echelon_reducer_matches_gauss_jordan(system):
-    ncols, rows, order, probes = system
+def _assert_reducer_matches_gauss_jordan(rows, order, probes):
     red, ref = RowReducer(), _GaussJordanReducer()
     for i in order:
         assert red.add(rows[i]) == ref.add(rows[i])
@@ -250,11 +247,42 @@ def test_echelon_reducer_matches_gauss_jordan(system):
     assert red.pivot_columns() == ref.pivot_columns()
     for p, row in red.rows.items():
         assert row[p] == 1 and min(row) == p
+        assert not ref.reduce(row)
     for v in probes + rows:
         res = red.reduce(v)
         assert res == ref.reduce(v)
         assert not set(res) & set(red.rows)
     assert red.rref() == ref.pivots
+    return red
+
+
+@given(sparse_system(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_echelon_reducer_matches_gauss_jordan(system, rng):
+    ncols, rows, order, probes = system
+    red = _assert_reducer_matches_gauss_jordan(rows, order, probes)
+    assert all(type(x) is F for row in red.rows.values() for x in row.values())
+
+    # the same system as Python ints, and as a mix of ints and Fractions
+    def convert(vectors, kind):
+        return [{j: kind(x) for j, x in v.items()} for v in vectors]
+
+    def mixed(x):
+        return x if rng.random() < 0.5 else int(x)
+
+    for kind in (int, mixed):
+        other = _assert_reducer_matches_gauss_jordan(
+            convert(rows, kind), order, convert(probes, kind)
+        )
+        assert other.rows == red.rows
+    # int rows stay ints for as long as every pivot met is 1 or -1
+    red, ints = RowReducer(), convert(rows, int)
+    for i in order:
+        res = red.reduce(ints[i])
+        if res and res[min(res)] not in (1, -1):
+            break
+        red.add(ints[i])
+        assert all(type(x) is int for row in red.rows.values() for x in row.values())
 
 
 def dense(rows, ncols):
