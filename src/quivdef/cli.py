@@ -333,6 +333,12 @@ def _lattice_bounds(n, radius, fiber):
     return [("n", n, 2), ("radius", radius, 0), ("fiber", fiber, 1)]
 
 
+def _families_bounds(args):
+    # central_B* checks the monomials of degree <= bound - 2, so below bound
+    # 2 it tests nothing (phi_B* and flat_dims_B* start at 0); B(k) needs k >= 2
+    return [("k", args.k, 2 if args.family == "bhat" else 1), ("bound", args.bound, 2)]
+
+
 def _deform_bounds(args):
     return [("k", args.k, 2), ("order", args.order, 1), ("params", args.params, 1)]
 
@@ -532,6 +538,8 @@ def run_command(args) -> Report:
             report.params["presentation"] = args.presentation
             checks_presentation_file(report, args.presentation, args.bound)
             return report
+        if not _check_arguments(report, _families_bounds(args)):
+            return report
         checks_dimensions(report, [args.k])
         if args.k >= 2:
             checks_hom_table(report, [args.k])
@@ -604,7 +612,11 @@ def emit_data(args):
     """The --emit-*/--dump side outputs: presentation, family, tables, dump."""
     import json
 
-    if args.command == "families" and args.emit_presentation:
+    if (
+        args.command == "families"
+        and args.emit_presentation
+        and not _argument_errors(_families_bounds(args))
+    ):
         pres = {
             "a": fam.a_presentation,
             "atilde": fam.atilde_presentation,

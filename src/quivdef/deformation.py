@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, RowReducer, fr, vec_axpy_inplace
+from .linalg import RowReducer, fmt_fraction, rat, vec_axpy_inplace
 from .quiver import FiniteDimAlgebra, associator
 from .hochschild import (
     HochschildComplex,
@@ -90,12 +90,12 @@ class StarProduct:
 
     def mu_left(self, d, vec: dict, j: int) -> dict:
         if sum(d) == 0:
-            return self.base.mul(vec, {j: ONE})
+            return self.base.mul(vec, {j: 1})
         return cochain_eval_vec_left(self.base, self.family.get(d, {}), vec, j)
 
     def mu_right(self, d, i: int, vec: dict) -> dict:
         if sum(d) == 0:
-            return self.base.mul({i: ONE}, vec)
+            return self.base.mul({i: 1}, vec)
         return cochain_eval_vec_right(self.base, self.family.get(d, {}), i, vec)
 
     def star_basis(self, i: int, j: int) -> dict:
@@ -134,8 +134,6 @@ class StarProduct:
 
     def family_table(self) -> dict:
         """The family as a serializable table with exact coefficients."""
-        from .linalg import fmt_fraction
-
         labels = self.base.labels
         out = {}
         for d in sorted(self.family):
@@ -180,7 +178,7 @@ def deform_from_cocycle(alg: FiniteDimAlgebra, nu: dict, coeffs: dict, params: i
         raise ValueError("cocycle is not associative: witness %s" % (witness,))
     family = {}
     for d, c in coeffs.items():
-        c = fr(c)
+        c = rat(c)
         if not c:
             continue
         family[tuple(d)] = {
@@ -294,7 +292,7 @@ def verify_psi(k: int, order: int, scale=1):
         return {target.index[comp[i]]: x for i, x in vec.items()}
 
     images = {i: to_target(p.degree, cq.reduce_path(p)) for i, p in psi_basis_images(alg, cq).items()}
-    t_img = {l: fr(scale) * x for l, x in to_target(2, central_t(cq)).items()}
+    t_img = {l: rat(scale) * x for l, x in to_target(2, central_t(cq)).items()}
 
     phi_im = phi_arrow_images(cq, alg)
 
@@ -310,9 +308,7 @@ def verify_psi(k: int, order: int, scale=1):
 
 
 def is_central(alg: FiniteDimAlgebra, z: dict) -> bool:
-    return all(
-        alg.mul(z, {i: ONE}) == alg.mul({i: ONE}, z) for i in range(alg.dim)
-    )
+    return all(alg.mul(z, {i: 1}) == alg.mul({i: 1}, z) for i in range(alg.dim))
 
 
 def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dict, param_images: list, reduction=None):
@@ -337,7 +333,7 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     }
     one: dict = {}
     for i in alg.idempotent.values():
-        vec_axpy_inplace(one, ONE, images[i])
+        vec_axpy_inplace(one, 1, images[i])
     report["unit"] = one == target.unit()
     report["params_central"] = all(is_central(target, tz) for tz in param_images)
 
@@ -354,7 +350,7 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
             img: dict = {}
             for i, c in vec.items():
                 vec_axpy_inplace(img, c, images[i])
-            vec_axpy_inplace(total, ONE, target.mul(img, power(d)))
+            vec_axpy_inplace(total, 1, target.mul(img, power(d)))
         return total
 
     ok = True
@@ -382,7 +378,7 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     if reduction is not None:
         idok = True
         for i in range(alg.dim):
-            if reduction(images[i]) != {i: ONE}:
+            if reduction(images[i]) != {i: 1}:
                 idok = False
                 break
         report["identity_mod_m"] = idok

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import ONE, ZERO, RowReducer, fr, nullspace, rank_matrix, vec_axpy_inplace
+from .linalg import RowReducer, nullspace, rank_matrix, rat, vec_axpy_inplace
 from .quiver import (
     Arrow,
     CentralQuotient,
@@ -312,8 +312,8 @@ def central_t_paths(gq: GradedQuotient):
     q = gq.quiver
     out = []
     for v in q.vertices:
-        out.append((ONE, shortest_loop_path(q, "x", v)))
-        out.append((-ONE, shortest_loop_path(q, "y", v)))
+        out.append((1, shortest_loop_path(q, "x", v)))
+        out.append((-1, shortest_loop_path(q, "y", v)))
     return out
 
 
@@ -321,7 +321,7 @@ def check_central(gq: GradedQuotient, t_vec: dict, bound: int = 6):
     """t commutes with every basis monomial of degree <= bound-2; witness or None."""
     for d in range(0, bound - 1):
         for i in range(gq.dim(d)):
-            z = {i: ONE}
+            z = {i: 1}
             if gq.mul(2, t_vec, d, z) != gq.mul(d, z, 2, t_vec):
                 return (d, gq.component(d)[i].label)
     return None
@@ -340,15 +340,15 @@ def phi_arrow_images(gq: GradedQuotient, alg: FiniteDimAlgebra) -> dict:
     out = {}
     for a in gq.quiver.arrows:
         if a.source == a.target:
-            out[a.name] = {loop_index(alg, a.source): ONE}
+            out[a.name] = {loop_index(alg, a.source): 1}
         else:
-            out[a.name] = {arrow_index(alg, a.source, a.target): ONE}
+            out[a.name] = {arrow_index(alg, a.source, a.target): 1}
     return out
 
 
 def apply_on_path(alg: FiniteDimAlgebra, images: dict, path) -> dict:
     if path.is_trivial:
-        return {alg.idempotent[path.source]: ONE}
+        return {alg.idempotent[path.source]: 1}
     vec = images[path.arrows[-1]]
     for name in path.arrows[-2::-1]:
         vec = alg.mul(images[name], vec)
@@ -358,7 +358,7 @@ def apply_on_path(alg: FiniteDimAlgebra, images: dict, path) -> dict:
 def apply_on_combination(alg, images, terms) -> dict:
     out: dict = {}
     for c, p in terms:
-        vec_axpy_inplace(out, fr(c), apply_on_path(alg, images, p))
+        vec_axpy_inplace(out, rat(c), apply_on_path(alg, images, p))
     return out
 
 
@@ -481,7 +481,7 @@ def hom_dimensions(alg: FiniteDimAlgebra):
 def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:
     """b_i b_j - b_j b_i as a sparse vector."""
     out = dict(alg.mul_basis(i, j))
-    vec_axpy_inplace(out, -ONE, alg.mul_basis(j, i))
+    vec_axpy_inplace(out, -1, alg.mul_basis(j, i))
     return out
 
 
@@ -509,7 +509,7 @@ def gram_rank(alg: FiniteDimAlgebra, tau) -> int:
     for i in range(alg.dim):
         row = []
         for j in range(alg.dim):
-            row.append(sum((c * tau[l] for l, c in alg.mul_basis(i, j).items()), ZERO))
+            row.append(sum(c * tau[l] for l, c in alg.mul_basis(i, j).items()))
         gram.append(row)
     return rank_matrix(gram)
 
@@ -518,10 +518,11 @@ def symmetric_form(alg: FiniteDimAlgebra, grid_limit: int = 200000):
     """A trace functional tau with nondegenerate pairing, or None.
 
     The space of symmetric functionals is exact; a nondegenerate element is
-    located by a deterministic search (basis vectors, their partial sums,
-    then a seeded rational sweep).  The negative answer is certified by
-    evaluating the Gram determinant on a grid large enough for its degree,
-    so it is exact whenever the grid fits under grid_limit.
+    located by a deterministic search (the unit vectors, all ones, all ones
+    with one entry negated, then a seeded integer sweep).  The negative
+    answer is certified by evaluating the Gram determinant on a grid large
+    enough for its degree, so it is exact whenever the grid fits under
+    grid_limit.
     """
     space = symmetric_space(alg)
     m = len(space)
@@ -529,24 +530,13 @@ def symmetric_form(alg: FiniteDimAlgebra, grid_limit: int = 200000):
         return None
 
     def combine(lam):
-        return [
-            sum((lam[s] * space[s][i] for s in range(m)), ZERO)
-            for i in range(alg.dim)
-        ]
+        return [sum(lam[s] * space[s][i] for s in range(m)) for i in range(alg.dim)]
 
-    candidates = []
-    for s in range(m):
-        lam = [ZERO] * m
-        lam[s] = ONE
-        candidates.append(lam)
-    candidates.append([ONE] * m)
-    for s in range(m):
-        lam = [ONE] * m
-        lam[s] = -ONE
-        candidates.append(lam)
+    unit = [[int(i == s) for i in range(m)] for s in range(m)]
+    candidates = unit + [[1] * m] + [[1 - 2 * x for x in lam] for lam in unit]
     rng = random.Random(20110 + alg.dim)
     for _ in range(40):
-        candidates.append([fr(rng.randint(-9, 9)) for _ in range(m)])
+        candidates.append([rng.randint(-9, 9) for _ in range(m)])
     for lam in candidates:
         tau = combine(lam)
         if gram_rank(alg, tau) == alg.dim:
@@ -555,8 +545,7 @@ def symmetric_form(alg: FiniteDimAlgebra, grid_limit: int = 200000):
     # <= dim in lam, so vanishing on a (dim+1)-point grid per variable
     # makes it identically zero
     if (alg.dim + 1) ** m <= grid_limit:
-        pts = [fr(t) for t in range(alg.dim + 1)]
-        for lam in itertools.product(pts, repeat=m):
+        for lam in itertools.product(range(alg.dim + 1), repeat=m):
             tau = combine(list(lam))
             if gram_rank(alg, tau) == alg.dim:
                 return tau
@@ -573,7 +562,7 @@ def projective_profile(alg: FiniteDimAlgebra):
     out = {}
     for v in alg.quiver.vertices:
         pv = [i for i in range(alg.dim) if alg.source[i] == v]
-        layer = [{i: ONE} for i in pv]
+        layer = [{i: 1} for i in pv]
         loewy = 0
         while layer:
             loewy += 1
@@ -581,7 +570,7 @@ def projective_profile(alg: FiniteDimAlgebra):
             red = RowReducer()
             for r in radical:
                 for z in layer:
-                    w = alg.mul({r: ONE}, z)
+                    w = alg.mul({r: 1}, z)
                     if w and red.add(w) is not None:
                         nxt.append(w)
             layer = nxt

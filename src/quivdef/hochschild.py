@@ -8,11 +8,11 @@ usual Hochschild cohomology; the full bar complex (tuples over the whole
 basis, unconstrained values) is also available as an independent check,
 it just gets large quickly.
 
-The differentials read a copy of the structure constants in which every
-integral value is a Python int, so the line algebras give integer columns
-and `RowReducer` eliminates them in ints up to the few pivots other than
-1 and -1; non-integral constants stay Fractions.  Each differential is ranked once per complex, and
-`hh_dim(i)` and `hh_dim(i+1)` share the rank of d_i.
+The differentials read the algebra's structure constants.  Those of the
+line algebras are ints, so their columns are integer and `RowReducer`
+eliminates them in ints up to the few pivots other than 1 and -1.  Each
+differential is ranked once per complex, and `hh_dim(i)` and `hh_dim(i+1)`
+share the rank of d_i.
 
 Cochains are dicts mapping index tuples to sparse value vectors.  The
 degree-2 cocycle that drives all deformations here is mu_cocycle; note it
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, ZERO, RowReducer, solve, vec_axpy_inplace
+from .linalg import RowReducer, solve, vec_axpy_inplace
 from .families import a_index, b_index, e_index, loop_index
 from .quiver import FiniteDimAlgebra, associator
 
@@ -102,17 +102,11 @@ class HochschildComplex:
         self._columns: dict[int, list] = {}
         self._ranks: dict[int, int] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
-        self._scope_set = set(self.scope)
-        # the structure constants with integral values as Python ints
-        self._table = {
-            key: {l: x.numerator if x.denominator == 1 else x for l, x in prod.items()}
-            for key, prod in alg.table.items()
-        }
         # reverse multiplication index: l -> [((i, j), coeff)] over scope pairs
         self._rev = {}
         for i in self.scope:
             for j in self.scope:
-                for l, x in self._table.get((i, j), {}).items():
+                for l, x in alg.table.get((i, j), {}).items():
                     self._rev.setdefault(l, []).append(((i, j), x))
 
     def tuples(self, n: int) -> list:
@@ -179,13 +173,12 @@ class HochschildComplex:
     def differential_columns(self, n: int) -> list[dict]:
         """Matrix of d: C^n -> C^(n+1) as sparse columns over the C^(n+1) basis.
 
-        Integral entries are Python ints, so integral structure constants
-        give int columns.
+        Integral structure constants give int columns.
         """
         if n in self._columns:
             return self._columns[n]
         alg = self.alg
-        mul = self._table
+        mul = alg.table
         self.basis(n + 1)
         ridx = self._basis_index[n + 1]
         scope = self.scope
@@ -291,7 +284,7 @@ class HochschildComplex:
             for r, x in col.items():
                 rows.setdefault(r, {})[ci] = x
         row_list = [rows.get(r, {}) for r in range(nrows)]
-        b = [target.get(r, ZERO) for r in range(nrows)]
+        b = [target.get(r, 0) for r in range(nrows)]
         res = solve(row_list, b, len(cols))
         if res is None:
             return None
@@ -330,15 +323,15 @@ def mu_cocycle(alg: FiniteDimAlgebra) -> dict:
 
     loops = {v: loop_index(alg, v) for v in range(1, k + 1)}
     for s in range(1, k):
-        sign = ONE if (s + 1) % 2 == 0 else -ONE
+        sign = 1 if (s + 1) % 2 == 0 else -1
         put(a_index(alg, s), b_index(alg, s), {e_index(alg, s + 1): sign})
-    put(b_index(alg, 1), a_index(alg, 1), {e_index(alg, 1): ONE})
-    put(loops[1], loops[1], {loops[1]: -ONE})
+    put(b_index(alg, 1), a_index(alg, 1), {e_index(alg, 1): 1})
+    put(loops[1], loops[1], {loops[1]: -1})
     for s in range(1, k):
-        sign = ONE if s % 2 == 0 else -ONE
+        sign = 1 if s % 2 == 0 else -1
         put(loops[s + 1], loops[s + 1], {loops[s + 1]: sign})
     for s in range(2, k):
-        sign = ONE if (s - 1) % 2 == 0 else -ONE
+        sign = 1 if (s - 1) % 2 == 0 else -1
         put(a_index(alg, s), loops[s], {a_index(alg, s): sign})
         put(loops[s], b_index(alg, s), {b_index(alg, s): sign})
     bad = validate_cochain(alg, c)

@@ -17,7 +17,7 @@ the minimality and degreewise Euler characteristic cross-checks.
 
 from __future__ import annotations
 
-from .linalg import ONE, RowReducer, nullspace, vec_axpy_inplace
+from .linalg import RowReducer, nullspace, vec_axpy_inplace
 from .quiver import FiniteDimAlgebra, GradedQuotient
 
 
@@ -142,7 +142,7 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
     f0 = FreeCover(view, [(vertex, 0)])
     covers = [f0]
     # kernel of F0 -> S_vertex: everything in positive degree
-    kernel = {d: [{r: ONE} for r in range(len(f0.comp(d)))] for d in range(1, max_int + 1)}
+    kernel = {d: [{r: 1} for r in range(len(f0.comp(d)))] for d in range(1, max_int + 1)}
     kernel[0] = []
     table = []
     minimal_ok = True

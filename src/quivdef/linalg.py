@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package reduces to ranks, solves and nullspaces of
-matrices with Fraction entries.  Two representations are used: plain dense
-lists-of-lists for small matrices (and for the fiber matrices of lattice
-modules), and sparse rows (dict column -> Fraction) for the cochain
-complexes, which are large but very thin.  There is one elimination path,
-RowReducer: an incremental sparse row echelon form that reduces vectors on
-demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
-back-substitute that echelon form once into the reduced row echelon form.
-RowReducer also takes Python ints, or a mix of ints and Fractions; int
-entries stay ints for as long as every pivot is 1 or -1, as nearly every
-pivot of the Hochschild differentials of the line algebras is.  All
-functions leave their inputs untouched.
+A number is a Python int when it is integral and a Fraction otherwise
+(`rat` puts a value in that form where it enters the program); no float
+ever appears.  Everything reduces to ranks, solves and nullspaces.  Two
+representations are used: plain dense lists-of-lists for small matrices
+(and for the fiber matrices of lattice modules), and sparse rows (dict
+column -> nonzero number) for the cochain complexes, which are large but
+very thin.  There is one elimination path, RowReducer: an incremental
+sparse row echelon form that reduces vectors on demand.  `rank_matrix`
+reads its rank, and `solve` and `nullspace` back-substitute that echelon
+form once into the reduced row echelon form.  Int entries stay ints while
+every pivot is 1 or -1, as nearly every pivot of the line algebras and
+their loop-quiver partners is.  Functions leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ def fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def rat(x):
+    """x exactly, as an int when it is integral and as a Fraction otherwise."""
+    x = fr(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def fmt_fraction(x: Fraction) -> str:
     """Serialize exactly, '7' or '-3/4'."""
     x = fr(x)
@@ -40,15 +46,15 @@ def parse_fraction(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors: dict column -> nonzero Fraction
+# sparse vectors: dict column -> nonzero int or Fraction
 # ---------------------------------------------------------------------------
 
-def vec_axpy_inplace(target: dict, c: Fraction, v: dict) -> None:
+def vec_axpy_inplace(target: dict, c, v: dict) -> None:
     """target += c*v, destructively."""
     if c == 0:
         return
     for j, x in v.items():
-        y = target.get(j, ZERO) + c * x
+        y = target.get(j, 0) + c * x
         if y:
             target[j] = y
         else:
@@ -68,7 +74,7 @@ class RowReducer:
     Callers that need the fully reduced rows, such as `solve` and
     `nullspace`, call `rref()` once at the end.
 
-    Entries are Fractions or ints.  A residual with pivot 1 is stored as
+    Entries are ints or Fractions.  A residual with pivot 1 is stored as
     it is and one with pivot -1 is negated, so int rows stay ints while
     every pivot is a unit; any other pivot is inverted as a Fraction.
     """
@@ -168,32 +174,32 @@ def solve(rows, b, ncols: int):
     """Solve M x = b exactly.
 
     `rows` iterates the rows of M (dense lists or sparse dicts), `b` is a
-    list of Fractions.  Returns (x, nullspace_basis) with x the particular
+    list of numbers.  Returns (x, nullspace_basis) with x the particular
     solution whose free variables vanish, or None when b is not in the
     image.  Nullspace vectors are dense lists.
     """
     srows = _to_sparse_rows(rows)
     aug = ncols  # extra column carrying b
     for i, r in enumerate(srows):
-        bi = fr(b[i])
+        bi = rat(b[i])
         if bi:
             r[aug] = bi
     pivots = _reducer(srows).rref()
     if aug in pivots:
         return None
-    x = [ZERO] * ncols
+    x = [0] * ncols
     for p, row in pivots.items():
-        x[p] = row.get(aug, ZERO)
+        x[p] = row.get(aug, 0)
     null = nullspace_from_pivots(pivots, ncols)
     return x, null
 
 
-def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list[Fraction]]:
+def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list]:
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:
-        v = [ZERO] * ncols
-        v[j] = ONE
+        v = [0] * ncols
+        v[j] = 1
         for p, row in pivots.items():
             c = row.get(j)
             if c:
@@ -202,7 +208,7 @@ def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list[Frac
     return basis
 
 
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+def nullspace(rows, ncols: int) -> list[list]:
     """Basis of the exact kernel of M (rows over ncols columns)."""
     pivots = _reducer(_to_sparse_rows(rows)).rref()
     return nullspace_from_pivots(pivots, ncols)

@@ -14,12 +14,14 @@ higher degree d only has the columns z*a*n, n a normal word of lower
 degree, and the rows that the relations and the degree-0 ideal give on
 them once rewritten (see GradedQuotient), so its cost follows the
 dimension of the quotient, not the number of paths.  Elimination is exact
-over Q.  A quotient by an element, such as a power of a central element
-(CentralQuotient), is one more presentation: the element's vertex pieces
-are appended to the relations.  When all components from some bound on
-vanish, the quotient is finite dimensional, and GradedQuotient.to_algebra,
-the one packaging path, makes it a FiniteDimAlgebra with explicit
-structure constants.
+over Q: integral coefficients are ints (`linalg.rat`), so the line
+algebras and their loop-quiver partners, whose pivots are all 1 or -1,
+have int normal forms and structure constants.  A quotient by an
+element, such as a power of a central element (CentralQuotient), is one
+more presentation: the element's vertex pieces are appended to the
+relations.  When all components from some bound on vanish, the quotient
+is finite dimensional, and GradedQuotient.to_algebra, the one packaging
+path, makes it a FiniteDimAlgebra with explicit structure constants.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import ONE, RowReducer, fmt_fraction, fr, parse_fraction, vec_axpy_inplace
+from .linalg import RowReducer, fmt_fraction, parse_fraction, rat, vec_axpy_inplace
 
 
 class BoundTooSmall(Exception):
@@ -169,7 +171,7 @@ class Relation:
     """A linear combination of parallel paths, required homogeneous."""
 
     def __init__(self, terms):
-        terms = [(fr(c), p) for c, p in terms if fr(c)]
+        terms = [(c, p) for c, p in ((rat(c), p) for c, p in terms) if c]
         if not terms:
             raise ValueError("empty relation")
         src = {p.source for _, p in terms}
@@ -247,7 +249,7 @@ def _finish_component(paths, col, red) -> dict:
 def _normal_form(comp: dict, w: Path) -> dict:
     """Basis coordinates of the column w of a component."""
     paths, local = comp["paths"], comp["local"]
-    res = comp["reducer"].reduce({comp["col"][w]: ONE})
+    res = comp["reducer"].reduce({comp["col"][w]: 1})
     return {local[paths[j]]: x for j, x in res.items()}
 
 
@@ -316,7 +318,7 @@ class GradedQuotient:
                     if v.target == r.source:
                         vec: dict = {}
                         for c, term in r.terms:
-                            vec_axpy_inplace(vec, c, {col[compose(compose(u, term), v)]: ONE})
+                            vec_axpy_inplace(vec, c, {col[compose(compose(u, term), v)]: 1})
                         red.add(vec)
         return _finish_component(paths, col, red)
 
@@ -411,14 +413,14 @@ class GradedQuotient:
         for c, p in terms:
             if p.degree != d:
                 raise ValueError("inhomogeneous combination")
-            vec_axpy_inplace(out, fr(c), self.reduce_path(p))
+            vec_axpy_inplace(out, rat(c), self.reduce_path(p))
         return out
 
     def mul_paths(self, p: Path, q: Path) -> dict:
         """Coordinates of p*q for a basis path q; {} when they do not compose."""
         if p.source != q.target:
             return {}
-        return self._left_multiply(p.arrows, q.degree, {self._component(q.degree)["local"][q]: ONE})
+        return self._left_multiply(p.arrows, q.degree, {self._component(q.degree)["local"][q]: 1})
 
     def mul_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         key = (d1, i1, d2, i2)
@@ -496,10 +498,7 @@ class FiniteDimAlgebra:
         self.truncated = False
 
     def unit(self) -> dict:
-        return {i: ONE for i in self.idempotent.values()}
-
-    def basis_vec(self, i: int) -> dict:
-        return {i: ONE}
+        return {i: 1 for i in self.idempotent.values()}
 
     def mul_basis(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
@@ -527,7 +526,7 @@ class FiniteDimAlgebra:
     def check_identity(self) -> bool:
         one = self.unit()
         for i in range(self.dim):
-            b = self.basis_vec(i)
+            b = {i: 1}
             if self.mul(one, b) != b or self.mul(b, one) != b:
                 return False
         return True

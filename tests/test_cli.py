@@ -173,6 +173,12 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
         (["koszul", "--k", "1"], ["k = 1 is below 2"]),
         (["koszul", "--k", "2", "--hom-degree", "6"], ["max_degree = 5 is below 6"]),
         (["koszul", "--k", "2", "--max-degree", "1", "--emit-table"], ["max_degree = 1 is below 4"]),
+        (["families", "--k", "0"], ["k = 0 is below 1"]),
+        # below bound 2 central_B2 checks no monomial, yet it passed
+        (["families", "--k", "2", "--bound", "-1"], ["bound = -1 is below 2"]),
+        (["families", "--k", "2", "--bound", "1"], ["bound = 1 is below 2"]),
+        (["families", "--k", "0", "--emit-presentation"], ["k = 0 is below 1"]),
+        (["families", "--k", "1", "--family", "bhat", "--emit-presentation"], ["k = 1 is below 2"]),
     ],
 )
 def test_size_arguments_out_of_range_fail_one_check(args, bounds):
@@ -194,6 +200,10 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
             ["deform", "--k", "3", "--order", "5", "--params", "2", "--emit-family"],
             "56ddf8daa297a32746a026f6fec0cf76",
         ),
+        (["families", "--k", "3"], "70513ba39bb072596c9268845f0d3d64"),
+        (["koszul"], "6254c9d1006684db72653f89bea53339"),
+        (["deform"], "99c2449bbf0793c82ac62e9d8df0b6d4"),
+        (["families", "--k", "2", "--emit-presentation"], "efc14dd265a190eb9c083971f3d05f95"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):

@@ -277,6 +277,30 @@ def test_verify_psi_rescaled_parameter_fails():
     assert report["witness"] is not None
 
 
+@pytest.mark.parametrize("scale", [2, F(2), F(1, 2)])
+def test_rescaled_parameter_fails_in_ints_and_fractions(scale):
+    report = verify_psi(3, 3, scale=scale)
+    assert not report["ok"] and not report["homomorphism"]
+    assert report["witness"] is not None
+
+
+@pytest.mark.parametrize("scale", [1, F(1)])
+def test_unit_scale_passes_as_int_or_fraction(scale):
+    assert verify_psi(3, 3, scale=scale)["ok"]
+
+
+def test_integral_fraction_coefficients_give_the_int_family():
+    alg = make_a(3)
+    mu = mu_cocycle(alg)
+    ints = deform_from_cocycle(alg, mu, {(1,): 2, (2,): -1}, params=1, order=2)
+    fracs = deform_from_cocycle(alg, mu, {(1,): F(2, 1), (2,): F(-3, 3)}, params=1, order=2)
+    assert fracs.family == ints.family
+    values = [x for c in fracs.family.values() for vec in c.values() for x in vec.values()]
+    assert {type(x) for x in values} == {int}
+    half = deform_from_cocycle(alg, mu, {(1,): F(1, 2)}, params=1, order=1)
+    assert {type(x) for c in half.family.values() for vec in c.values() for x in vec.values()} == {F}
+
+
 def test_verify_psi_higher_orders():
     # graded components of B(k) from normal words reach these orders fast
     for k, order in ((4, 8), (6, 6)):

@@ -24,7 +24,7 @@ from quivdef.families import (
     symmetric_form,
 )
 from quivdef.linalg import ONE, fmt_fraction
-from quivdef.quiver import Arrow, Quiver, QuiverPresentation, bounded_quotient
+from quivdef.quiver import Arrow, CentralQuotient, Quiver, QuiverPresentation, bounded_quotient
 
 F = Fraction
 
@@ -271,3 +271,28 @@ def test_psi_basis_images_rejects_quiver_of_wrong_shape():
     # B(2) has no arrows between vertices 2 and 3, which A(3) needs
     with pytest.raises(ValueError, match="between 2 and 3, found 0 forward and 0 back"):
         psi_basis_images(make_a(3), make_bhat(2))
+
+
+# ---------------------------------------------------------------------------
+# integral presentations keep their numbers as Python ints
+# ---------------------------------------------------------------------------
+
+def constant_types(alg):
+    return {type(x) for prod in alg.table.values() for x in prod.values()}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_line_algebras_have_int_structure_constants(k):
+    assert constant_types(make_a(k)) == {int}
+    assert constant_types(make_atilde(k)) == {int}
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_loop_quiver_quotients_have_int_structure_constants(k, power):
+    # B(k) modulo t^power, the targets of phi (power 1) and psi
+    gq = make_bhat(k)
+    cq = CentralQuotient(gq, central_t(gq), 2, power)
+    alg = cq.to_algebra(2 * power + 1)
+    assert alg.dim == power * (4 * k - 2)
+    assert constant_types(alg) == {int}

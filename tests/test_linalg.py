@@ -13,6 +13,7 @@ from quivdef.linalg import (
     mat_mul,
     nullspace,
     parse_fraction,
+    rat,
     rank_matrix,
     solve,
     vec_axpy_inplace,
@@ -110,6 +111,18 @@ def test_nullspace_simple():
     assert len(null) == 2
     for v in null:
         assert v[0] + v[1] == 0
+
+
+def test_integral_systems_solve_in_ints():
+    # unit pivots only: every value of the solution and the kernel is an int
+    rows = [[1, -1, 0, 2], [0, 1, -1, 0]]
+    x, null = solve(rows, [F(3), 1], 4)
+    assert x == [4, 1, 0, 0] and null == [[1, 1, 1, 0], [-2, 0, 0, 1]]
+    assert {type(v) for v in x + [c for vec in null for c in vec]} == {int}
+    assert nullspace(rows, 4) == null
+    assert {type(c) for vec in nullspace([[2, 1]], 2) for c in vec} == {int, F}
+    assert rat(F(6, 3)) == 2 and type(rat(F(6, 3))) is int
+    assert rat("-1/2") == F(-1, 2) and type(rat(True)) is int
 
 
 def test_row_reducer_membership():

@@ -237,8 +237,10 @@ def test_graded_multiplication_respects_relations():
 class SpanQuotient:
     """The span method: each component row-reduces the whole path space.
 
-    The former GradedQuotient._component, kept verbatim as the oracle of
-    the normal-word recursion.
+    The former GradedQuotient._component, kept as the oracle of the
+    normal-word recursion.  It converts every coefficient to a Fraction,
+    so it stays an all-Fraction computation whatever types the fast side
+    keeps.
     """
 
     def __init__(self, presentation):
@@ -293,7 +295,7 @@ class SpanQuotient:
                         for c, term in r.terms:
                             w = compose(compose(left, term), right)
                             j = col[w]
-                            x = vec.get(j, ZERO) + c
+                            x = vec.get(j, ZERO) + F(c)
                             if x:
                                 vec[j] = x
                             else:
@@ -317,7 +319,7 @@ class SpanQuotient:
 
     def reduce_path(self, p) -> dict:
         comp = self._component(p.degree)
-        res = comp["reducer"].reduce({comp["col"][p]: ONE})
+        res = comp["reducer"].reduce({comp["col"][p]: F(1)})
         paths = comp["paths"]
         return {comp["local"][paths[j]]: x for j, x in res.items()}
 
@@ -328,7 +330,10 @@ def assert_matches_span_oracle(pres, max_degree):
     for d in range(max_degree + 1):
         assert gq.component(d) == oracle.component(d), d
     for p in pres.quiver.enumerate_paths(max_degree):
-        assert gq.reduce_path(p) == oracle.reduce_path(p), p
+        fast = gq.reduce_path(p)
+        assert fast == oracle.reduce_path(p), p
+        # exact numbers only: an int or a Fraction, never a float or a bool
+        assert all(type(x) in (int, F) for x in fast.values()), (p, fast)
 
 
 @st.composite
