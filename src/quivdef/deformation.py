@@ -251,13 +251,13 @@ def infinitesimal_class(S: StarProduct):
     return out
 
 
-def mu_star_product(k: int, order: int, verify=False) -> StarProduct:
+def mu_star_product(k: int, order: int) -> StarProduct:
     """The one-parameter star product x*y = xy + mu(x,y) t on make_a(k)."""
     from .families import make_a
     from .hochschild import mu_cocycle
 
     alg = make_a(k)
-    return deform_from_cocycle(alg, mu_cocycle(alg), {(1,): 1}, params=1, order=order, verify=verify)
+    return deform_from_cocycle(alg, mu_cocycle(alg), {(1,): 1}, params=1, order=order, verify=False)
 
 
 def psi_target(k: int, order: int):

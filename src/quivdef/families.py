@@ -6,15 +6,16 @@ vertex, and make_bhat(k) the presentation whose quotient carries a central
 degree-2 element t(k) and surjects onto make_a(k).  Alongside the
 constructors live the structural probes: Hom dimensions between projective
 modules, symmetrizing trace forms, the center, radical filtrations, and
-the projection phi with its degreewise bijectivity certificate.
+the projection phi with its degreewise bijectivity certificate.  Whether a
+symmetrizing form exists is decided exactly from the left socle, in
+polynomial time at any size (symmetric_form).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
-from .linalg import RowReducer, nullspace, rank_matrix, rat, vec_axpy_inplace
+from .linalg import RowReducer, nullspace, rat, vec_axpy_inplace
 from .quiver import (
     Arrow,
     CentralQuotient,
@@ -504,61 +505,70 @@ def symmetric_space(alg: FiniteDimAlgebra):
     return nullspace(rows, alg.dim)
 
 
-def gram_rank(alg: FiniteDimAlgebra, tau) -> int:
-    gram = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            row.append(sum(c * tau[l] for l, c in alg.mul_basis(i, j).items()))
-        gram.append(row)
-    return rank_matrix(gram)
+def _socle(alg: FiniteDimAlgebra) -> dict:
+    """The left socle {x : rad(A) x = 0} as {(w, v): basis of e_w soc(A) e_v}.
 
-
-def symmetric_form(alg: FiniteDimAlgebra, grid_limit: int = 200000):
-    """A trace functional tau with nondegenerate pairing, or None.
-
-    The space of symmetric functionals is exact; a nondegenerate element is
-    located by a deterministic search (the unit vectors, all ones, all ones
-    with one entry negated, then a seeded integer sweep).  The negative
-    answer is certified by evaluating the Gram determinant on a grid large
-    enough for its degree, so it is exact whenever the grid fits under
-    grid_limit.
+    rad(A) is spanned by the nontrivial basis paths.  A product b_r b_i
+    lies in e_t A e_(source of b_i), t the target of b_r, so each condition
+    b_r x = 0 reads x in one block e_w A e_v only and every kernel basis
+    vector lies in one block.
     """
+    idem = set(alg.idempotent.values())
+    rows: dict = {}
+    for (r, i), prod in alg.table.items():
+        if r not in idem:
+            for l, c in prod.items():
+                rows.setdefault((r, l), {})[i] = c
+    blocks: dict = {}
+    for vec in nullspace(rows.values(), alg.dim):
+        z = {i: c for i, c in enumerate(vec) if c}
+        j = next(iter(z))
+        blocks.setdefault((alg.target[j], alg.source[j]), []).append(z)
+    return blocks
+
+
+def symmetric_form(alg: FiniteDimAlgebra):
+    """A trace functional tau with nondegenerate pairing (dense list), or None.
+
+    The test is exact (Nakayama, Ann. of Math. 40 (1939); see
+    Skowronski-Yamagata, Frobenius Algebras I (2011)).  For a trace
+    functional tau the kernel of the form (x, y) -> tau(xy) is the largest
+    left ideal inside ker tau, so the form is nondegenerate iff ker tau
+    contains no minimal left ideal.  No cycle of degree-0 arrows is
+    allowed, so rad(A) is spanned by the nontrivial paths, every simple
+    module is one-dimensional and the minimal left ideals are the lines of
+    the e_w soc(A).  Hence a form exists iff every e_w soc(A) has dimension
+    at most 1 and some tau = sum lam_s tau_s over the basis tau_s of trace
+    functionals is nonzero on each of these lines.  Each line asks that one
+    linear form in lam be nonzero.  On the moment curve
+    lam = (1, t, ..., t^(m-1)) each such form is a nonzero polynomial of
+    degree below m, so among (#lines)(m-1) + 1 values of t one avoids
+    all their roots; t = 0 is the first unit vector.
+    """
+    lines: dict = {}
+    for (w, _), vecs in _socle(alg).items():
+        lines.setdefault(w, []).extend(vecs)
+    if any(len(vecs) > 1 for vecs in lines.values()):
+        return None
     space = symmetric_space(alg)
     m = len(space)
-    if m == 0:
+    values = [
+        [sum(c * tau[i] for i, c in vec.items()) for tau in space] for (vec,) in lines.values()
+    ]
+    if any(not any(row) for row in values):
         return None
-
-    def combine(lam):
-        return [sum(lam[s] * space[s][i] for s in range(m)) for i in range(alg.dim)]
-
-    unit = [[int(i == s) for i in range(m)] for s in range(m)]
-    candidates = unit + [[1] * m] + [[1 - 2 * x for x in lam] for lam in unit]
-    rng = random.Random(20110 + alg.dim)
-    for _ in range(40):
-        candidates.append([rng.randint(-9, 9) for _ in range(m)])
-    for lam in candidates:
-        tau = combine(lam)
-        if gram_rank(alg, tau) == alg.dim:
-            return tau
-    # certified negative: det of the Gram matrix is a polynomial of degree
-    # <= dim in lam, so vanishing on a (dim+1)-point grid per variable
-    # makes it identically zero
-    if (alg.dim + 1) ** m <= grid_limit:
-        for lam in itertools.product(range(alg.dim + 1), repeat=m):
-            tau = combine(list(lam))
-            if gram_rank(alg, tau) == alg.dim:
-                return tau
-        return None
-    raise RuntimeError(
-        "cannot certify absence of a symmetric form: grid of size %d needed"
-        % (alg.dim + 1) ** m
-    )
+    units = ([int(r == s) for r in range(m)] for s in range(m))
+    curve = ([t**r for r in range(m)] for t in range(1, len(values) * (m - 1) + 1))
+    for lam in itertools.chain(units, curve):
+        if all(sum(l * x for l, x in zip(lam, row)) for row in values):
+            return [sum(l * tau[i] for l, tau in zip(lam, space)) for i in range(alg.dim)]
+    return None
 
 
 def projective_profile(alg: FiniteDimAlgebra):
     """Per vertex: length, Loewy length and socle of the projective Ae_v."""
     radical = alg.radical_indices()
+    socle = _socle(alg)
     out = {}
     for v in alg.quiver.vertices:
         pv = [i for i in range(alg.dim) if alg.source[i] == v]
@@ -574,29 +584,11 @@ def projective_profile(alg: FiniteDimAlgebra):
                     if w and red.add(w) is not None:
                         nxt.append(w)
             layer = nxt
-        rows = []
-        col_of = {i: c for c, i in enumerate(pv)}
-        for r in radical:
-            slots = {}
-            for c, i in enumerate(pv):
-                for l, x in alg.mul_basis(r, i).items():
-                    slots.setdefault(l, {})[c] = x
-            rows.extend(slots.values())
-        socle_vecs = nullspace(rows, len(pv))
-        socle = []
-        for vec in socle_vecs:
-            socle.append({pv[c]: x for c, x in enumerate(vec) if x})
-        by_vertex = {}
-        for w in alg.quiver.vertices:
-            red = RowReducer()
-            for z in socle:
-                red.add({i: x for i, x in z.items() if alg.target[i] == w})
-            if red.rank:
-                by_vertex[w] = red.rank
+        by_vertex = {w: len(socle[w, v]) for w in alg.quiver.vertices if (w, v) in socle}
         out[v] = {
             "length": len(pv),
             "loewy": loewy,
-            "socle_dim": len(socle_vecs),
+            "socle_dim": sum(by_vertex.values()),
             "socle": by_vertex,
         }
     return out

@@ -292,8 +292,8 @@ class HochschildComplex:
         return self.coords_to_cochain(n - 1, {i: v for i, v in enumerate(x) if v})
 
 
-def hh_dimensions(alg: FiniteDimAlgebra, max_degree: int, reduced=True, max_coords=500000):
-    cx = HochschildComplex(alg, reduced=reduced, max_coords=max_coords)
+def hh_dimensions(alg: FiniteDimAlgebra, max_degree: int, reduced=True):
+    cx = HochschildComplex(alg, reduced=reduced)
     return [cx.hh_dim(i) for i in range(max_degree + 1)]
 
 

@@ -51,10 +51,9 @@ def view_from_graded_quotient(gq: GradedQuotient) -> GradedAlgebraView:
     return GradedAlgebraView(comp_fn, mul_fn, gq.quiver.vertices, gen_deg)
 
 
-def view_from_algebra(alg: FiniteDimAlgebra, grading: str | None = None) -> GradedAlgebraView:
-    degs = alg.alt_gradings[grading] if grading else alg.degrees
+def view_from_algebra(alg: FiniteDimAlgebra) -> GradedAlgebraView:
     by_deg: dict[int, list[int]] = {}
-    for i, d in enumerate(degs):
+    for i, d in enumerate(alg.degrees):
         by_deg.setdefault(d, []).append(i)
     pos: dict[int, tuple] = {}
     for d, idxs in by_deg.items():
@@ -75,11 +74,7 @@ def view_from_algebra(alg: FiniteDimAlgebra, grading: str | None = None) -> Grad
             out[loc] = c
         return out
 
-    if grading and grading in alg.alt_arrow_degrees:
-        gen_deg = max(alg.alt_arrow_degrees[grading].values())
-    else:
-        gen_deg = alg.quiver.max_arrow_degree()
-    return GradedAlgebraView(comp_fn, mul_fn, alg.quiver.vertices, gen_deg)
+    return GradedAlgebraView(comp_fn, mul_fn, alg.quiver.vertices, alg.quiver.max_arrow_degree())
 
 
 class FreeCover:

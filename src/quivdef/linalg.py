@@ -285,24 +285,14 @@ def mat_is_nilpotent(a) -> bool:
 
 
 def mat_inv(a):
-    """Exact inverse by Gauss-Jordan, or None if singular."""
+    """Exact inverse, or None if singular.
+
+    One RowReducer pass over the rows [A | I]: A is invertible iff the
+    pivots are the columns of A, and then the reduced rows are [I | A^-1].
+    """
     n = len(a)
-    m = [list(row) + list(e) for row, e in zip(a, mat_eye(n))]
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(n):
-            if i != row and m[i][col]:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
-        row += 1
-    return [r[n:] for r in m]
+    rows = [{**{j: x for j, x in enumerate(row) if x}, n + i: 1} for i, row in enumerate(a)]
+    pivots = _reducer(rows).rref()
+    if sorted(pivots) != list(range(n)):
+        return None
+    return [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]

@@ -287,7 +287,6 @@ class GradedQuotient:
     def __init__(self, presentation: QuiverPresentation):
         self.pres = presentation
         self.quiver = presentation.quiver
-        self.truncated = False
         self._components: dict[int, dict] = {}
         self._zero_from: dict = {}  # degree-0 paths by source vertex
         self._arrow_cache: dict = {}
@@ -494,8 +493,6 @@ class FiniteDimAlgebra:
                 if prod:
                     self.table[(i, j)] = prod
         self.alt_gradings: dict[str, list[int]] = {}
-        self.alt_arrow_degrees: dict[str, dict] = {}
-        self.truncated = False
 
     def unit(self) -> dict:
         return {i: 1 for i in self.idempotent.values()}
@@ -556,7 +553,6 @@ class FiniteDimAlgebra:
         if bad is not None:
             raise ValueError("grading %r is not multiplicative at %s" % (name, bad))
         self.alt_gradings[name] = degs
-        self.alt_arrow_degrees[name] = dict(arrow_degrees)
         return degs
 
 
@@ -597,20 +593,9 @@ def associator(terms, keep) -> dict:
     return {key: vec for key, vec in out.items() if vec}
 
 
-def bounded_quotient(pres: QuiverPresentation, bound: int, allow_truncation=False):
-    """GradedQuotient(pres).to_algebra(bound), or a marked truncation.
-
-    When the bound does not capture the quotient, raise BoundTooSmall or,
-    with allow_truncation, return the GradedQuotient marked as a truncation.
-    """
-    gq = GradedQuotient(pres)
-    try:
-        return gq.to_algebra(bound)
-    except BoundTooSmall:
-        if not allow_truncation:
-            raise
-        gq.truncated = True
-        return gq
+def bounded_quotient(pres: QuiverPresentation, bound: int) -> FiniteDimAlgebra:
+    """GradedQuotient(pres).to_algebra(bound); BoundTooSmall if it does not fit."""
+    return GradedQuotient(pres).to_algebra(bound)
 
 
 class CentralQuotient(GradedQuotient):

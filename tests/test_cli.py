@@ -13,12 +13,13 @@ from quivdef.linalg import ONE
 from quivdef.reports import Report
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "quivdef.cli"] + args,
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return proc
 
@@ -94,6 +95,23 @@ def test_emit_and_reload_presentation(tmp_path):
     doc = json.loads(proc2.stdout)
     dim = [c for c in doc["checks"] if c["name"] == "dimension"][0]
     assert dim["actual"] == 10
+
+
+def test_atilde3_presentation_report_is_pinned(tmp_path):
+    # Atilde(3) is not symmetric: e_1 soc(A) is a plane, so the check fails
+    path = tmp_path / "atilde3.json"
+    args = ["families", "--k", "3", "--family", "atilde", "--emit-presentation"]
+    assert run_cli(args + ["--output", str(path)]).returncode == 0
+    proc = run_cli(["families", "--presentation", str(path)], timeout=20)
+    assert proc.returncode == 1
+    checks = json.loads(proc.stdout)["checks"]
+    assert [(c["name"], c["status"], c["expected"], c["actual"]) for c in checks] == [
+        ("dimension", "pass", 13, 13),
+        ("associative", "pass", None, None),
+        ("unital", "pass", True, True),
+        ("center_dim", "pass", 4, 4),
+        ("symmetric", "fail", True, False),
+    ]
 
 
 def test_emit_bhat_presentation():

@@ -142,7 +142,7 @@ def test_star_is_associative_on_flat_families(case):
 
 def test_deform_from_cocycle_is_associative():
     for k in (2, 3, 4, 5):
-        S = mu_star_product(k, 4, verify=False)
+        S = mu_star_product(k, 4)
         assert check_associativity(S) is None
 
 

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,9 +24,18 @@ from quivdef.families import (
     projective_profile,
     psi_basis_images,
     symmetric_form,
+    symmetric_space,
 )
-from quivdef.linalg import ONE, fmt_fraction
-from quivdef.quiver import Arrow, CentralQuotient, Quiver, QuiverPresentation, bounded_quotient
+from quivdef.deformation import psi_target
+from quivdef.linalg import ONE, fmt_fraction, rank_matrix
+from quivdef.quiver import (
+    Arrow,
+    CentralQuotient,
+    Quiver,
+    QuiverPresentation,
+    Relation,
+    bounded_quotient,
+)
 
 F = Fraction
 
@@ -141,6 +152,93 @@ def test_upper_triangular_has_no_symmetric_form():
     assert symmetric_form(alg) is None
 
 
+# Oracle for symmetric_form: a deterministic search for a nondegenerate
+# trace form, then a certificate of absence.  det of the Gram matrix of
+# sum lam_s tau_s is a polynomial of degree <= dim in lam, so it vanishes
+# identically once it vanishes on a (dim+1)-point grid in each variable.
+def gram_rank(alg, tau) -> int:
+    gram = [[0] * alg.dim for _ in range(alg.dim)]
+    for (i, j), prod in alg.table.items():
+        gram[i][j] = sum(c * tau[l] for l, c in prod.items())
+    return rank_matrix(gram)
+
+
+def grid_symmetric_form(alg, grid_limit=200000):
+    space = symmetric_space(alg)
+    m = len(space)
+    if m == 0:
+        return None
+
+    def combine(lam):
+        return [sum(lam[s] * space[s][i] for s in range(m)) for i in range(alg.dim)]
+
+    unit = [[int(i == s) for i in range(m)] for s in range(m)]
+    candidates = unit + [[1] * m] + [[1 - 2 * x for x in lam] for lam in unit]
+    rng = random.Random(20110 + alg.dim)
+    for _ in range(40):
+        candidates.append([rng.randint(-9, 9) for _ in range(m)])
+    for lam in candidates:
+        tau = combine(lam)
+        if gram_rank(alg, tau) == alg.dim:
+            return tau
+    if (alg.dim + 1) ** m > grid_limit:
+        raise RuntimeError("grid of size %d needed" % (alg.dim + 1) ** m)
+    for lam in itertools.product(range(alg.dim + 1), repeat=m):
+        tau = combine(list(lam))
+        if gram_rank(alg, tau) == alg.dim:
+            return tau
+    return None
+
+
+def two_loop_algebra(relations):
+    """Q<x, y> (both loops of degree 1) modulo the given word relations."""
+    q = Quiver(["1"], [Arrow("x", "1", "1", 1), Arrow("y", "1", "1", 1)])
+    rels = [Relation([(c, q.path_from_arrows(w)) for c, w in terms]) for terms in relations]
+    return bounded_quotient(QuiverPresentation(q, rels), 3)
+
+
+def two_dual_numbers():
+    """Q[x]/(x^2) x Q[y]/(y^2): no single basis trace form is nonzero on both socle lines."""
+    q = Quiver(["1", "2"], [Arrow("x", "1", "1", 1), Arrow("y", "2", "2", 1)])
+    rels = [Relation([(1, q.path_from_arrows(w))]) for w in ("xx", "yy")]
+    return bounded_quotient(QuiverPresentation(q, rels), 2)
+
+
+def upper_triangular():
+    q = Quiver(["1", "2"], [Arrow("c", "1", "2", 1)])
+    return bounded_quotient(QuiverPresentation(q, []), 2)
+
+
+SQUARES = [[(1, "xx")], [(1, "yy")]]
+ORACLE_ALGEBRAS = (
+    [("A%d" % k, lambda k=k: make_a(k)) for k in range(1, 7)]
+    + [("Atilde%d" % k, lambda k=k: make_atilde(k)) for k in range(1, 4)]
+    + [
+        ("upper_triangular", upper_triangular),
+        ("two_dual_numbers", two_dual_numbers),
+        ("all_quadratic", lambda: two_loop_algebra(SQUARES + [[(1, "xy")], [(1, "yx")]])),
+        ("commuting", lambda: two_loop_algebra(SQUARES + [[(1, "xy"), (-1, "yx")]])),
+        ("anticommuting", lambda: two_loop_algebra(SQUARES + [[(1, "xy"), (1, "yx")]])),
+        ("q_commuting", lambda: two_loop_algebra(SQUARES + [[(1, "xy"), (-2, "yx")]])),
+    ]
+    + [("psi_target%d" % k, lambda k=k: psi_target(k, 1)[1]) for k in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_ALGEBRAS], ids=[n for n, _ in ORACLE_ALGEBRAS])
+def test_symmetric_form_matches_grid_oracle(build):
+    alg = build()
+    tau = symmetric_form(alg)
+    assert (tau is None) == (grid_symmetric_form(alg) is None)
+    if tau is not None:
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                left = sum(c * tau[l] for l, c in alg.mul_basis(i, j).items())
+                right = sum(c * tau[l] for l, c in alg.mul_basis(j, i).items())
+                assert left == right
+        assert gram_rank(alg, tau) == alg.dim
+
+
 def test_projective_profile_a3():
     prof = projective_profile(make_a(3))
     assert [prof[str(i)]["length"] for i in (1, 2, 3)] == [3, 4, 3]
@@ -157,6 +255,21 @@ def test_projective_profile_lengths():
         assert lengths == [3] + [4] * (k - 2) + [3] if k > 1 else [2]
         assert all(prof[v]["loewy"] == 3 for v in prof)
         assert all(prof[v]["socle_dim"] == 1 for v in prof)
+
+
+def _profile_row(length, loewy, socle_vertex):
+    return {"length": length, "loewy": loewy, "socle_dim": 1, "socle": {socle_vertex: 1}}
+
+
+def test_projective_profile_pinned():
+    for k in (2, 3, 4, 5):
+        want = {str(i): _profile_row(3 if i in (1, k) else 4, 3, str(i)) for i in range(1, k + 1)}
+        assert projective_profile(make_a(k)) == want
+    # P_0 of Atilde(k) is uniserial of length 2 with socle S_1, like the socle of P_1
+    for k in (2, 3):
+        want = {"0": _profile_row(2, 2, "1"), "1": _profile_row(4, 3, "1")}
+        want.update({str(i): _profile_row(3 if i == k else 4, 3, str(i)) for i in range(2, k + 1)})
+        assert projective_profile(make_atilde(k)) == want
 
 
 def test_bhat_quiver_shapes():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -326,3 +327,48 @@ def test_solve_and_nullspace_brute_force(system, data):
             x, basis = res
             assert mat_vec(m, x) == b
             assert basis == null
+
+
+def gauss_jordan_inverse(a):
+    """Oracle for mat_inv: textbook Gauss-Jordan on [A | I] over Fractions."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    row = 0
+    for col in range(n):
+        piv = None
+        for i in range(row, n):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            return None
+        m[row], m[piv] = m[piv], m[row]
+        pv = m[row][col]
+        m[row] = [x / pv for x in m[row]]
+        for i in range(n):
+            if i != row and m[i][col]:
+                c = m[i][col]
+                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
+        row += 1
+    return [r[n:] for r in m]
+
+
+def test_mat_inv_matches_gauss_jordan():
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        kind = rng.choice([int, lambda x: F(x, rng.randint(1, 4))])
+        a = [[kind(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            # a row that is a combination of the others makes A singular
+            c = [kind(rng.randint(-2, 2)) for _ in range(n)]
+            a[0] = [sum((c[i] * a[i][j] for i in range(1, n)), 0) for j in range(n)]
+        before = [list(row) for row in a]
+        got = mat_inv(a)
+        assert a == before
+        assert got == gauss_jordan_inverse(a)
+        if got is not None:
+            assert mat_mul(a, got) == [[int(i == j) for j in range(n)] for i in range(n)]
+        seen[got is None] += 1
+    assert seen[True] and seen[False]
