@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -240,21 +242,26 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def int_product(rows, cols) -> list:
+    """Entries, row by row, of the product of integer rows with integer columns."""
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
+
+
+def _lcm_denominator(a) -> int:
+    return lcm(1, *{x.denominator for row in a for x in row})
+
+
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    bt = [[b[r][j] for r in range(k)] for j in range(m)]
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            s = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    s += x * y
-            orow.append(s)
-        out.append(orow)
-    return out
+    """The product a b, with Fraction entries.
+
+    It is one integer product: with da and db the lcms of the denominators
+    of a and of b, a b = (da a)(db b) / (da db).
+    """
+    da, db = _lcm_denominator(a), _lcm_denominator(b)
+    rows = [[x.numerator * (da // x.denominator) for x in row] for row in a]
+    cols = list(zip(*([x.numerator * (db // x.denominator) for x in row] for row in b)))
+    flat, m, den = int_product(rows, cols), len(cols), da * db
+    return [[Fraction(x, den) for x in flat[i * m : (i + 1) * m]] for i in range(len(a))]
 
 
 def mat_eq(a, b) -> bool:

@@ -9,23 +9,27 @@ the scalars by X_j + (a_j + b_j) for a tuple of commuting nilpotent
 matrices.  verify_relations checks the defining relations (commutators,
 Cartan actions, Serre relations) at every point where all intermediate
 points exist, counting the instances skipped at the boundary.  It works
-in Python integers: every block is scaled once by the lcm D of all block
+in Python integers: every block is scaled by the lcm D of all block
 denominators, and the terms of a relation are brought to a common power
-of D before they are summed, so the test for zero is exact.  Within one
-check each distinct matrix product and each distinct relation instance is
-computed once: equal scaled blocks are one object, and products and
-verdicts are kept in tables keyed by the objects they were made from, so
-a table hit returns the integers a recomputation would.
+of D before they are summed, so the test for zero is exact.  A relation
+reads its blocks at fixed offsets from its start point, so its instance
+at a point is the tuple of integer classes of the blocks it reads there
+(equal matrices share a class).  The kernel counts equal tuples once
+with their multiplicity and composes and zero-tests only the distinct
+ones, through a product table keyed by class pairs; each distinct block,
+product and instance is computed once per check.
 
 certify_relations checks a module that claims the build_f blocks of
 given X at a cost that does not depend on the radius: every stored block
 equals the formula, and every relation vanishes on the formula blocks at
-the C(n+2, 3) points of the simplex {b_1..b_(n-1) >= 0, sum <= 3}.  A
-relation instance is a matrix polynomial of degree <= 3 in b_1..b_(n-1),
-and that set is unisolvent for such polynomials, so the formula satisfies
-every relation at every point of every radius.  The CLI battery uses the
-certificate; verify_relations stays for modules of any other shape, such
-as reconstruct_extension's, and as the certificate's oracle in the tests.
+the points of the simplex {b_J >= 0, sum of b_J <= d}, where J is the
+coordinates the relation reads and d its degree.  A relation instance is
+a matrix polynomial of degree <= d in b_J, and that set is unisolvent for
+such polynomials, so the formula satisfies every relation at every point
+of every radius.  It feeds the same kernel, reading each formula block
+through its one coordinate.  The CLI battery uses the certificate;
+verify_relations stays for modules of any other shape, such as
+reconstruct_extension's, and as the certificate's oracle in the tests.
 
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
@@ -43,12 +47,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 from .linalg import (
     ONE,
     ZERO,
     fr,
+    int_product,
     mat_add,
     mat_commute,
     mat_eq,
@@ -77,7 +83,7 @@ def _shift(n, i, j):
 
 
 def _add(p, s):
-    return tuple(x + y for x, y in zip(p, s))
+    return tuple(map(operator.add, p, s))
 
 
 class LatticeSupport:
@@ -142,6 +148,16 @@ def _coordinate(key, p):
     if key[0] == "h":
         return p[key[1] - 1] - p[key[1]]
     return p[key[2] - 1]
+
+
+def _coordinates_read(n, keys):
+    """Indices j, ascending, of the coordinates b_(j+1) that some key's _coordinate reads.
+
+    _coordinate is linear, so it reads b_(j+1) exactly when it is nonzero
+    on the j-th unit vector.
+    """
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [j for j in range(n) if any(_coordinate(key, units[j]) for key in keys)]
 
 
 class _BlockFormula(dict):
@@ -276,154 +292,98 @@ def _relations(n: int):
     return rels
 
 
-def _common_denominator(module: LatticeModule) -> int:
-    """The lcm D of the denominators of every stored block entry."""
-    dens = {
-        x.denominator
-        for per_point in module.blocks.values()
-        for m in per_point.values()
-        for row in m
-        for x in row
-    }
-    return math.lcm(1, *dens)
-
-
 def _scaled(m, scale):
     """scale * m as a row-major tuple of Python ints; scale clears every denominator."""
     return tuple(x.numerator * (scale // x.denominator) for row in m for x in row)
 
 
-def _integer_steps(module: LatticeModule, scale: int):
-    """key -> {point: (scale * block as a row-major int tuple, end point)}.
+class _Classes(list):
+    """Block classes: class c >= 1 is the integer matrix self[c], a row-major tuple.
 
-    Equal scaled blocks are interned, one tuple for each distinct value,
-    so _check_instances meets a repeated block as the same object; this
-    and end points shared with the support's own tuples keep the copy
-    small beside the Fraction blocks.
-    """
-    n = module.n
-    points = {p: p for p in module.support.points}
-    interned = {}
-    steps = {}
-    for key, per_point in module.blocks.items():
-        shift = gen_shift(n, key)
-        steps[key] = {}
-        for p, m in per_point.items():
-            q = _add(p, shift)
-            blk = _scaled(m, scale)
-            steps[key][p] = (interned.setdefault(blk, blk), points.get(q, q))
-    return steps
-
-
-class _FormulaSteps(dict):
-    """point -> (scale * formula block as an int tuple, end point) of one generator.
-
-    Entries are made on first lookup, so walks may leave any truncation;
-    `get` is the lookup that makes them, which is how _check_instances
-    reads.  The block is scaled once per coordinate value, and the points
-    that share the value share the tuple.
+    Class 0 means no block.  Calling with a matrix returns its class,
+    making a new one on first sight, so equal matrices share one class and
+    a table keyed by classes is keyed by value.
     """
 
-    def __init__(self, formula: _BlockFormula, key, scale: int):
-        super().__init__()
-        self.formula = formula
-        self.key = key
-        self.scale = scale
-        self.shift = gen_shift(formula.n, key)
-        self.scaled = {}  # coordinate value -> scale * formula block
+    def __init__(self):
+        super().__init__([None])
+        self.index = {}
 
-    def __missing__(self, p):
-        v = _coordinate(self.key, p)
-        blk = self.scaled.get(v)
-        if blk is None:
-            blk = self.scaled[v] = _scaled(self.formula[self.key, v], self.scale)
-        entry = self[p] = (blk, _add(p, self.shift))
-        return entry
-
-    get = dict.__getitem__
+    def __call__(self, mat):
+        c = self.index.get(mat)
+        if c is None:
+            c = self.index[mat] = len(self)
+            self.append(mat)
+        return c
 
 
-def _int_mul(a, b, dim):
-    """Product of two row-major dim x dim integer matrices."""
-    rows = [a[i : i + dim] for i in range(0, dim * dim, dim)]
-    cols = [b[j::dim] for j in range(dim)]
-    return tuple(sum(map(operator.mul, row, col)) for row in rows for col in cols)
+def _int_mul(rows, cols):
+    """The integer matrix with the given rows times the one with the given columns, row-major."""
+    return tuple(int_product(rows, cols))
 
 
-def _check_instances(steps, points, n: int, dim: int, scale: int):
-    """Every relation of _relations(n) at every point: (checked, skipped, witness).
+def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
+    """Every relation of _relations(n) at its points: (checked, skipped, witness).
 
-    steps maps key -> {point: (D * block as a row-major int tuple, end
-    point)} with D = scale, so a monomial of length L composes to D^L
-    times its rational value.  For a relation sum_t c_t M_t with longest
-    monomial L_max and C the lcm of the coefficient denominators, the
-    integer combination sum_t (C c_t D^(L_max - L_t)) (D^L_t M_t) is
+    columns(terms) gives (points, read) for one relation: read(prefix) is
+    the column, over points, of the classes of the blocks that the last
+    key of prefix reads when prefix, a monomial prefix applied first entry
+    first, is walked from each point; class 0 where the walk leaves the
+    blocks.  classes holds the blocks as integer matrices, each D times its
+    rational block with D = scale, so a monomial of length L composes to
+    D^L times its rational value.  For a relation sum_t c_t M_t with
+    longest monomial L_max and C the lcm of the coefficient denominators,
+    the integer combination sum_t (C c_t D^(L_max - L_t)) (D^L_t M_t) is
     C D^L_max times the rational sum; C and D are nonzero, so it vanishes
-    exactly when the relation holds.  An instance is skipped when some
-    monomial walks off the blocks in steps, even one whose coefficient is
-    zero.  The witness is the first failing instance in relation order,
-    then point order.
+    exactly when the relation holds.
 
-    Each distinct product and each distinct instance is computed once per
-    call.  A walk composes blk o mat through a product table keyed by the
-    identities of its two operands; the product it stores is the object
-    the walk carries on, so longer monomials are keyed by identity too.
-    Per relation, since the weights differ between relations, a verdict
-    table keyed by the identities of the composed monomials runs the zero
-    test once per distinct instance.  Every key
-    names objects that steps or the product table keep alive for the whole
-    call, so an identity is never reused; equal keys mean the same integer
-    matrices, and the tables return exactly what recomputing would.
+    An instance is the tuple of classes that the relation reads at one
+    point.  Equal tuples are one instance, counted with their multiplicity;
+    one with a class 0 is skipped (some monomial walks off the blocks, even
+    one whose coefficient is zero).  Only distinct checked instances are
+    composed, through a table from class pairs to the class of their
+    product, and zero-tested, so each distinct product and instance is
+    computed once per call.  The witness is the first failing instance in
+    relation order, then point order: Counter keeps first-occurrence order.
     """
     checked = skipped = 0
     witness = None
-    products = {}  # (id(blk), id(mat)) -> blk o mat
+    products = {}  # (class of a block, class of a product) -> class of their product
+    rows_of, cols_of = {}, {}  # class -> the rows, the columns of its matrix
 
-    def compose(walk, point):
-        """D^len(walk) times the composed blocks, or None off the stored blocks."""
-        cur = point
-        mat = None
-        for table in walk:
-            entry = table.get(cur)
-            if entry is None:
-                return None
-            blk, cur = entry
-            if mat is None:
-                mat = blk
-                continue
-            pair = (id(blk), id(mat))
-            prod = products.get(pair)
-            if prod is None:
-                prod = products[pair] = _int_mul(blk, mat, dim)
-            mat = prod
-        return mat
+    def compose(walk, instance):
+        c = instance[walk[0]]
+        for step in walk[1:]:
+            a, b = pair = (instance[step], c)
+            c = products.get(pair)
+            if c is None:
+                if a not in rows_of:
+                    rows_of[a] = [classes[a][i : i + dim] for i in range(0, dim * dim, dim)]
+                if b not in cols_of:
+                    cols_of[b] = [classes[b][j::dim] for j in range(dim)]
+                c = products[pair] = classes(_int_mul(rows_of[a], cols_of[b]))
+        return classes[c]
 
     for label, terms in _relations(n):
         cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
         longest = max(len(mono) for _coeff, mono in terms)
         weights = [int(coeff * cden) * scale ** (longest - len(mono)) for coeff, mono in terms]
-        walks = [[steps.get(key, {}) for key in mono] for _coeff, mono in terms]
-        verdicts = {}  # ids of the composed monomials -> the instance fails
-        for p in points:
-            mats = []
-            for walk in walks:
-                mat = compose(walk, p)
-                if mat is None:
-                    break
-                mats.append(mat)
-            if len(mats) < len(terms):
-                skipped += 1
+        prefixes = {}  # monomial prefix -> its column in an instance
+        walks = [
+            [prefixes.setdefault(mono[: j + 1], len(prefixes)) for j in range(len(mono))]
+            for _coeff, mono in terms
+        ]
+        points, read = columns(terms)
+        cols = [read(prefix) for prefix in prefixes]
+        for instance, count in Counter(zip(*cols)).items():
+            if 0 in instance:
+                skipped += count
                 continue
-            checked += 1
+            checked += count
             if witness is None:
-                ids = tuple(map(id, mats))
-                fails = verdicts.get(ids)
-                if fails is None:
-                    fails = verdicts[ids] = any(
-                        map(sum, zip(*([w * x for x in m] for w, m in zip(weights, mats))))
-                    )
-                if fails:
-                    witness = (label, p)
+                mats = [compose(walk, instance) for walk in walks]
+                if any(map(sum, zip(*([w * x for x in m] for w, m in zip(weights, mats))))):
+                    witness = (label, points[list(zip(*cols)).index(instance)])
     return checked, skipped, witness
 
 
@@ -433,15 +393,62 @@ def verify_relations(module: LatticeModule):
     A relation instance is checked at every support point where all its
     monomials walk along stored blocks, and skipped otherwise (the
     truncation boundary).  The check is exact in integer arithmetic: each
-    block B is stored once as D*B, with D the lcm of the denominators of
-    all block entries, and equal D*B are one object, so each distinct
-    product and instance is computed once (see _check_instances).  It
-    applies to any module, reconstruct_extension's output included.
+    block B becomes the class of D*B, with D the lcm of the denominators of
+    all block entries (see _check_instances).  Blocks whose entries are
+    the same objects are scaled once.  A walk follows point-indexed arrays
+    made once per call: for each key, cls[key][i] is the class of its block
+    at point i and nxt[key][i] the index of that block's end point.  The
+    index covers the support, in order, and every other point where a
+    stored block starts or ends, so walks through blocks stored off the
+    support are followed too; index 0 is no point.  It applies to any
+    module, reconstruct_extension's output included.
     """
+    n = module.n
     dim = module.fiber_dim
-    scale = _common_denominator(module)
+    points = module.support.points
+    index = {p: i for i, p in enumerate(points, 1)}
+    ends = {}  # key -> end points of its blocks, in block order
+    for key, per_point in module.blocks.items():
+        shift = gen_shift(n, key)
+        ends[key] = [_add(p, shift) for p in per_point] if any(shift) else list(per_point)
+        for p in itertools.chain(per_point, ends[key]):
+            if p not in index:
+                index[p] = len(index) + 1
+    same = {}  # identities of a block's entries -> their number, from 1
+    first = [None]  # number -> the first block with those entries
+    zero = [0] * (len(index) + 1)
+    cls, nxt = {}, {}
+    for key, per_point in module.blocks.items():
+        c, t = cls[key], nxt[key] = list(zero), list(zero)
+        for (p, m), q in zip(per_point.items(), ends[key]):
+            ident = tuple(map(id, itertools.chain.from_iterable(m)))
+            if ident not in same:
+                same[ident] = len(first)
+                first.append(m)
+            i = index[p]
+            c[i] = same[ident]
+            t[i] = index[q]
+    scale = math.lcm(1, *{x.denominator for m in first[1:] for row in m for x in row})
+    classes = _Classes()
+    renumber = [0] + [classes(_scaled(m, scale)) for m in first[1:]]
+    cls = {key: [renumber[x] for x in c] for key, c in cls.items()}
+    reached = {(): range(1, len(points) + 1)}  # walk -> index of its end at each point, or 0
+    read = {}  # monomial prefix -> column
+
+    def at(walk):
+        if walk not in reached:
+            step = nxt.get(walk[-1], zero)
+            reached[walk] = [step[i] for i in at(walk[:-1])]
+        return reached[walk]
+
+    def column(prefix):
+        if prefix not in read:
+            c = cls.get(prefix[-1], zero)
+            read[prefix] = [c[i] for i in at(prefix[:-1])]
+        return read[prefix]
+
     checked, skipped, witness = _check_instances(
-        _integer_steps(module, scale), module.support.points, module.n, dim, scale
+        n, lambda terms: (points, column), classes, dim, scale
     )
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
 
@@ -452,13 +459,25 @@ def _block_label(key):
     return "block %s%d" % ("e" if key[1] < key[2] else "f", min(key[1:]))
 
 
-def _simplex_points(n: int, degree: int):
-    """Points b with b_1..b_(n-1) >= 0 summing to at most degree, b_n = -(that sum)."""
-    return [
-        rest + (-sum(rest),)
-        for rest in itertools.product(range(degree + 1), repeat=n - 1)
-        if sum(rest) <= degree
-    ]
+def _relation_simplex(n: int, terms):
+    """The points where certify_relations evaluates a relation: b_J >= 0, sum <= degree.
+
+    J is the coordinates its blocks read, or its first n - 1 when it reads
+    all n; one coordinate outside J takes up the sum, so the points lie on
+    the lattice.  The degree is the length of the longest monomial.
+    """
+    free = _coordinates_read(n, {key for _coeff, mono in terms for key in mono})[: n - 1]
+    slack = max(set(range(n)).difference(free))
+    degree = max(len(mono) for _coeff, mono in terms)
+    points = []
+    for values in itertools.product(range(degree + 1), repeat=len(free)):
+        if sum(values) <= degree:
+            b = [0] * n
+            for j, x in zip(free, values):
+                b[j] = x
+            b[slack] = -sum(values)
+            points.append(tuple(b))
+    return points
 
 
 def certify_relations(module: LatticeModule, xs):
@@ -472,22 +491,25 @@ def certify_relations(module: LatticeModule, xs):
        coordinate of b, so this compares each block with one of a few
        shared matrices; no products are formed.
     2. Every relation vanishes on the formula blocks at the simplex set
-       {b_1..b_(n-1) >= 0, b_1 + ... + b_(n-1) <= 3}, off the support
-       too, with the integer scaling of verify_relations.
+       {b_J >= 0, sum of b_J <= d} of _relation_simplex, with J the
+       coordinates the relation reads and d its degree, off the support
+       too, through the kernel of verify_relations.
 
-    The formula blocks are affine in b, so a relation instance at b (at
-    most three blocks long) is a matrix polynomial of total degree <= 3
-    in b_1..b_(n-1).  Such a polynomial that vanishes on the simplex set,
-    C(n+2, 3) points, vanishes everywhere: that set is unisolvent for
-    polynomials of degree <= 3 (Chung and Yao, SIAM J. Numer. Anal. 14
-    (1977)).  So the formula satisfies every relation at every point of
-    every radius, and stored blocks equal to it make every instance that
-    verify_relations checks pass.  The converse does not hold: a block off
-    the formula fails here even where no checked instance reaches it.
-    (sl_2 has no Serre relation; its degree, and its simplex, is 2.)
+    A relation reads only the coordinates in J, and its formula blocks are
+    affine in them, so an instance is a matrix polynomial of total degree
+    <= d in b_J.  When J misses a coordinate, b_J is free on the lattice;
+    when J is every coordinate, b_n = -(b_1 + ... + b_(n-1)) and the
+    polynomial is one in b_1..b_(n-1).  Such a polynomial that vanishes on
+    the simplex set, C(min(|J|, n - 1) + d, d) points, vanishes
+    everywhere: that set is unisolvent for polynomials of degree <= d
+    (Chung and Yao, SIAM J. Numer. Anal. 14 (1977)).  So the formula
+    satisfies every relation at every point of every radius, and stored
+    blocks equal to it make every instance that verify_relations checks
+    pass.  The converse does not hold: a block off the formula fails here
+    even where no checked instance reaches it.
 
     Returns the number of blocks compared, of relation instances checked
-    on the simplex set, and the witness: (("block e1"|"block f1"|"block
+    on the simplex sets, and the witness: (("block e1"|"block f1"|"block
     h1"...), point) for a block off the formula, found in generator
     order, else the first failing (relation, simplex point), else None.
     """
@@ -506,11 +528,30 @@ def certify_relations(module: LatticeModule, xs):
             # share their entries, so the next ones compare by identity
             formula[key_value] = m
     scale = math.lcm(1, *formula.denominators)
-    steps = {key: _FormulaSteps(formula, key, scale) for key in generator_keys(n)}
-    degree = max(len(mono) for _label, terms in _relations(n) for _coeff, mono in terms)
-    checked, _skipped, witness = _check_instances(
-        steps, _simplex_points(n, degree), n, len(xs[0]), scale
-    )
+    classes = _Classes()
+    class_of = {}  # (key, coordinate value) -> class of scale * its formula block
+
+    def columns(terms):
+        points = _relation_simplex(n, terms)
+
+        def read(prefix):
+            # the coordinate is linear: v(p + offset) = v(p) + v(offset)
+            *walk, key = prefix
+            offset = (0,) * n
+            for step in walk:
+                offset = _add(offset, gen_shift(n, step))
+            shift = _coordinate(key, offset)
+            out = []
+            for p in points:
+                key_value = (key, _coordinate(key, p) + shift)
+                if key_value not in class_of:
+                    class_of[key_value] = classes(_scaled(formula[key_value], scale))
+                out.append(class_of[key_value])
+            return out
+
+        return points, read
+
+    checked, _skipped, witness = _check_instances(n, columns, classes, len(xs[0]), scale)
     return {"blocks": blocks, "checked": checked, "witness": witness}
 
 
@@ -678,8 +719,15 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     blocks = {key: {} for key in generator_keys(n)}
     log = {"y_equals_b": 0, "x_equals_b_minus_1": 0, "last_x_equals_b": 0, "last_solved": 0}
 
+    vertical = {}  # b_n -> (X_n + (a_n + b_n) Id, its inverse or None)
+
     def cblock(p):
-        return mat_add(x_n, mat_scale(a[n - 1] + p[n - 1], eye))
+        """The vertical block at p and its inverse, both made once per value of b_n."""
+        v = p[n - 1]
+        if v not in vertical:
+            c = mat_add(x_n, mat_scale(a[n - 1] + v, eye))
+            vertical[v] = (c, mat_inv(c))
+        return vertical[v]
 
     sigma_u = _shift(n, n - 1, n)
 
@@ -687,7 +735,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     key_u = ("e", n - 1, n)
     for p in support.points:
         if _add(p, sigma_u) in support:
-            blocks[key_u][p] = cblock(p)
+            blocks[key_u][p] = [list(row) for row in cblock(p)[0]]
 
     # the sl_(n-1) generators on the zero slice
     slice_keys = [("e", i, i + 1) for i in range(1, n - 1)] + [
@@ -712,8 +760,8 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 gq = blocks[key].get(q)
                 if q not in support or gq is None:
                     continue
-                u_at = cblock(_add(q, sg))
-                inv = mat_inv(cblock(q))
+                u_at = cblock(_add(q, sg))[0]
+                inv = cblock(q)[1]
                 blocks[key][p] = mat_mul(u_at, mat_mul(gq, inv))
         for level in range(1, radius + 1):
             for p in support.points:
@@ -723,8 +771,8 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 gq = blocks[key].get(q)
                 if q not in support or gq is None:
                     continue
-                inv = mat_inv(cblock(_add(p, sg)))
-                blocks[key][p] = mat_mul(inv, mat_mul(gq, cblock(p)))
+                inv = cblock(_add(p, sg))[1]
+                blocks[key][p] = mat_mul(inv, mat_mul(gq, cblock(p)[0]))
 
     for i in range(1, n - 2):
         extend_by_commutation(("e", i, i + 1))
@@ -803,8 +851,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             continue
         if not mat_eq(bp1, mat_add(b, eye)) or not mat_eq(bm1, mat_sub(b, eye)):
             raise AssertionError("horizontal blocks out of step at %s" % (p,))
-        c = cblock(p)
-        cinv = mat_inv(c)
+        c, cinv = cblock(p)
         if cinv is None:
             raise NoUniqueExtension("vertical block not invertible at %s" % (p,))
         binv = mat_inv(b)

@@ -372,3 +372,47 @@ def test_mat_inv_matches_gauss_jordan():
             assert mat_mul(a, got) == [[int(i == j) for j in range(n)] for i in range(n)]
         seen[got is None] += 1
     assert seen[True] and seen[False]
+
+
+def triple_loop_mat_mul(a, b):
+    """The Fraction triple loop that mat_mul used to be: its oracle."""
+    m = len(b[0]) if b else 0
+    bt = [[b[r][j] for r in range(len(b))] for j in range(m)]
+    out = []
+    for row in a:
+        orow = []
+        for col in bt:
+            s = F(0)
+            for x, y in zip(row, col):
+                if x and y:
+                    s += x * y
+            orow.append(s)
+        out.append(orow)
+    return out
+
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=12)),
+    st.just(0),
+)
+
+
+@st.composite
+def product_shapes(draw):
+    """(a, b) of shapes n x k and k x m with int, Fraction and zero entries, any size zero."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a = [[draw(mixed_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(mixed_entries) for _ in range(m)] for _ in range(k)]
+    return a, b
+
+
+@given(product_shapes())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_triple_loop(case):
+    a, b = case
+    before = ([list(row) for row in a], [list(row) for row in b])
+    got = mat_mul(a, b)
+    assert (a, b) == before
+    assert got == triple_loop_mat_mul(a, b)
+    assert all(type(x) is F for row in got for x in row)

@@ -388,6 +388,23 @@ def test_verdicts_are_kept_per_relation():
     assert rep["witness"] == ("[h1,f1]", (1, -1))
 
 
+@pytest.mark.parametrize("value", [F(5, 2), F(7)])
+def test_walks_follow_blocks_stored_off_the_support(value):
+    # sl_2, radius 1: the e1 block at (1, -1) ends at (2, -2), off the
+    # support, where an f1 block is stored; the [e1,f1] instance at (1, -1)
+    # walks through it.  The formula value a_1 + 2 there keeps the relation;
+    # 7 does not
+    a = (F(1, 2), F(1, 3))
+    module = build_n(2, a, 1)
+    module.blocks[("e", 1, 2)][(1, -1)] = [[a[1] - 1]]
+    module.blocks[("e", 2, 1)][(2, -2)] = [[value]]
+    rep = verify_relations(module)
+    assert rep == _fraction_verify_relations(module)
+    want = build_n(2, a, 1)
+    assert rep["checked"] == verify_relations(want)["checked"] + 1
+    assert rep["witness"] == (None if value == a[0] + 2 else ("[e1,f1]", (1, -1)))
+
+
 def test_products_are_composed_once_per_call(monkeypatch):
     # a fixed sl_4 module of fiber dimension 3, radius 3
     jordan = [[F(int(j == i + 1)) for j in range(3)] for i in range(3)]
@@ -410,7 +427,7 @@ def test_products_are_composed_once_per_call(monkeypatch):
         for _coeff, mono in terms
     )
     assert compositions == 15836
-    assert len(calls) == 3056
+    assert len(calls) == 2892
     assert 5 * len(calls) < compositions
 
 
@@ -444,9 +461,16 @@ def test_certificate_passes_up_to_sl8(n):
     rep = certify_relations(module, xs)
     assert rep["witness"] is None
     assert rep["blocks"] == sum(len(per_point) for per_point in module.blocks.values())
-    # sl_2 has no Serre relation, so its relations have degree 2, not 3
-    degree = 3 if n > 2 else 2
-    assert rep["checked"] == len(_relations(n)) * math.comb(n - 1 + degree, degree)
+    # each relation on the simplex in the coordinates it reads, to its degree:
+    # the block of e_(s,t) reads b_t and that of h_i reads b_i and b_(i+1)
+    want = 0
+    for _label, terms in _relations(n):
+        keys = {key for _coeff, mono in terms for key in mono}
+        read = {key[2] for key in keys if key[0] == "e"}
+        read.update(i + d for (kind, i, *_t) in keys if kind == "h" for d in (0, 1))
+        degree = max(len(mono) for _coeff, mono in terms)
+        want += math.comb(min(len(read), n - 1) + degree, degree)
+    assert rep["checked"] == want
 
 
 @given(build_f_modules())
