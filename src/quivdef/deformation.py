@@ -11,10 +11,13 @@ of the star product, for every multi-index up to the order and every
 basis triple.  It hands the structure constants and the family to the
 sparse associator kernel `quiver.associator`, which starts from the
 nonzero values only and so never walks the triples and splits that are
-zero on both sides.  extend_order_by_order builds a one-parameter family
-from a single 2-cocycle.  For each next order it takes the right-hand
-side from the same kernel and solves the coboundary equation, and it
-reports the obstruction class when that side is not a coboundary.
+zero on both sides; the kernel runs in ints, so a family with rational
+coefficients costs about what an integral one does.
+extend_order_by_order builds a one-parameter family from a single
+2-cocycle.  For each next order it takes the right-hand side from the
+same kernel and solves the coboundary equation against d_2, which its
+complex eliminates once for all orders, and it reports the obstruction
+class when that side is not a coboundary.
 verify_deformation_map checks a proposed isomorphism from a star product
 onto an honestly multiplied truncated algebra: unit, homomorphism
 property, bijectivity, and identity modulo the deformation parameters.

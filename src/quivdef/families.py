@@ -319,12 +319,23 @@ def central_t_paths(gq: GradedQuotient):
 
 
 def check_central(gq: GradedQuotient, t_vec: dict, bound: int = 6):
-    """t commutes with every basis monomial of degree <= bound-2; witness or None."""
+    """t commutes with every basis monomial of degree <= bound-2; witness or None.
+
+    A path p times a monomial z is zero unless p starts where z ends, so
+    t z takes only the terms of t that start at z's target and z t only
+    those that end at z's source.
+    """
+    comp = gq.component(2)
+    starting: dict = {}
+    ending: dict = {}
+    for i, c in t_vec.items():
+        starting.setdefault(comp[i].source, {})[i] = c
+        ending.setdefault(comp[i].target, {})[i] = c
     for d in range(0, bound - 1):
-        for i in range(gq.dim(d)):
-            z = {i: 1}
-            if gq.mul(2, t_vec, d, z) != gq.mul(d, z, 2, t_vec):
-                return (d, gq.component(d)[i].label)
+        for i, z in enumerate(gq.component(d)):
+            left = gq.mul(2, starting.get(z.target, {}), d, {i: 1})
+            if left != gq.mul(d, {i: 1}, 2, ending.get(z.source, {})):
+                return (d, z.label)
     return None
 
 
@@ -486,12 +497,24 @@ def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:
     return out
 
 
+def _partners(alg: FiniteDimAlgebra) -> list[list[int]]:
+    """Per basis index i, the sorted j with a table entry at (i, j) or (j, i).
+
+    b_i b_j - b_j b_i is zero unless j is a partner of i.
+    """
+    out: list[set] = [set() for _ in range(alg.dim)]
+    for i, j in alg.table:
+        out[i].add(j)
+        out[j].add(i)
+    return [sorted(js) for js in out]
+
+
 def center_basis(alg: FiniteDimAlgebra):
     """Exact basis of the center, as the nullspace of all commutators."""
     rows = []
-    for b in range(alg.dim):
+    for b, partners in enumerate(_partners(alg)):
         cols = {}
-        for i in range(alg.dim):
+        for i in partners:
             for l, c in _commutator(alg, i, b).items():
                 cols.setdefault(l, {})[i] = c
         rows.extend(cols.values())
@@ -501,7 +524,12 @@ def center_basis(alg: FiniteDimAlgebra):
 
 def symmetric_space(alg: FiniteDimAlgebra):
     """Basis of functionals tau with tau(uv) = tau(vu), as dense lists."""
-    rows = [_commutator(alg, i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+    rows = [
+        _commutator(alg, i, j)
+        for i, partners in enumerate(_partners(alg))
+        for j in partners
+        if j > i
+    ]
     return nullspace(rows, alg.dim)
 
 

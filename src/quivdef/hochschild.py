@@ -8,11 +8,15 @@ usual Hochschild cohomology; the full bar complex (tuples over the whole
 basis, unconstrained values) is also available as an independent check,
 it just gets large quickly.
 
-The differentials read the algebra's structure constants.  Those of the
-line algebras are ints, so their columns are integer and `RowReducer`
-eliminates them in ints up to the few pivots other than 1 and -1.  Each
-differential is ranked once per complex, and `hh_dim(i)` and `hh_dim(i+1)`
-share the rank of d_i.
+The complex is indexed once, so no step scans the basis: tuples extend
+through the radical grouped by target vertex, values are read per
+(target, source) pair, and a differential takes its products from
+per-element lists of the nonzero structure constants.  The differentials
+of the line algebras are integer, so `RowReducer` eliminates them in ints
+up to the few pivots other than 1 and -1.  Each differential is ranked
+once per complex, and `hh_dim(i)` and `hh_dim(i+1)` share the rank of
+d_i; `solve_coboundary` eliminates d_(n-1) once per complex for all
+right-hand sides.
 
 Cochains are dicts mapping index tuples to sparse value vectors.  The
 degree-2 cocycle that drives all deformations here is mu_cocycle; note it
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import RowReducer, solve, vec_axpy_inplace
+from .linalg import RowReducer, vec_axpy_inplace
 from .families import a_index, b_index, e_index, loop_index
 from .quiver import FiniteDimAlgebra, associator
 
@@ -101,31 +105,44 @@ class HochschildComplex:
         self._basis_index: dict[int, dict] = {}
         self._columns: dict[int, list] = {}
         self._ranks: dict[int, int] = {}
+        self._images: dict[int, RowReducer] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
-        # reverse multiplication index: l -> [((i, j), coeff)] over scope pairs
-        self._rev = {}
-        for i in self.scope:
-            for j in self.scope:
-                for l, x in alg.table.get((i, j), {}).items():
-                    self._rev.setdefault(l, []).append(((i, j), x))
+        # the radical by target vertex, to extend a composable tuple
+        self._after: dict = {}
+        for j in self.radical:
+            self._after.setdefault(alg.target[j], []).append(j)
+        # (target, source) -> the basis of e_target A e_source
+        self._values: dict = {}
+        for w in range(alg.dim):
+            self._values.setdefault((alg.target[w], alg.source[w]), []).append(w)
+        # the products with a factor c in the scope: w -> [(c, l, x)] for
+        # the terms x b_l of c w, and of w c; and the reverse index
+        # l -> [((i, j), x)] for the terms x b_l of b_i b_j over scope pairs
+        inside = set(self.scope)
+        self._left: dict = {}
+        self._right: dict = {}
+        self._rev: dict = {}
+        for (i, j), vec in alg.table.items():
+            for l, x in vec.items():
+                if i in inside:
+                    self._left.setdefault(j, []).append((i, l, x))
+                if j in inside:
+                    self._right.setdefault(i, []).append((j, l, x))
+                    if i in inside:
+                        self._rev.setdefault(l, []).append(((i, j), x))
 
     def tuples(self, n: int) -> list:
         if n in self._tuples:
             return self._tuples[n]
-        alg = self.alg
-        if n == 0:
+        if not self.reduced:
+            out = list(itertools.product(range(self.alg.dim), repeat=n))
+        elif n == 0:
             out = [()]
-        elif self.reduced:
+        elif n == 1:
             out = [(i,) for i in self.radical]
-            for _ in range(n - 1):
-                out = [
-                    t + (j,)
-                    for t in out
-                    for j in self.radical
-                    if alg.source[t[-1]] == alg.target[j]
-                ]
         else:
-            out = [tuple(t) for t in itertools.product(range(alg.dim), repeat=n)]
+            after, source = self._after, self.alg.source
+            out = [t + (j,) for t in self.tuples(n - 1) for j in after.get(source[t[-1]], ())]
         self._tuples[n] = out
         return out
 
@@ -134,26 +151,17 @@ class HochschildComplex:
         if n in self._basis:
             return self._basis[n]
         alg = self.alg
-        out = []
-        if n == 0:
-            values = (
-                [i for i in range(alg.dim) if alg.source[i] == alg.target[i]]
-                if self.reduced
-                else range(alg.dim)
-            )
-            out = [((), w) for w in values]
+        if not self.reduced:
+            out = [(t, w) for t in self.tuples(n) for w in range(alg.dim)]
+        elif n == 0:
+            out = [((), w) for w in range(alg.dim) if alg.source[w] == alg.target[w]]
         else:
-            for t in self.tuples(n):
-                if self.reduced:
-                    for w in range(alg.dim):
-                        if (
-                            alg.target[w] == alg.target[t[0]]
-                            and alg.source[w] == alg.source[t[-1]]
-                        ):
-                            out.append((t, w))
-                else:
-                    for w in range(alg.dim):
-                        out.append((t, w))
+            values, target, source = self._values, alg.target, alg.source
+            out = [
+                (t, w)
+                for t in self.tuples(n)
+                for w in values.get((target[t[0]], source[t[-1]]), ())
+            ]
         if len(out) > self.max_coords:
             raise ResourceBoundExceeded(
                 "C^%d has %d coordinates (> %d)" % (n, len(out), self.max_coords)
@@ -162,67 +170,37 @@ class HochschildComplex:
         self._basis_index[n] = {bw: r for r, bw in enumerate(out)}
         return out
 
-    def _tuple_ok(self, t) -> bool:
-        alg = self.alg
-        if self.reduced:
-            for a, b in zip(t, t[1:]):
-                if alg.source[a] != alg.target[b]:
-                    return False
-        return True
-
     def differential_columns(self, n: int) -> list[dict]:
         """Matrix of d: C^n -> C^(n+1) as sparse columns over the C^(n+1) basis.
 
-        Integral structure constants give int columns.
+        The column of the coordinate (t, w) collects c.w on (c,) + t, the
+        alternating contractions of t, and w.c on t + (c,), read from the
+        product indices; a term off the C^(n+1) basis (a tuple that does
+        not compose, or a value in the wrong slot) is dropped.  Integral
+        structure constants give int columns.
         """
         if n in self._columns:
             return self._columns[n]
-        alg = self.alg
-        mul = alg.table
         self.basis(n + 1)
         ridx = self._basis_index[n + 1]
-        scope = self.scope
-        sign_last = 1 if (n + 1) % 2 == 0 else -1
+        left, right, rev = self._left, self._right, self._rev
+        sign_last = 1 if n % 2 else -1
         cols = []
-        for (t, w) in self.basis(n):
+        for t, w in self.basis(n):
+            terms = [((c,) + t, l, x) for c, l, x in left.get(w, ())]
+            for pos in range(n):
+                sign = 1 if pos % 2 else -1
+                terms += [(t[:pos] + uv + t[pos + 1 :], w, sign * x) for uv, x in rev.get(t[pos], ())]
+            terms += [(t + (c,), l, sign_last * x) for c, l, x in right.get(w, ())]
             col: dict[int, object] = {}
-
-            def put(T, l, coeff):
+            for T, l, x in terms:
                 r = ridx.get((T, l))
-                if r is None:
-                    return
-                x = col.get(r, 0) + coeff
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-
-            if n == 0:
-                for c0 in scope:
-                    for l, x in mul.get((c0, w), {}).items():
-                        put((c0,), l, x)
-                    for l, x in mul.get((w, c0), {}).items():
-                        put((c0,), l, -x)
-            else:
-                # c1 . f(...)
-                for c0 in scope:
-                    if self.reduced and alg.source[c0] != alg.target[t[0]]:
-                        continue
-                    for l, x in mul.get((c0, w), {}).items():
-                        put((c0,) + t, l, x)
-                # alternating contractions
-                for pos in range(n):
-                    sign = 1 if (pos + 1) % 2 == 0 else -1
-                    for (u, v), x in self._rev.get(t[pos], ()):
-                        T = t[:pos] + (u, v) + t[pos + 1:]
-                        if self._tuple_ok(T):
-                            put(T, w, sign * x)
-                # f(...) . c_{n+1}
-                for cn in scope:
-                    if self.reduced and alg.target[cn] != alg.source[t[-1]]:
-                        continue
-                    for l, x in mul.get((w, cn), {}).items():
-                        put(t + (cn,), l, sign_last * x)
+                if r is not None:
+                    x += col.get(r, 0)
+                    if x:
+                        col[r] = x
+                    else:
+                        col.pop(r, None)
             cols.append(col)
         self._columns[n] = cols
         return cols
@@ -274,22 +252,41 @@ class HochschildComplex:
             vec_axpy_inplace(out, x, cols[r])
         return self.coords_to_cochain(n + 1, out)
 
+    def _image(self, n: int) -> RowReducer:
+        """The columns of d_(n-1), eliminated once with a tag each.
+
+        Column ci enters as itself plus 1 at the tag column
+        len(basis(n)) + ci, left of which no tag lies.  A residual whose
+        pivot is a tag has no part in C^n, so only the others are stored:
+        each stored row is a combination of the pivot columns of d_(n-1),
+        the columns independent of the ones before them, whose tags it
+        carries.
+        """
+        if n not in self._images:
+            red = RowReducer()
+            tag = len(self.basis(n))
+            for ci, col in enumerate(self.differential_columns(n - 1)):
+                res = red.reduce({**col, tag + ci: 1})
+                if min(res) < tag:
+                    red.store(res)
+            self._images[n] = red
+        return self._images[n]
+
     def solve_coboundary(self, n: int, c: dict):
-        """f with d f = c (f an (n-1)-cochain), or None."""
+        """f with d f = c (f an (n-1)-cochain), or None.
+
+        c reduces against `_image(n)` to a residual without C^n part
+        exactly when it is a coboundary, and then the residual is -f on
+        the tags.  This f lives on the pivot columns of d_(n-1), so it is
+        the reduced-echelon solution whose free variables vanish.
+        """
         target = self.cochain_to_coords(n, c)
-        cols = self.differential_columns(n - 1)
-        nrows = len(self.basis(n))
-        rows: dict[int, dict] = {}
-        for ci, col in enumerate(cols):
-            for r, x in col.items():
-                rows.setdefault(r, {})[ci] = x
-        row_list = [rows.get(r, {}) for r in range(nrows)]
-        b = [target.get(r, 0) for r in range(nrows)]
-        res = solve(row_list, b, len(cols))
-        if res is None:
+        red = self._image(n)
+        tag = len(self.basis(n))
+        res = red.reduce(target)
+        if res and min(res) < tag:
             return None
-        x, _ = res
-        return self.coords_to_cochain(n - 1, {i: v for i, v in enumerate(x) if v})
+        return self.coords_to_cochain(n - 1, {r - tag: -x for r, x in sorted(res.items())})
 
 
 def hh_dimensions(alg: FiniteDimAlgebra, max_degree: int, reduced=True):

@@ -7,7 +7,9 @@ quotient).  The resolution of the simple at a vertex is built step by
 step: the kernel of the current cover is computed degree by degree, its
 minimal generators are the complement of J*kernel inside the kernel
 (split per target vertex so each generator sits at a vertex), and a new
-free cover is assembled from them.
+free cover is assembled from them.  J*kernel is spanned by the algebra's
+components of degree 1..G times the kernel, G the largest arrow degree,
+because the algebra is generated in those degrees.
 
 The algebra is Koszul on the computed window exactly when every step-j
 syzygy generator sits in internal degree j; the certificate reports the
@@ -128,6 +130,15 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
     The result records, per step, the (vertex, degree) list of minimal
     generators, whether every connecting map has entries in the graded
     radical, and the degreewise Euler characteristic check.
+
+    The minimal generators complement J*kernel, and J*kernel is formed
+    from the algebra's components of degree 1..G only, G the largest arrow
+    degree.  That is the same span (Beilinson-Ginzburg-Soergel, J. Amer.
+    Math. Soc. 9 (1996)): a path of degree above G is its prefix up to its
+    first arrow of positive degree, of degree 1..G, times the rest, and
+    the rest times the kernel lies in the kernel, a submodule.  Whether a
+    kernel piece is a new generator depends only on that span, so the
+    generators and tables are those of the loop over all degrees 1..d.
     """
     if max_int < max_hom * view.generator_degree:
         raise ValueError(
@@ -149,8 +160,8 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
         reducers = {d: RowReducer() for d in range(max_int + 1)}
         for d in range(max_int + 1):
             red = reducers[d]
-            # span of J * kernel in degree d
-            for g in range(1, d + 1):
+            # span of J * kernel in degree d, through the generator degrees
+            for g in range(1, min(d, view.generator_degree) + 1):
                 for ai in range(view.dim(g)):
                     for vec in kernel.get(d - g, []):
                         w = prev.left_mul(g, ai, d - g, vec)

@@ -74,7 +74,9 @@ class RowReducer:
     columns only and does not depend on how the row space was built, so
     ranks, pivots and residuals are deterministic in the insertion order.
     Callers that need the fully reduced rows, such as `solve` and
-    `nullspace`, call `rref()` once at the end.
+    `nullspace`, call `rref()` once at the end.  `store` is the storing
+    step of `add` alone, for a caller that reads a residual from `reduce`
+    before deciding to keep it.
 
     Entries are ints or Fractions.  A residual with pivot 1 is stored as
     it is and one with pivot -1 is negated, so int rows stay ints while
@@ -123,6 +125,10 @@ class RowReducer:
         res = self.reduce(vec)
         if not res:
             return None
+        return self.store(res)
+
+    def store(self, res: dict) -> int:
+        """Store a nonzero normal form, monic at its smallest column; return that pivot."""
         p = min(res)
         c = res[p]
         if c == -1:

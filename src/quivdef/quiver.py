@@ -24,12 +24,15 @@ is finite dimensional, and GradedQuotient.to_algebra, the one packaging
 path, makes it a FiniteDimAlgebra with explicit structure constants.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
+It clears the denominators of all its tables once and runs in ints.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .linalg import RowReducer, fmt_fraction, parse_fraction, rat, vec_axpy_inplace
 
@@ -569,18 +572,30 @@ def associator(terms, keep) -> dict:
     outputs; a triple that is never reached has both sides zero, so no
     basis triple is skipped.  Returns {(a, b, c, d): vector}, every vector
     nonzero.
+
+    The kernel runs in ints.  With lam the lcm of the denominators of all
+    values, table d is scaled by lam^(|d|+1), so every split of d scales
+    its part of component d by the same lam^(|d|+2), and the nonzero
+    components are divided by it once at the end; with lam = 1 nothing is
+    scaled.
     """
+    lam = lcm(1, *{x.denominator for _, table in terms for vec in table.values() for x in vec.values()})
     indexed = []
     for d, table in terms:
+        s = lam ** (sum(d) + 1)
+        table = {
+            key: {l: x.numerator * (s // x.denominator) for l, x in vec.items()}
+            for key, vec in table.items()
+        }
         first: dict = {}
         second: dict = {}
         for (i, j), vec in table.items():
             first.setdefault(i, []).append((j, vec))
             second.setdefault(j, []).append((i, vec))
-        indexed.append((d, first, second))
+        indexed.append((d, table, first, second))
     out: dict = {}
-    for d1, table in terms:
-        for d2, first, second in indexed:
+    for d1, table, _, _ in indexed:
+        for d2, _, first, second in indexed:
             d = tuple(x + y for x, y in zip(d1, d2))
             if d not in keep:
                 continue
@@ -590,7 +605,13 @@ def associator(terms, keep) -> dict:
                         vec_axpy_inplace(out.setdefault((i, j, l, d), {}), x, v)
                     for h, v in second.get(o, ()):
                         vec_axpy_inplace(out.setdefault((h, i, j, d), {}), -x, v)
-    return {key: vec for key, vec in out.items() if vec}
+    if lam == 1:
+        return {key: vec for key, vec in out.items() if vec}
+    return {
+        key: {l: rat(Fraction(x, lam ** (sum(key[3]) + 2))) for l, x in vec.items()}
+        for key, vec in out.items()
+        if vec
+    }
 
 
 def bounded_quotient(pres: QuiverPresentation, bound: int) -> FiniteDimAlgebra:

@@ -5,6 +5,8 @@ The four `_triple_loop_*` functions are the former implementations of
 `hochschild.is_associative_cochain` and
 `FiniteDimAlgebra.check_associativity`, kept verbatim as oracles: they
 walk every basis triple and every split of every multi-index.
+`fraction_associator` is the kernel as it was before it cleared
+denominators, in Fraction arithmetic: the oracle of the integer kernel.
 """
 
 import copy
@@ -32,7 +34,8 @@ from quivdef.hochschild import (
     mu_cocycle,
     validate_cochain,
 )
-from quivdef.linalg import ONE, ZERO
+from quivdef.linalg import ONE, ZERO, vec_axpy_inplace
+from quivdef.quiver import associator
 
 F = Fraction
 
@@ -228,6 +231,7 @@ def test_strategies_reach_failures_and_passes():
         (cochains(), lambda case: is_associative_cochain(*case)[0]),
         (algebras(), lambda alg: alg.check_associativity() is None),
         (star_products(), lambda S: check_associativity(S) is None),
+        (rational_cochains(), lambda case: is_cocycle(*case)[0]),
     ):
         find(strategy, lambda x: not check(x), settings=once)
         find(strategy, check, settings=once)
@@ -281,3 +285,102 @@ def test_out_of_range_value_index_is_rejected():
     bad = {(2, 3): {alg.dim: ONE}}
     with pytest.raises(ValueError, match=re.escape(repr((2, 3)))):
         is_cocycle(alg, bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction kernel
+# ---------------------------------------------------------------------------
+
+def fraction_associator(terms, keep):
+    """`quiver.associator` before it cleared denominators, over Fractions."""
+    terms = [
+        (d, {key: {l: F(x) for l, x in vec.items()} for key, vec in table.items()})
+        for d, table in terms
+    ]
+    indexed = []
+    for d, table in terms:
+        first: dict = {}
+        second: dict = {}
+        for (i, j), vec in table.items():
+            first.setdefault(i, []).append((j, vec))
+            second.setdefault(j, []).append((i, vec))
+        indexed.append((d, first, second))
+    out: dict = {}
+    for d1, table in terms:
+        for d2, first, second in indexed:
+            d = tuple(x + y for x, y in zip(d1, d2))
+            if d not in keep:
+                continue
+            for (i, j), vec in table.items():
+                for o, x in vec.items():
+                    for l, v in first.get(o, ()):
+                        vec_axpy_inplace(out.setdefault((i, j, l, d), {}), x, v)
+                    for h, v in second.get(o, ()):
+                        vec_axpy_inplace(out.setdefault((h, i, j, d), {}), -x, v)
+    return {key: vec for key, vec in out.items() if vec}
+
+
+ninths = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+def _ninths_perturbed(draw, k, table):
+    """table scaled by a value with denominator 1..9, plus junk of the same kind."""
+    scale = draw(ninths)
+    c = {key: {l: scale * x for l, x in vec.items()} for key, vec in table.items()}
+    for i, j, l in draw(st.lists(st.sampled_from(SLOTS[k]), max_size=3)):
+        vec = c.setdefault((i, j), {})
+        vec[l] = vec.get(l, ZERO) + draw(ninths)
+    return _strip(c)
+
+
+@st.composite
+def rational_families(draw):
+    """(terms, keep) of a multi-parameter family; values have small denominators."""
+    k = draw(st.sampled_from(sorted(ALGS)))
+    params = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    table = ALGS[k].table
+    if draw(st.booleans()):
+        table = _ninths_perturbed(draw, k, table)
+    indices = multi_indices(params, order, include_zero=False)
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+    terms = [((0,) * params, table)]
+    terms += [(d, _ninths_perturbed(draw, k, MUS[k])) for d in sorted(chosen)]
+    keep = set(draw(st.lists(st.sampled_from(multi_indices(params, order)), min_size=1)))
+    return terms, keep
+
+
+def _rat_form(vecs):
+    return all(type(x) is int or x.denominator > 1 for vec in vecs for x in vec.values())
+
+
+@given(rational_families())
+@settings(max_examples=120, deadline=None)
+def test_integer_associator_matches_fraction_kernel(case):
+    terms, keep = case
+    got = associator(terms, keep)
+    assert got == fraction_associator(terms, keep)
+    assert _rat_form(got.values())
+
+
+@st.composite
+def rational_cochains(draw):
+    k = draw(st.sampled_from(sorted(ALGS)))
+    return ALGS[k], _ninths_perturbed(draw, k, MUS[k])
+
+
+@given(rational_cochains())
+@settings(max_examples=100, deadline=None)
+def test_cocycle_defects_match_fraction_kernel(case):
+    alg, c = case
+    bad = fraction_associator([((0,), alg.table), ((1,), c)], {(1,)})
+    if bad:
+        u, v, w, _ = key = min(bad)
+        labels = (alg.labels[u], alg.labels[v], alg.labels[w])
+        want = (False, (labels, {l: -x for l, x in bad[key].items()}))
+    else:
+        want = (True, None)
+    got = is_cocycle(alg, c)
+    assert got == want
+    if not got[0]:
+        assert _rat_form([got[1][1]])

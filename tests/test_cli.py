@@ -222,6 +222,8 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
         (["koszul"], "6254c9d1006684db72653f89bea53339"),
         (["deform"], "99c2449bbf0793c82ac62e9d8df0b6d4"),
         (["families", "--k", "2", "--emit-presentation"], "efc14dd265a190eb9c083971f3d05f95"),
+        (["families", "--k", "40"], "b47aa7a1ed625551b494d7c35813b448"),
+        (["hochschild", "--k", "12", "--max-degree", "5"], "eccf522abc8c1bcb97854910774e9954"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quivdef.families import (
+    _commutator,
     a_index,
     atilde_cut_isomorphic_to_a,
     b_index,
@@ -27,7 +28,7 @@ from quivdef.families import (
     symmetric_space,
 )
 from quivdef.deformation import psi_target
-from quivdef.linalg import ONE, fmt_fraction, rank_matrix
+from quivdef.linalg import ONE, fmt_fraction, nullspace, rank_matrix
 from quivdef.quiver import (
     Arrow,
     CentralQuotient,
@@ -409,3 +410,54 @@ def test_loop_quiver_quotients_have_int_structure_constants(k, power):
     alg = cq.to_algebra(2 * power + 1)
     assert alg.dim == power * (4 * k - 2)
     assert constant_types(alg) == {int}
+
+
+def all_pairs_center_basis(alg):
+    """center_basis with a commutator for every pair; its oracle."""
+    rows = []
+    for b in range(alg.dim):
+        cols = {}
+        for i in range(alg.dim):
+            for l, c in _commutator(alg, i, b).items():
+                cols.setdefault(l, {})[i] = c
+        rows.extend(cols.values())
+    return [{i: c for i, c in enumerate(v) if c} for v in nullspace(rows, alg.dim)]
+
+
+def all_pairs_symmetric_space(alg):
+    """symmetric_space with a commutator for every pair; its oracle."""
+    rows = [_commutator(alg, i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+    return nullspace(rows, alg.dim)
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_ALGEBRAS], ids=[n for n, _ in ORACLE_ALGEBRAS])
+def test_partner_commutators_match_all_pairs(build):
+    alg = build()
+    assert center_basis(alg) == all_pairs_center_basis(alg)
+    assert symmetric_space(alg) == all_pairs_symmetric_space(alg)
+
+
+def whole_t_check_central(gq, t_vec, bound):
+    """check_central multiplying all of t with every monomial; its oracle."""
+    for d in range(0, bound - 1):
+        for i in range(gq.dim(d)):
+            z = {i: 1}
+            if gq.mul(2, t_vec, d, z) != gq.mul(d, z, 2, t_vec):
+                return (d, gq.component(d)[i].label)
+    return None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_check_central_matches_whole_t(k):
+    gq = make_bhat(k)
+    t = central_t(gq)
+    rng = random.Random(k)
+    candidates = [t, {}]
+    for i in sorted(t):
+        candidates.append({j: c for j, c in t.items() if j != i})
+        candidates.append({**t, i: 2 * t[i]})
+    for _ in range(6):
+        candidates.append({j: rng.choice((-1, 1, F(1, 2))) for j in rng.sample(range(gq.dim(2)), 2)})
+    witnesses = [check_central(gq, c, 5) for c in candidates]
+    assert witnesses == [whole_t_check_central(gq, c, 5) for c in candidates]
+    assert witnesses[0] is None and any(witnesses)

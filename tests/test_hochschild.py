@@ -1,10 +1,12 @@
 import copy
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import quivdef.hochschild as hochschild
-from quivdef.families import a_index, b_index, e_index, loop_index, make_a
+from quivdef.families import a_index, b_index, e_index, loop_index, make_a, make_atilde
 from quivdef.hochschild import (
     HochschildComplex,
     graded_cocycle_degree,
@@ -15,7 +17,7 @@ from quivdef.hochschild import (
     mu_cocycle,
     validate_cochain,
 )
-from quivdef.linalg import ONE, ZERO, RowReducer
+from quivdef.linalg import ONE, ZERO, RowReducer, solve
 
 F = Fraction
 
@@ -208,6 +210,12 @@ def fraction_differential_columns(cx, n):
     ridx = cx._basis_index[n + 1]
     scope = cx.scope
     sign_last = ONE if (n + 1) % 2 == 0 else -ONE
+
+    def composable(T):
+        return not cx.reduced or all(
+            alg.source[a] == alg.target[b] for a, b in zip(T, T[1:])
+        )
+
     cols = []
     for (t, w) in cx.basis(n):
         col = {}
@@ -240,7 +248,7 @@ def fraction_differential_columns(cx, n):
                 sign = ONE if (pos + 1) % 2 == 0 else -ONE
                 for (u, v), x in rev.get(t[pos], ()):
                     T = t[:pos] + (u, v) + t[pos + 1:]
-                    if cx._tuple_ok(T):
+                    if composable(T):
                         put(T, w, sign * x)
             # f(...) . c_{n+1}
             for cn in scope:
@@ -309,3 +317,91 @@ def test_hh_dimensions_rank_each_differential_once(k, degrees, monkeypatch):
     assert hh_dimensions(alg, degrees) == [k + 1] + [1] * degrees
     cx = HochschildComplex(alg)
     assert len(calls) == sum(len(cx.differential_columns(n)) for n in range(degrees + 1))
+
+
+def scan_tuples(cx, n):
+    """The composable n-tuples by a scan of the radical for each extension."""
+    alg = cx.alg
+    if not cx.reduced:
+        return [tuple(t) for t in itertools.product(range(alg.dim), repeat=n)]
+    if n == 0:
+        return [()]
+    out = [(i,) for i in cx.radical]
+    for _ in range(n - 1):
+        out = [t + (j,) for t in out for j in cx.radical if alg.source[t[-1]] == alg.target[j]]
+    return out
+
+
+def scan_basis(cx, n):
+    """The coordinates of C^n by a scan of every value for each tuple."""
+    alg = cx.alg
+    if n == 0 and cx.reduced:
+        return [((), w) for w in range(alg.dim) if alg.source[w] == alg.target[w]]
+    return [
+        (t, w)
+        for t in scan_tuples(cx, n)
+        for w in range(alg.dim)
+        if not cx.reduced
+        or (alg.target[w] == alg.target[t[0]] and alg.source[w] == alg.source[t[-1]])
+    ]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [make_a(k) for k in range(1, 7)] + [make_atilde(2), make_atilde(3)],
+    ids=["A1", "A2", "A3", "A4", "A5", "A6", "At2", "At3"],
+)
+def test_indexed_basis_and_tuples_match_scans(alg):
+    for reduced, degrees in ((True, 4), (False, 2)):
+        cx = HochschildComplex(alg, reduced=reduced)
+        for n in range(degrees + 1):
+            assert cx.tuples(n) == scan_tuples(cx, n)
+            assert cx.basis(n) == scan_basis(cx, n)
+
+
+def transposed_solve(cx, n, c):
+    """solve_coboundary through `linalg.solve` on the rows of d_(n-1)."""
+    cols = cx.differential_columns(n - 1)
+    rows = [{} for _ in cx.basis(n)]
+    for ci, col in enumerate(cols):
+        for r, x in col.items():
+            rows[r][ci] = x
+    target = cx.cochain_to_coords(n, c)
+    res = solve(rows, [target.get(r, 0) for r in range(len(rows))], len(cols))
+    if res is None:
+        return None
+    return cx.coords_to_cochain(n - 1, dict(enumerate(res[0])))
+
+
+def random_cochain(cx, n, rng, size):
+    basis = cx.basis(n)
+    coords = {
+        rng.randrange(len(basis)): F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+        for _ in range(size)
+    }
+    return cx.coords_to_cochain(n, coords)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_solve_coboundary_matches_transposed_solve(k):
+    rng = random.Random(k)
+    cx = HochschildComplex(make_a(k))
+    found = {True: 0, False: 0}
+    for n in (2, 3):
+        for trial in range(12):
+            f = random_cochain(cx, n - 1, rng, 1 + trial % 4)
+            df = cx.apply_d(n - 1, f)
+            cases = [df, random_cochain(cx, n, rng, 1 + trial % 3)]
+            if trial % 2:
+                # a coboundary plus one off-image coordinate
+                cases.append({**df, **random_cochain(cx, n, rng, 1)})
+            for c in cases:
+                want = transposed_solve(cx, n, c)
+                assert cx.solve_coboundary(n, c) == want
+                found[want is not None] += 1
+                if want is not None:
+                    assert cx.apply_d(n - 1, want) == {t: v for t, v in c.items() if v}
+    if k >= 2:
+        mu = mu_cocycle(cx.alg)
+        assert transposed_solve(cx, 2, mu) is None and cx.solve_coboundary(2, mu) is None
+    assert found[True] and found[False]

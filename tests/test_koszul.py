@@ -2,12 +2,14 @@ import pytest
 
 from quivdef.families import make_a, make_bhat
 from quivdef.koszul import (
+    FreeCover,
     is_linear,
     koszulity_certificate,
     minimal_resolution,
     view_from_algebra,
     view_from_graded_quotient,
 )
+from quivdef.linalg import RowReducer, nullspace
 
 
 def resolution_step_degrees(resolution, step):
@@ -85,3 +87,102 @@ def test_free_module_resolves_immediately():
     assert res["steps"][1] == [] and res["steps"][2] == []
     res2 = minimal_resolution(view, "2", 3, 4)
     assert all(not gens for gens in res2["steps"])
+
+
+def full_radical_resolution(view, vertex, max_hom, max_int):
+    """minimal_resolution as it was, with J*kernel formed from every degree
+    1..d of the algebra; an oracle for the loop through the generator
+    degrees."""
+    if max_int < max_hom * view.generator_degree:
+        raise ValueError(
+            "internal degree budget %d cannot certify %d steps" % (max_int, max_hom)
+        )
+    vertex = str(vertex)
+    f0 = FreeCover(view, [(vertex, 0)])
+    covers = [f0]
+    # kernel of F0 -> S_vertex: everything in positive degree
+    kernel = {d: [{r: 1} for r in range(len(f0.comp(d)))] for d in range(1, max_int + 1)}
+    kernel[0] = []
+    table = []
+    minimal_ok = True
+
+    for step in range(1, max_hom + 1):
+        prev = covers[-1]
+        gens = []
+        gen_vectors = []
+        reducers = {d: RowReducer() for d in range(max_int + 1)}
+        for d in range(max_int + 1):
+            red = reducers[d]
+            # span of J * kernel in degree d
+            for g in range(1, d + 1):
+                for ai in range(view.dim(g)):
+                    for vec in kernel.get(d - g, []):
+                        w = prev.left_mul(g, ai, d - g, vec)
+                        if w:
+                            red.add(w)
+            comp = prev.comp(d)
+            for vec in kernel.get(d, []):
+                # split by target vertex so generators are vertex-pure
+                for w in view.vertices:
+                    piece = {r: c for r, c in vec.items() if prev.target_vertex(comp[r]) == w}
+                    if piece and red.add(piece) is not None:
+                        gens.append((w, d))
+                        gen_vectors.append((d, piece))
+                        if any(comp[r][1][0] == 0 for r in piece):
+                            minimal_ok = False
+        table.append(sorted(gens, key=lambda t: (t[1], t[0])))
+        cover = FreeCover(view, gens)
+        covers.append(cover)
+        new_kernel = {}
+        for d in range(max_int + 1):
+            cols = []
+            comp = cover.comp(d)
+            for (g, (dm, im)) in comp:
+                vdeg, vvec = gen_vectors[g]
+                cols.append(prev.left_mul(dm, im, vdeg, vvec))
+            nrows = len(prev.comp(d))
+            rows: dict[int, dict] = {}
+            for ci, col in enumerate(cols):
+                for r, x in col.items():
+                    rows.setdefault(r, {})[ci] = x
+            null = nullspace([rows.get(r, {}) for r in range(nrows)], len(cols))
+            new_kernel[d] = [
+                {i: c for i, c in enumerate(v) if c} for v in null
+            ]
+        kernel = new_kernel
+
+    euler_ok = True
+    for d in range(max_int + 1):
+        total = 0
+        for j, cov in enumerate(covers):
+            total += (-1) ** j * len(cov.comp(d))
+        total += (-1) ** (len(covers)) * len(kernel.get(d, []))
+        want = 1 if d == 0 else 0
+        if total != want:
+            euler_ok = False
+    return {
+        "vertex": vertex,
+        "steps": table,
+        "minimal": minimal_ok,
+        "euler_ok": euler_ok,
+        "max_hom": max_hom,
+        "max_int": max_int,
+    }
+
+
+@pytest.mark.parametrize(
+    "view, max_hom, max_int",
+    [
+        (view_from_graded_quotient(make_bhat(k, grading)), 3, 5 if grading == "all_one" else 7)
+        for k in (2, 3, 4, 5)
+        for grading in ("all_one", "loops_two")
+    ]
+    + [(view_from_algebra(make_a(k)), 3, 5) for k in (1, 2, 3, 4)],
+    ids=["B%d_%s" % (k, g) for k in (2, 3, 4, 5) for g in ("all_one", "loops_two")]
+    + ["A%d" % k for k in (1, 2, 3, 4)],
+)
+def test_resolution_matches_full_radical_loop(view, max_hom, max_int):
+    for v in view.vertices:
+        assert minimal_resolution(view, v, max_hom, max_int) == full_radical_resolution(
+            view, v, max_hom, max_int
+        )
