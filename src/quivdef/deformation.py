@@ -28,7 +28,15 @@ from __future__ import annotations
 import itertools
 
 from .linalg import RowReducer, fmt_fraction, rat, vec_axpy_inplace
-from .quiver import FiniteDimAlgebra, associator
+from .quiver import CentralQuotient, FiniteDimAlgebra, associator
+from .families import (
+    apply_on_path,
+    central_t,
+    make_a,
+    make_bhat,
+    phi_arrow_images,
+    psi_basis_images,
+)
 from .hochschild import (
     HochschildComplex,
     cochain_eval,
@@ -37,6 +45,7 @@ from .hochschild import (
     is_associative_cochain,
     is_coboundary,
     is_cocycle,
+    mu_cocycle,
     validate_cochain,
 )
 
@@ -256,18 +265,12 @@ def infinitesimal_class(S: StarProduct):
 
 def mu_star_product(k: int, order: int) -> StarProduct:
     """The one-parameter star product x*y = xy + mu(x,y) t on make_a(k)."""
-    from .families import make_a
-    from .hochschild import mu_cocycle
-
     alg = make_a(k)
     return deform_from_cocycle(alg, mu_cocycle(alg), {(1,): 1}, params=1, order=order, verify=False)
 
 
 def psi_target(k: int, order: int):
     """The loop-quiver quotient by t(k)^(order+1), as a finite algebra."""
-    from .families import central_t, make_bhat
-    from .quiver import CentralQuotient
-
     gq = make_bhat(k, "loops_two")
     cq = CentralQuotient(gq, central_t(gq), 2, power=order + 1)
     return cq, cq.to_algebra(2 * order + 3)
@@ -282,8 +285,6 @@ def verify_psi(k: int, order: int, scale=1):
     make_a(k) as the identity-mod-m reduction.  `scale` rescales the image
     of the deformation parameter (useful as a negative control).
     """
-    from .families import apply_on_path, central_t, make_a, phi_arrow_images, psi_basis_images
-
     alg = make_a(k)
     S = mu_star_product(k, order)
     cq, target = psi_target(k, order)

@@ -14,6 +14,7 @@ polynomial time at any size (symmetric_form).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .linalg import RowReducer, nullspace, rat, vec_axpy_inplace
 from .quiver import (
@@ -208,23 +209,26 @@ def match_by_signature(alg_a: FiniteDimAlgebra, alg_b: FiniteDimAlgebra):
 
 
 def is_algebra_isomorphism(alg_a, alg_b, index_map) -> bool:
-    """Check that the basis bijection transports all structure constants."""
+    """Check that the basis bijection transports all structure constants.
+
+    Both tables hold only the nonzero products, so the bijection transports
+    every product exactly when it maps alg_a's table onto alg_b's.
+    """
     if sorted(index_map.values()) != list(range(alg_b.dim)):
         return False
-    for i in range(alg_a.dim):
-        for j in range(alg_a.dim):
-            prod = alg_a.mul_basis(i, j)
-            mapped = {index_map[l]: c for l, c in prod.items()}
-            if mapped != alg_b.mul_basis(index_map[i], index_map[j]):
-                return False
-    return True
+    mapped = {
+        (index_map[i], index_map[j]): {index_map[l]: c for l, c in prod.items()}
+        for (i, j), prod in alg_a.table.items()
+    }
+    return mapped == alg_b.table
 
 
 def atilde_cut_isomorphic_to_a(k: int) -> bool:
     """e Atilde e with e = e_1 + ... + e_k is isomorphic to make_a(k)."""
+    alg = make_a(k)
     cut = idempotent_cut(make_atilde(k), [str(i) for i in range(1, k + 1)])
-    amap = match_by_signature(make_a(k), cut)
-    return amap is not None and is_algebra_isomorphism(make_a(k), cut, amap)
+    amap = match_by_signature(alg, cut)
+    return amap is not None and is_algebra_isomorphism(alg, cut, amap)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +378,11 @@ def apply_on_combination(alg, images, terms) -> dict:
     return out
 
 
+def _all_one_dims(alg: FiniteDimAlgebra) -> Counter:
+    """Degree -> dimension of alg with every arrow in degree one."""
+    return Counter(alg.alt_gradings["all_one"])
+
+
 def phi_report(k: int, bound: int = 6) -> dict:
     """All checks for the projection of the loop quiver onto make_a(k).
 
@@ -397,13 +406,11 @@ def phi_report(k: int, bound: int = 6) -> dict:
             span.add(apply_on_path(alg, images, p))
     report["surjective"] = span.rank == alg.dim
 
-    a_dims = {}
-    for i, d in enumerate(alg.alt_gradings["all_one"]):
-        a_dims[d] = a_dims.get(d, 0) + 1
+    a_dims = _all_one_dims(alg)
     cq = CentralQuotient(gq, central_t(gq), 2, 1)
     degreewise = []
     for d in range(bound + 1):
-        want = a_dims.get(d, 0)
+        want = a_dims[d]
         have = cq.dim(d)
         img = RowReducer()
         for p in gq.component(d):
@@ -470,12 +477,10 @@ def flatness_dims(k: int, bound: int = 6):
     """
     gq = make_bhat(k, "loops_two")
     alg = make_a(k)
-    a_dims = {}
-    for d in alg.alt_gradings["all_one"]:
-        a_dims[d] = a_dims.get(d, 0) + 1
+    a_dims = _all_one_dims(alg)
     rows = []
     for d in range(bound + 1):
-        expected = sum(a_dims.get(d - 2 * i, 0) for i in range(d // 2 + 1))
+        expected = sum(a_dims[d - 2 * i] for i in range(d // 2 + 1))
         rows.append((d, gq.dim(d), expected))
     return rows
 

@@ -151,21 +151,22 @@ class HochschildComplex:
         if n in self._basis:
             return self._basis[n]
         alg = self.alg
+        # the values each tuple takes, counted before any coordinate is built
         if not self.reduced:
-            out = [(t, w) for t in self.tuples(n) for w in range(alg.dim)]
-        elif n == 0:
-            out = [((), w) for w in range(alg.dim) if alg.source[w] == alg.target[w]]
+            slots = itertools.repeat(range(alg.dim))
+            count = alg.dim ** (n + 1)
         else:
-            values, target, source = self._values, alg.target, alg.source
-            out = [
-                (t, w)
-                for t in self.tuples(n)
-                for w in values.get((target[t[0]], source[t[-1]]), ())
-            ]
-        if len(out) > self.max_coords:
+            if n == 0:
+                slots = [[w for w in range(alg.dim) if alg.source[w] == alg.target[w]]]
+            else:
+                values, target, source = self._values, alg.target, alg.source
+                slots = [values.get((target[t[0]], source[t[-1]]), ()) for t in self.tuples(n)]
+            count = sum(map(len, slots))
+        if count > self.max_coords:
             raise ResourceBoundExceeded(
-                "C^%d has %d coordinates (> %d)" % (n, len(out), self.max_coords)
+                "C^%d has %d coordinates (> %d)" % (n, count, self.max_coords)
             )
+        out = [(t, w) for t, ws in zip(self.tuples(n), slots) for w in ws]
         self._basis[n] = out
         self._basis_index[n] = {bw: r for r, bw in enumerate(out)}
         return out

@@ -53,6 +53,7 @@ from fractions import Fraction
 from .linalg import (
     ONE,
     ZERO,
+    fmt_fraction,
     fr,
     int_product,
     mat_add,
@@ -923,8 +924,6 @@ def compare_modules(m1: LatticeModule, m2: LatticeModule):
 
 def module_dump(module: LatticeModule) -> dict:
     """Per-generator block listings keyed by support point, serializable."""
-    from .linalg import fmt_fraction
-
     def keyname(key):
         if key[0] == "h":
             return "h%d" % key[1]

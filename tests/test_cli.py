@@ -197,6 +197,8 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
         (["families", "--k", "2", "--bound", "1"], ["bound = 1 is below 2"]),
         (["families", "--k", "0", "--emit-presentation"], ["k = 0 is below 1"]),
         (["families", "--k", "1", "--family", "bhat", "--emit-presentation"], ["k = 1 is below 2"]),
+        (["slnlab", "--n", "1", "--dump"], ["n = 1 is below 2"]),
+        (["verify-all", "--radius", "-1"], ["radius = -1 is below 0"]),
     ],
 )
 def test_size_arguments_out_of_range_fail_one_check(args, bounds):
@@ -224,6 +226,16 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
         (["families", "--k", "2", "--emit-presentation"], "efc14dd265a190eb9c083971f3d05f95"),
         (["families", "--k", "40"], "b47aa7a1ed625551b494d7c35813b448"),
         (["hochschild", "--k", "12", "--max-degree", "5"], "eccf522abc8c1bcb97854910774e9954"),
+        (["slnlab", "--n", "3", "--radius", "2"], "51e7e73312cfe6a9bf72d04fe704d68d"),
+        (
+            ["slnlab", "--n", "3", "--radius", "2", "--fiber", "2", "--dump"],
+            "91b627c94ec69d19e08acc93e582e9d6",
+        ),
+        (["koszul", "--k", "2", "--emit-table"], "142d959986d75b9a58bf8b88edd82eff"),
+        (
+            ["families", "--k", "3", "--family", "atilde", "--emit-presentation"],
+            "de7c4c5ddd8570e090f47ff7e06323c0",
+        ),
     ],
 )
 def test_cli_output_is_pinned(args, md5):
@@ -263,9 +275,11 @@ def test_slnlab_battery_builds_each_module_once(monkeypatch):
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_verify_all_without_lattice_seeds_fails_one_check(seeds, tmp_path):
-    # no seed would run none of the lattice checks and still exit 0
+    # no seed would run none of the lattice checks and still exit 0; the
+    # sizes are checked before any other check runs
     out = tmp_path / "report.json"
     assert cli.main(["verify-all", "--slnlab-seeds", seeds, "--output", str(out)]) == 1
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
-    failed = [(c["name"], c["actual"]) for c in checks if c["status"] != "pass"]
-    assert failed == [("arguments", ["slnlab_seeds = %s is below 1" % seeds])]
+    assert [(c["name"], c["status"], c["actual"]) for c in checks] == [
+        ("arguments", "fail", ["slnlab_seeds = %s is below 1" % seeds])
+    ]

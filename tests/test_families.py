@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -16,10 +17,12 @@ from quivdef.families import (
     flatness_dims,
     hom_dimensions,
     idempotent_cut,
+    is_algebra_isomorphism,
     loop_index,
     make_a,
     make_atilde,
     make_bhat,
+    match_by_signature,
     phi_arrow_images,
     phi_report,
     projective_profile,
@@ -99,6 +102,36 @@ def test_make_atilde_k1():
 def test_atilde_cut_isomorphism():
     for k in (1, 2, 3):
         assert atilde_cut_isomorphic_to_a(k)
+
+
+def transports_every_product(alg_a, alg_b, index_map):
+    """Oracle: compare all dim^2 basis products through the bijection."""
+    if sorted(index_map.values()) != list(range(alg_b.dim)):
+        return False
+    return all(
+        {index_map[l]: c for l, c in alg_a.mul_basis(i, j).items()}
+        == alg_b.mul_basis(index_map[i], index_map[j])
+        for i in range(alg_a.dim)
+        for j in range(alg_a.dim)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_table_isomorphism_matches_all_pairs_oracle(k):
+    alg = make_a(k)
+    cut = idempotent_cut(make_atilde(k), [str(i) for i in range(1, k + 1)])
+    amap = match_by_signature(alg, cut)
+    assert is_algebra_isomorphism(alg, cut, amap) and transports_every_product(alg, cut, amap)
+    # one structure constant doubled, then one product dropped
+    (i, j), prod = sorted(cut.table.items())[-1]
+    l = min(prod)
+    doubled = copy.copy(cut)
+    doubled.table = {**cut.table, (i, j): {**prod, l: 2 * prod[l]}}
+    dropped = copy.copy(cut)
+    dropped.table = {key: vec for key, vec in cut.table.items() if key != (i, j)}
+    for changed in (doubled, dropped):
+        assert is_algebra_isomorphism(alg, changed, amap) is False
+        assert transports_every_product(alg, changed, amap) is False
 
 
 def test_atilde_loop_relation():

@@ -180,6 +180,21 @@ def test_resource_bound_is_reported():
         cx.hh_dim(2)
 
 
+def test_resource_bound_is_checked_before_building():
+    from quivdef.hochschild import ResourceBoundExceeded
+
+    # the full bar complex of A(4) has 14^5 coordinates in degree 4
+    cx = HochschildComplex(make_a(4), reduced=False, max_coords=1000)
+    with pytest.raises(ResourceBoundExceeded, match="537824"):
+        cx.basis(4)
+    assert 4 not in cx._tuples and 4 not in cx._basis
+    # the reduced count is exact: the bound at the true size passes, one less fails
+    size = len(HochschildComplex(make_a(4)).basis(4))
+    assert len(HochschildComplex(make_a(4), max_coords=size).basis(4)) == size
+    with pytest.raises(ResourceBoundExceeded, match=str(size)):
+        HochschildComplex(make_a(4), max_coords=size - 1).basis(4)
+
+
 def test_inhomogeneous_cochain_reported():
     alg = make_a(2)
     a1, b1 = a_index(alg, 1), b_index(alg, 1)
