@@ -12,13 +12,16 @@ value of each size argument, its battery, and the flag that prints its
 side output (--emit-presentation, --emit-family, --emit-table or --dump)
 in place of the report.  The sizes are checked before any work, for the
 report and the side output alike: a value below its bound gives one
-failing `arguments` check and exit code 1.  `families --presentation
-FILE` verifies a user presentation instead and has no size bounds.
+failing `arguments` check and exit code 1.  A side output that raises,
+such as a `--dump` above slnlab.DUMP_VALUES, gives one failing check
+named after its flag.  `families --presentation FILE` verifies a user
+presentation instead and has no size bounds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -240,28 +243,6 @@ def checks_koszul(report: Report, ks, hom_degree, max_internal):
         )
 
 
-def _built_once(build):
-    """A thunk that calls build() on first use and then returns its result.
-
-    An exception from build() is raised again on every use, so each check
-    that needs the value fails with the same error text.
-    """
-    box = []
-
-    def get():
-        if not box:
-            try:
-                box.append((build(), None))
-            except Exception as exc:
-                box.append((None, exc))
-        value, exc = box[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return get
-
-
 def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
     for n in ns:
         for seed in seeds:
@@ -270,22 +251,18 @@ def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
             dim = rng.randint(1, max_fiber)
             xs = slnlab.random_commuting_nilpotents(n, dim, rng)
             equal_fibers = all(mat_eq(xs[0], x) for x in xs[1:])
-            # one module for the three checks on it, freed before the next is built
-            module = _built_once(lambda: slnlab.build_f(n, a, xs, radius))
+            module = functools.partial(slnlab.build_f, n, a, xs, radius)  # built by each check
             _run_rows(report, "_n%d_s%d" % (n, seed), [
                 ("relations_N", "rank-one lattice module satisfies the defining relations",
-                 None, lambda: slnlab.certify_relations(
-                     slnlab.build_n(n, a, radius), [[[0]]] * n
-                 )["witness"]),
+                 None, lambda: slnlab.certify_relations(slnlab.build_n(n, a, radius))["witness"]),
                 ("relations_F", "matrix-fiber lattice module satisfies the defining relations",
-                 None, lambda: slnlab.certify_relations(module(), xs)["witness"]),
+                 None, lambda: slnlab.certify_relations(module())["witness"]),
                 ("roundtrip", "fiber matrices are recovered from the Cartan and Casimir blocks",
                  True, lambda: all(map(mat_eq, xs, slnlab.recover_x(module(), a)))),
                 ("weight_criterion",
                  "diagonalizable Cartan action iff all fiber matrices are equal",
                  True, lambda: slnlab.is_weight_module(module()) == equal_fibers),
             ])
-            del module
     for seed in seeds:
         rng = random.Random(seed + 17)
         a = slnlab.random_parameters(3, rng, extension_safe=True)
@@ -541,9 +518,13 @@ def build_parser():
     return p
 
 
+def _report(args) -> Report:
+    return Report(args.command, {name: getattr(args, name) for name in COMMANDS[args.command].params})
+
+
 def run_command(args) -> Report:
     command = COMMANDS[args.command]
-    report = Report(args.command, {name: getattr(args, name) for name in command.params})
+    report = _report(args)
     if args.command == "families" and args.presentation:
         report.params["presentation"] = args.presentation
         checks_presentation_file(report, args.presentation, args.bound)
@@ -561,18 +542,24 @@ def run_command(args) -> Report:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
-    side_output = command.flag and getattr(args, command.flag)
-    if side_output and not _argument_errors(args, command.bounds(args)):
-        text, failed = command.emit(args), 0
+    report = None
+    if command.flag and getattr(args, command.flag) and not _argument_errors(args, command.bounds(args)):
+        try:
+            text = command.emit(args)
+        except Exception as exc:  # a refused side output is one failing check
+            report = _report(args)
+            anchor = "the side output is printed in place of the report"
+            report.checks.append(Check(command.flag, anchor, "fail", None, error_text(exc)))
     else:
         report = run_command(args)
-        text, failed = report.to_json(with_timings=args.timings), report.failed
+    if report is not None:
+        text = report.to_json(with_timings=args.timings)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0 if failed == 0 else 1
+    return 0 if report is None or report.failed == 0 else 1
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ keys and values must be basis indices; anything else raises ValueError.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .linalg import RowReducer, vec_axpy_inplace
 from .families import a_index, b_index, e_index, loop_index
@@ -107,6 +108,8 @@ class HochschildComplex:
         self._ranks: dict[int, int] = {}
         self._images: dict[int, RowReducer] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
+        # degree n >= 1 -> {(target of the first entry, source of the last): reduced tuples}
+        self._ends: list = [None, Counter((alg.target[i], alg.source[i]) for i in self.radical)]
         # the radical by target vertex, to extend a composable tuple
         self._after: dict = {}
         for j in self.radical:
@@ -146,26 +149,45 @@ class HochschildComplex:
         self._tuples[n] = out
         return out
 
+    def _count(self, n: int) -> int:
+        """The number of coordinates of C^n, found without building a tuple.
+
+        A reduced tuple whose first entry ends at f and whose last starts
+        at s takes the values in e_f A e_s.  The tuples are counted by
+        (f, s) degree by degree: one starting at s extends by each radical
+        element that ends at s.
+        """
+        alg = self.alg
+        if not self.reduced:
+            return alg.dim ** (n + 1)
+        if n == 0:
+            return sum(1 for w in range(alg.dim) if alg.source[w] == alg.target[w])
+        ends = self._ends
+        while len(ends) <= n:
+            step = Counter()
+            for (f, s), count in ends[-1].items():
+                for j in self._after.get(s, ()):
+                    step[f, alg.source[j]] += count
+            ends.append(step)
+        return sum(count * len(self._values.get(fs, ())) for fs, count in ends[n].items())
+
     def basis(self, n: int) -> list:
-        """Coordinates of C^n as (tuple, value_index) pairs."""
+        """Coordinates of C^n as (tuple, value_index) pairs, counted before any is built."""
         if n in self._basis:
             return self._basis[n]
-        alg = self.alg
-        # the values each tuple takes, counted before any coordinate is built
-        if not self.reduced:
-            slots = itertools.repeat(range(alg.dim))
-            count = alg.dim ** (n + 1)
-        else:
-            if n == 0:
-                slots = [[w for w in range(alg.dim) if alg.source[w] == alg.target[w]]]
-            else:
-                values, target, source = self._values, alg.target, alg.source
-                slots = [values.get((target[t[0]], source[t[-1]]), ()) for t in self.tuples(n)]
-            count = sum(map(len, slots))
+        count = self._count(n)
         if count > self.max_coords:
             raise ResourceBoundExceeded(
                 "C^%d has %d coordinates (> %d)" % (n, count, self.max_coords)
             )
+        alg = self.alg
+        if not self.reduced:
+            slots = itertools.repeat(range(alg.dim))
+        elif n == 0:
+            slots = [[w for w in range(alg.dim) if alg.source[w] == alg.target[w]]]
+        else:
+            values, target, source = self._values, alg.target, alg.source
+            slots = [values.get((target[t[0]], source[t[-1]]), ()) for t in self.tuples(n)]
         out = [(t, w) for t, ws in zip(self.tuples(n), slots) for w in ws]
         self._basis[n] = out
         self._basis_index[n] = {bw: r for r, bw in enumerate(out)}

@@ -6,10 +6,16 @@ each Chevalley generator e_{i,i+1}, e_{i+1,i}, h_i acts by one fiber
 matrix per point, shifting the point by eps_i - eps_j.  build_n is the
 rank-one realization where e_{i,j} scales by a_j + b_j; build_f replaces
 the scalars by X_j + (a_j + b_j) for a tuple of commuting nilpotent
-matrices.  verify_relations checks the defining relations (commutators,
-Cartan actions, Serre relations) at every point where all intermediate
-points exist, counting the instances skipped at the boundary.  It works
-in Python integers: every block is scaled by the lcm D of all block
+matrices.  A build_f module is that formula: block(key, b) evaluates it
+where b and the block's end point lie in the support, tested by
+arithmetic, and the per-point dict `blocks` is listed on first access
+only, for the callers that visit every point.  A LatticeModule of stored
+blocks, such as reconstruct_extension's, holds that dict itself.
+
+verify_relations checks the defining relations (commutators, Cartan
+actions, Serre relations) at every point where all intermediate points
+exist, counting the instances skipped at the boundary.  It works in
+Python integers: every block is scaled by the lcm D of all block
 denominators, and the terms of a relation are brought to a common power
 of D before they are summed, so the test for zero is exact.  A relation
 reads its blocks at fixed offsets from its start point, so its instance
@@ -19,17 +25,17 @@ with their multiplicity and composes and zero-tests only the distinct
 ones, through a product table keyed by class pairs; each distinct block,
 product and instance is computed once per check.
 
-certify_relations checks a module that claims the build_f blocks of
-given X at a cost that does not depend on the radius: every stored block
-equals the formula, and every relation vanishes on the formula blocks at
+certify_relations checks a module's formula at a cost that does not
+depend on the radius: every relation vanishes on the formula blocks at
 the points of the simplex {b_J >= 0, sum of b_J <= d}, where J is the
 coordinates the relation reads and d its degree.  A relation instance is
 a matrix polynomial of degree <= d in b_J, and that set is unisolvent for
 such polynomials, so the formula satisfies every relation at every point
 of every radius.  It feeds the same kernel, reading each formula block
-through its one coordinate.  The CLI battery uses the certificate;
-verify_relations stays for modules of any other shape, such as
-reconstruct_extension's, and as the certificate's oracle in the tests.
+through its one coordinate.  The CLI battery uses the certificate and
+never lists a support; verify_relations stays for modules of stored
+blocks and as the certificate's oracle in the tests, and compare_modules
+tells whether stored blocks equal a formula's.
 
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
@@ -44,6 +50,7 @@ its horizontal neighbour) are recorded so they can be asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -88,38 +95,51 @@ def _add(p, s):
 
 
 class LatticeSupport:
+    """The points b with sum zero and max |b_i| <= radius.
+
+    len() counts them and covers() tests one by arithmetic.  points, and
+    the index behind `in` that the per-point loops use, are built on first use.
+    """
+
     def __init__(self, n: int, radius: int):
         self.n = n
         self.radius = radius
-        pts = []
-        rng = range(-radius, radius + 1)
-        for rest in itertools.product(rng, repeat=n - 1):
-            last = -sum(rest)
-            if abs(last) <= radius:
-                pts.append(tuple(rest) + (last,))
-        self.points = sorted(pts)
-        self.index = {p: i for i, p in enumerate(self.points)}
+
+    @functools.cached_property
+    def points(self):
+        r = self.radius
+        rests = itertools.product(range(-r, r + 1), repeat=self.n - 1)
+        return sorted(rest + (-sum(rest),) for rest in rests if abs(sum(rest)) <= r)
+
+    @functools.cached_property
+    def index(self):
+        return {p: i for i, p in enumerate(self.points)}
 
     def __contains__(self, p):
         return p in self.index
 
+    def __len__(self):
+        # c = b + radius runs over 0..2r with sum n r; inclusion-exclusion
+        # over the k coordinates that would exceed 2r
+        n, r = self.n, self.radius
+        return sum(
+            (-1) ** k * math.comb(n, k) * math.comb(n * r - k * (2 * r + 1) + n - 1, n - 1)
+            for k in range(n + 1)
+            if n * r >= k * (2 * r + 1)
+        )
+
+    def covers(self, p):
+        r = self.radius
+        return len(p) == self.n and sum(p) == 0 and all(-r <= x <= r for x in p)
+
 
 def generator_keys(n: int):
-    out = []
-    for i in range(1, n):
-        out.append(("e", i, i + 1))
-    for i in range(1, n):
-        out.append(("e", i + 1, i))
-    for i in range(1, n):
-        out.append(("h", i))
-    return out
+    up = [("e", i, i + 1) for i in range(1, n)]
+    return up + [("e", i + 1, i) for i in range(1, n)] + [("h", i) for i in range(1, n)]
 
 
 def gen_shift(n, key):
-    if key[0] == "h":
-        return (0,) * n
-    _, i, j = key
-    return _shift(n, i, j)
+    return (0,) * n if key[0] == "h" else _shift(n, key[1], key[2])
 
 
 class LatticeModule:
@@ -132,6 +152,11 @@ class LatticeModule:
 
     def block(self, key, point):
         return self.blocks.get(key, {}).get(point)
+
+    @functools.cached_property
+    def formula(self):
+        """The build_f formula of the fiber matrices that the blocks at the origin carry."""
+        return _BlockFormula(self.n, self.a, _extract_x(self))
 
 
 def check_parameters(a, n):
@@ -166,8 +191,7 @@ class _BlockFormula(dict):
 
     The block of e_(s,t) at b is X_t + (a_t + b_t) Id, a function of
     v = b_t alone; the block of h_i is X_i - X_(i+1) + (a_i - a_(i+1) + v) Id
-    with v = b_i - b_(i+1).  Each block is made on first lookup, at any v;
-    build_f stores copies of it.
+    with v = b_i - b_(i+1).  Each block is made on first lookup, at any v.
     """
 
     def __init__(self, n, a, matrices):
@@ -206,7 +230,6 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
     a = check_parameters(a, n)
     if len(matrices) != n:
         raise ValueError("expected %d fiber matrices" % n)
-    dim = len(matrices[0])
     if check:
         for idx, x in enumerate(matrices):
             if not mat_is_nilpotent(x):
@@ -215,17 +238,44 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
             for j in range(i + 1, n):
                 if not mat_commute(matrices[i], matrices[j]):
                     raise ValueError("fiber matrices %d and %d do not commute" % (i + 1, j + 1))
-    support = LatticeSupport(n, radius)
     formula = _BlockFormula(n, a, matrices)
-    blocks = {}
-    for key in generator_keys(n):
-        shift = gen_shift(n, key)
-        blocks[key] = {
-            p: [list(row) for row in formula[key, _coordinate(key, p)]]
-            for p in support.points
-            if key[0] == "h" or _add(p, shift) in support
-        }
-    return LatticeModule(n, a, support, dim, blocks)
+    return FormulaModule(n, a, LatticeSupport(n, radius), len(matrices[0]), formula)
+
+
+class FormulaModule(LatticeModule):
+    """A build_f module: its formula, with no stored block.
+
+    block() evaluates the formula where build_f has a block, where p and
+    its end point lie in the support.  blocks lists those on first access:
+    a fresh list per block and row, the entries of one (key, coordinate)
+    shared, as verify_relations expects of equal blocks.
+    """
+
+    def __init__(self, n, a, support: LatticeSupport, fiber_dim: int, formula: _BlockFormula):
+        self.n = n
+        self.a = a
+        self.support = support
+        self.fiber_dim = fiber_dim
+        self.formula = formula
+
+    def block(self, key, point):
+        covers = self.support.covers
+        if covers(point) and covers(_add(point, gen_shift(self.n, key))):
+            return self.formula[key, _coordinate(key, point)]
+        return None
+
+    @functools.cached_property
+    def blocks(self):
+        support, formula = self.support, self.formula
+        blocks = {}
+        for key in generator_keys(self.n):
+            shift = gen_shift(self.n, key)
+            blocks[key] = {
+                p: [list(row) for row in formula[key, _coordinate(key, p)]]
+                for p in support.points
+                if key[0] == "h" or _add(p, shift) in support
+            }
+        return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +317,13 @@ def _relations(n: int):
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                rels.append(
-                    (
-                        "serre(e%d,e%d)" % (i, j),
-                        [
-                            (ONE, (e(j), e(i), e(i))),
-                            (fr(-2), (e(i), e(j), e(i))),
-                            (ONE, (e(i), e(i), e(j))),
-                        ],
-                    )
-                )
-                rels.append(
-                    (
-                        "serre(f%d,f%d)" % (i, j),
-                        [
-                            (ONE, (f(j), f(i), f(i))),
-                            (fr(-2), (f(i), f(j), f(i))),
-                            (ONE, (f(i), f(i), f(j))),
-                        ],
-                    )
-                )
+                for name, x in (("e", e), ("f", f)):
+                    terms = [
+                        (ONE, (x(j), x(i), x(i))),
+                        (fr(-2), (x(i), x(j), x(i))),
+                        (ONE, (x(i), x(i), x(j))),
+                    ]
+                    rels.append(("serre(%s%d,%s%d)" % (name, i, name, j), terms))
             elif abs(i - j) >= 2 and j > i:
                 rels.append(("[e%d,e%d]" % (i, j), comm(e(i), e(j))))
                 rels.append(("[f%d,f%d]" % (i, j), comm(f(i), f(j))))
@@ -454,12 +491,6 @@ def verify_relations(module: LatticeModule):
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
 
 
-def _block_label(key):
-    if key[0] == "h":
-        return "block h%d" % key[1]
-    return "block %s%d" % ("e" if key[1] < key[2] else "f", min(key[1:]))
-
-
 def _relation_simplex(n: int, terms):
     """The points where certify_relations evaluates a relation: b_J >= 0, sum <= degree.
 
@@ -481,20 +512,17 @@ def _relation_simplex(n: int, terms):
     return points
 
 
-def certify_relations(module: LatticeModule, xs):
-    """Certify every defining relation of a module with the build_f blocks of xs.
+def certify_relations(module: LatticeModule):
+    """Certify every defining relation of the module's build_f formula, at every radius.
 
-    Two passes, whose cost does not depend on the radius:
-
-    1. Every stored block equals the build_f formula X_t + (a_t + b_t) Id
-       (h_i: X_i - X_(i+1) + (a_i + b_i - a_(i+1) - b_(i+1)) Id), with a the
-       module's parameters and X = xs.  The formula block depends on one
-       coordinate of b, so this compares each block with one of a few
-       shared matrices; no products are formed.
-    2. Every relation vanishes on the formula blocks at the simplex set
-       {b_J >= 0, sum of b_J <= d} of _relation_simplex, with J the
-       coordinates the relation reads and d its degree, off the support
-       too, through the kernel of verify_relations.
+    The formula is X_t + (a_t + b_t) Id (h_i: X_i - X_(i+1) + (a_i + b_i -
+    a_(i+1) - b_(i+1)) Id), with a the module's parameters and X its fiber
+    matrices: those of build_f, or for a module of stored blocks those its
+    blocks at the origin carry (LatticeModule.formula).  Every relation
+    is evaluated on the formula blocks at the simplex set {b_J >= 0, sum
+    of b_J <= d} of _relation_simplex, with J the coordinates the relation
+    reads and d its degree, off the support too, through the kernel of
+    verify_relations; the cost does not depend on the radius.
 
     A relation reads only the coordinates in J, and its formula blocks are
     affine in them, so an instance is a matrix polynomial of total degree
@@ -504,30 +532,14 @@ def certify_relations(module: LatticeModule, xs):
     the simplex set, C(min(|J|, n - 1) + d, d) points, vanishes
     everywhere: that set is unisolvent for polynomials of degree <= d
     (Chung and Yao, SIAM J. Numer. Anal. 14 (1977)).  So the formula
-    satisfies every relation at every point of every radius, and stored
-    blocks equal to it make every instance that verify_relations checks
-    pass.  The converse does not hold: a block off the formula fails here
-    even where no checked instance reaches it.
+    satisfies every relation at every point of every radius, and so does
+    a module of stored blocks that compare_modules finds equal to it.
 
-    Returns the number of blocks compared, of relation instances checked
-    on the simplex sets, and the witness: (("block e1"|"block f1"|"block
-    h1"...), point) for a block off the formula, found in generator
-    order, else the first failing (relation, simplex point), else None.
+    Returns the number of relation instances checked on the simplex sets
+    and the witness: the first failing (relation, simplex point), or None.
     """
     n = module.n
-    if len(xs) != n:
-        raise ValueError("expected %d fiber matrices" % n)
-    formula = _BlockFormula(n, module.a, xs)
-    blocks = 0
-    for key in generator_keys(n):
-        for p, m in module.blocks.get(key, {}).items():
-            blocks += 1
-            key_value = (key, _coordinate(key, p))
-            if m != formula[key_value]:
-                return {"blocks": blocks, "checked": 0, "witness": (_block_label(key), p)}
-            # m has the formula's values; build_f's blocks of one key_value
-            # share their entries, so the next ones compare by identity
-            formula[key_value] = m
+    formula = module.formula
     scale = math.lcm(1, *formula.denominators)
     classes = _Classes()
     class_of = {}  # (key, coordinate value) -> class of scale * its formula block
@@ -552,8 +564,8 @@ def certify_relations(module: LatticeModule, xs):
 
         return points, read
 
-    checked, _skipped, witness = _check_instances(n, columns, classes, len(xs[0]), scale)
-    return {"blocks": blocks, "checked": checked, "witness": witness}
+    checked, _skipped, witness = _check_instances(n, columns, classes, module.fiber_dim, scale)
+    return {"checked": checked, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +666,16 @@ def recover_x(module: LatticeModule, a):
 
 
 def is_weight_module(module: LatticeModule) -> bool:
-    """True iff every Cartan block is scalar."""
+    """True iff every Cartan block of a build_f module is scalar, read at the origin.
+
+    A build_f h_i block is X_i - X_(i+1) plus a scalar at every point, and
+    X_i - X_(i+1) is nilpotent, since the X commute and are nilpotent.  It
+    is scalar only when it is zero, so the h_i blocks are scalar at one
+    point exactly when they are scalar at all of them.
+    """
     eye = mat_eye(module.fiber_dim)
-    for i in range(1, module.n):
-        for p, m in module.blocks[("h", i)].items():
-            if not mat_eq(m, mat_scale(m[0][0], eye)):
-                return False
-    return True
+    cartan = [module.block(("h", i), (0,) * module.n) for i in range(1, module.n)]
+    return all(mat_eq(m, mat_scale(m[0][0], eye)) for m in cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -670,19 +685,12 @@ def is_weight_module(module: LatticeModule) -> bool:
 def _extract_x(nprime: LatticeModule):
     """Read the fiber matrices of a build_f-style module at the origin."""
     n = nprime.n
-    origin = (0,) * n
-    eye = mat_eye(nprime.fiber_dim)
-    xs = []
-    blk = nprime.block(("e", 2, 1), origin)
-    if blk is None:
+    keys = [("e", 2, 1)] + [("e", j - 1, j) for j in range(2, n + 1)]
+    blks = [nprime.block(key, (0,) * n) for key in keys]
+    if any(blk is None for blk in blks):
         raise ValueError("radius too small to read the fiber matrices")
-    xs.append(mat_sub(blk, mat_scale(nprime.a[0], eye)))
-    for j in range(2, n + 1):
-        blk = nprime.block(("e", j - 1, j), origin)
-        if blk is None:
-            raise ValueError("radius too small to read the fiber matrices")
-        xs.append(mat_sub(blk, mat_scale(nprime.a[j - 1], eye)))
-    return xs
+    eye = mat_eye(nprime.fiber_dim)
+    return [mat_sub(blk, mat_scale(c, eye)) for blk, c in zip(blks, nprime.a)]
 
 
 def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
@@ -717,6 +725,8 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             raise ValueError("new fiber matrix does not commute with X_%d" % (i + 1))
 
     support = LatticeSupport(n, radius)
+    # a block is stored only where it starts and ends in the support, so
+    # finding one tests both points
     blocks = {key: {} for key in generator_keys(n)}
     log = {"y_equals_b": 0, "x_equals_b_minus_1": 0, "last_x_equals_b": 0, "last_solved": 0}
 
@@ -730,7 +740,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             vertical[v] = (c, mat_inv(c))
         return vertical[v]
 
-    sigma_u = _shift(n, n - 1, n)
+    sigma_u, sigma_d = _shift(n, n - 1, n), _shift(n, n, n - 1)
 
     # e_{n-1,n} comes with the chosen bases
     key_u = ("e", n - 1, n)
@@ -757,9 +767,9 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             for p in support.points:
                 if p[n - 1] != -level or _add(p, sg) not in support:
                     continue
-                q = tuple(x - y for x, y in zip(p, sigma_u))
+                q = _add(p, sigma_d)
                 gq = blocks[key].get(q)
-                if q not in support or gq is None:
+                if gq is None:
                     continue
                 u_at = cblock(_add(q, sg))[0]
                 inv = cblock(q)[1]
@@ -768,9 +778,8 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             for p in support.points:
                 if p[n - 1] != level or _add(p, sg) not in support:
                     continue
-                q = _add(p, sigma_u)
-                gq = blocks[key].get(q)
-                if q not in support or gq is None:
+                gq = blocks[key].get(_add(p, sigma_u))
+                if gq is None:
                     continue
                 inv = cblock(_add(p, sg))[1]
                 blocks[key][p] = mat_mul(inv, mat_mul(gq, cblock(p)[0]))
@@ -783,16 +792,13 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     # e_{n-2,n-1}: upward via the factored quadratic, downward via Serre
     key_g = ("e", n - 2, n - 1)
     key_back = ("e", n - 1, n - 2)
-    sg = gen_shift(n, key_g)
+    sg, sb = gen_shift(n, key_g), gen_shift(n, key_back)
     for level in range(1, radius + 1):
         for p in support.points:
             if p[n - 1] != -level or _add(p, sg) not in support:
                 continue
-            bm_pt = tuple(x - y for x, y in zip(p, sigma_u))
-            bl_pt = tuple(x - y for x, y in zip(bm_pt, sg))
-            if bm_pt not in support or bl_pt not in support:
-                continue
-            b = blocks[key_g].get(bl_pt)
+            bm_pt = _add(p, sigma_d)
+            b = blocks[key_g].get(_add(bm_pt, sb))
             bm = blocks[key_g].get(bm_pt)
             a1b = blocks[key_back].get(p)
             a2b = blocks[key_back].get(_add(p, sg))
@@ -824,10 +830,9 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             if p[n - 1] != level or _add(p, sg) not in support:
                 continue
             q1 = _add(p, sigma_u)
-            q2 = _add(q1, sigma_u)
             b = blocks[key_g].get(q1)
-            b1 = blocks[key_g].get(q2) if q2 in support else None
-            if q1 not in support or b is None or b1 is None:
+            b1 = blocks[key_g].get(_add(q1, sigma_u))
+            if b is None or b1 is None:
                 continue
             if not mat_eq(b1, mat_add(b, eye)):
                 raise AssertionError("upper row is not an arithmetic progression")
@@ -838,16 +843,9 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     key_d = ("e", n, n - 1)
     sd = gen_shift(n, key_d)
     for p in support.points:
-        if _add(p, sd) not in support:
-            continue
-        tl = _add(p, sigma_u)
-        bl = _add(p, sd)
-        needed = [tl, bl, _add(p, sg), _add(tl, sg), _add(bl, sg)]
-        if any(q not in support for q in needed):
-            continue
         b = blocks[key_g].get(p)
-        bp1 = blocks[key_g].get(tl)
-        bm1 = blocks[key_g].get(bl)
+        bp1 = blocks[key_g].get(_add(p, sigma_u))
+        bm1 = blocks[key_g].get(_add(p, sd))
         if b is None or bp1 is None or bm1 is None:
             continue
         if not mat_eq(bp1, mat_add(b, eye)) or not mat_eq(bm1, mat_sub(b, eye)):
@@ -895,25 +893,20 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
 
 
 def compare_modules(m1: LatticeModule, m2: LatticeModule):
-    """Blockwise comparison on the common domain."""
+    """Blockwise comparison: the blocks that match, differ, or exist in one module only."""
     matched = 0
-    mismatched = []
-    only_first = only_second = 0
-    keys = set(m1.blocks) | set(m2.blocks)
-    for key in keys:
-        b1 = m1.blocks.get(key, {})
-        b2 = m2.blocks.get(key, {})
+    mismatched, only_first, only_second = [], [], []
+    for key in set(m1.blocks) | set(m2.blocks):
+        b1, b2 = m1.blocks.get(key, {}), m2.blocks.get(key, {})
         for p in set(b1) | set(b2):
-            in1, in2 = p in b1, p in b2
-            if in1 and in2:
-                if mat_eq(b1[p], b2[p]):
-                    matched += 1
-                else:
-                    mismatched.append((key, p))
-            elif in1:
-                only_first += 1
+            if p not in b2:
+                only_first.append((key, p))
+            elif p not in b1:
+                only_second.append((key, p))
+            elif mat_eq(b1[p], b2[p]):
+                matched += 1
             else:
-                only_second += 1
+                mismatched.append((key, p))
     return {
         "matched": matched,
         "mismatched": mismatched,
@@ -922,8 +915,26 @@ def compare_modules(m1: LatticeModule, m2: LatticeModule):
     }
 
 
+# the most values module_dump prints; at the limit its costliest shape, n = 2
+# and fiber 1, took 2.6 s and 116 MB (Python 3.11, 2 CPUs)
+DUMP_VALUES = 300000
+
+
 def module_dump(module: LatticeModule) -> dict:
-    """Per-generator block listings keyed by support point, serializable."""
+    """Per-generator block listings keyed by support point, serializable.
+
+    A block prints n coordinates and fiber_dim^2 entries, and a point
+    starts at most 3(n - 1) blocks.  A dump that may print more than
+    DUMP_VALUES values is refused before any block is listed.
+    """
+    points = len(module.support)
+    values = points * 3 * (module.n - 1) * (module.n + module.fiber_dim**2)
+    if values > DUMP_VALUES:
+        raise ValueError(
+            "the dump of %d points prints up to %d values, above its limit of %d"
+            % (points, values, DUMP_VALUES)
+        )
+
     def keyname(key):
         if key[0] == "h":
             return "h%d" % key[1]

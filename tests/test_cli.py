@@ -251,26 +251,36 @@ def test_deform_check_names_are_unique_for_one_parameter():
     assert len(names) == len(set(names)), names
 
 
-def test_slnlab_battery_builds_each_module_once(monkeypatch):
+def test_slnlab_battery_reports_the_build_error_in_each_check(monkeypatch):
     # fiber matrices that build_f rejects: the three checks on the module
-    # fail with one error, raised by a single build in the first of them
+    # each build it and fail with the same error
     report = Report("t", {})
     monkeypatch.setattr(slnlab, "random_commuting_nilpotents", lambda n, dim, rng: [[[ONE]]] * n)
-    real = slnlab.build_f
-    during = []
-
-    def build_f(*args, **kwargs):
-        during.append(len(report.checks))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(slnlab, "build_f", build_f)
     cli.checks_slnlab(report, [2], 1, 1, [5])
     names = [c.name for c in report.checks[:4]]
     assert names == ["relations_N_n2_s5", "relations_F_n2_s5", "roundtrip_n2_s5", "weight_criterion_n2_s5"]
     assert report.checks[0].status == "pass"
     assert {c.actual for c in report.checks[1:4]} == {"error: ValueError: fiber matrix 1 is not nilpotent"}
-    # build_n's own build during check 0, then one build during check 1
-    assert [i for i in during if i < 4] == [0, 1]
+
+
+def test_slnlab_n7_radius6_passes_without_listing_its_points():
+    # 2473325 support points; the certificate reads the formula only
+    proc = run_cli(["slnlab", "--n", "7", "--radius", "6"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks and all(c["status"] == "pass" for c in checks)
+
+
+def test_slnlab_dump_above_its_limit_fails_one_check():
+    proc = run_cli(["slnlab", "--n", "7", "--radius", "6", "--dump"], timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "dump" and check["status"] == "fail"
+    assert check["actual"] == (
+        "error: ValueError: the dump of 2473325 points prints up to %d values, above its limit of %d"
+        % (2473325 * 18 * 16, slnlab.DUMP_VALUES)
+    )
 
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])

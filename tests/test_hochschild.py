@@ -195,6 +195,25 @@ def test_resource_bound_is_checked_before_building():
         HochschildComplex(make_a(4), max_coords=size - 1).basis(4)
 
 
+def test_reduced_bound_is_checked_before_any_tuple_is_built():
+    from quivdef.hochschild import ResourceBoundExceeded
+
+    # 166198 coordinates on 255044 tuples of degree 9, counted by their end vertices
+    cx = HochschildComplex(make_a(16), max_coords=1000)
+    with pytest.raises(ResourceBoundExceeded, match="166198"):
+        cx.basis(9)
+    assert not cx._tuples and not cx._basis
+
+
+@pytest.mark.parametrize(
+    "alg", [make_a(1), make_a(2), make_a(5), make_atilde(3)], ids=["A1", "A2", "A5", "Atilde3"]
+)
+def test_coordinate_counts_match_the_built_bases(alg):
+    for reduced, degrees in ((True, 6), (False, 3)):
+        cx = HochschildComplex(alg, reduced=reduced)
+        assert [cx._count(n) for n in range(degrees)] == [len(cx.basis(n)) for n in range(degrees)]
+
+
 def test_inhomogeneous_cochain_reported():
     alg = make_a(2)
     a1, b1 = a_index(alg, 1), b_index(alg, 1)

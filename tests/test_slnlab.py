@@ -161,8 +161,8 @@ def test_non_commuting_matrices_rejected_and_witnessed():
     rep = verify_relations(m)
     assert rep == _fraction_verify_relations(m)
     assert rep["witness"] == ("[e1,f1]", (0, 0, 0))
-    # the blocks are those of the formula; the relations fail on the simplex set
-    assert certify_relations(m, [x1, x2, x3])["witness"] == ("[e1,f1]", (0, 0, 0))
+    # the relations fail on the simplex set of the formula
+    assert certify_relations(m)["witness"] == ("[e1,f1]", (0, 0, 0))
 
 
 def test_recover_x_on_rank_one():
@@ -218,6 +218,15 @@ def test_module_dump_is_serializable():
     assert doc["blocks"]["e12"]["0,0"] == [["1/3"]]
 
 
+def test_module_dump_refuses_above_its_limit(monkeypatch):
+    # sl_2, fiber 1: 3 blocks of 2 coordinates and 1 entry per point
+    a = (F(1, 2), F(1, 3))
+    monkeypatch.setattr(slnlab, "DUMP_VALUES", 9 * 7)
+    assert len(slnlab.module_dump(build_n(2, a, 3))["blocks"]["h1"]) == 7
+    with pytest.raises(ValueError, match="the dump of 9 points prints up to 81 values, above its limit of 63"):
+        slnlab.module_dump(build_n(2, a, 4))
+
+
 def test_weight_criterion_matches_equality():
     rng = random.Random(4)
     a = random_parameters(3, rng)
@@ -225,6 +234,7 @@ def test_weight_criterion_matches_equality():
     z = [[ZERO, ZERO], [ZERO, ZERO]]
     assert is_weight_module(build_f(3, a, [j, j, j], 1))
     assert not is_weight_module(build_f(3, a, [j, z, j], 1))
+    assert not is_weight_module(build_f(3, a, [j, j, z], 1))  # h1 scalar, h2 not
     assert is_weight_module(build_n(3, a, 1))
 
 
@@ -326,9 +336,14 @@ def test_integer_kernel_matches_fraction_oracle(module):
     assert verify_relations(module) == _fraction_verify_relations(module)
 
 
+def stored_copy(module):
+    """The module with its blocks stored: editing them changes this copy's block() too."""
+    return LatticeModule(module.n, module.a, module.support, module.fiber_dim, module.blocks)
+
+
 @st.composite
 def build_f_modules(draw, max_radius=3, changed=st.booleans()):
-    """(module, xs): build_f modules with commuting or unchecked fractional X, maybe one block off."""
+    """(module, xs): build_f modules with commuting or unchecked fractional X, or a stored copy with one block off."""
     n = draw(st.integers(min_value=2, max_value=4))
     dim = draw(st.integers(min_value=1, max_value=3))
     radius = draw(st.integers(min_value=1, max_value=2 if (n, dim) == (4, 3) else max_radius))
@@ -341,6 +356,7 @@ def build_f_modules(draw, max_radius=3, changed=st.booleans()):
         xs = draw(st.lists(square, min_size=n, max_size=n))
         module = build_f(n, a, xs, radius, check=False)
     if draw(changed):
+        module = stored_copy(module)
         key = draw(st.sampled_from(generator_keys(n)))
         p = draw(st.sampled_from(sorted(module.blocks[key])))
         r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
@@ -360,7 +376,7 @@ def test_changed_interior_block_is_not_merged_with_its_equals():
     rng = random.Random(9)
     a = random_parameters(3, rng)
     xs = random_commuting_nilpotents(3, 3, rng)
-    module = build_f(3, a, xs, 2)
+    module = stored_copy(build_f(3, a, xs, 2))
     origin = (0, 0, 0)
     # every e2 block with b_3 = 0 equals this one before the change
     assert module.blocks[("e", 2, 3)][(1, -1, 0)] == module.blocks[("e", 2, 3)][origin]
@@ -395,7 +411,7 @@ def test_walks_follow_blocks_stored_off_the_support(value):
     # walks through it.  The formula value a_1 + 2 there keeps the relation;
     # 7 does not
     a = (F(1, 2), F(1, 3))
-    module = build_n(2, a, 1)
+    module = stored_copy(build_n(2, a, 1))
     module.blocks[("e", 1, 2)][(1, -1)] = [[a[1] - 1]]
     module.blocks[("e", 2, 1)][(2, -2)] = [[value]]
     rep = verify_relations(module)
@@ -434,21 +450,33 @@ def test_products_are_composed_once_per_call(monkeypatch):
 @given(build_f_modules())
 @settings(max_examples=40, deadline=None)
 def test_certificate_fails_whenever_pointwise_fails(case):
+    # a module that equals its formula block for block, on a formula that
+    # passes the certificate, passes every checked instance
     module, xs = case
+    formula = build_f(module.n, module.a, xs, module.support.radius, check=False)
     if verify_relations(module)["witness"] is not None:
-        assert certify_relations(module, xs)["witness"] is not None
+        cmp = compare_modules(module, formula)
+        assert certify_relations(formula)["witness"] is not None or cmp["mismatched"] or cmp["only_first"]
 
 
-def test_certificate_alone_sees_an_unreached_boundary_block():
-    # radius 2: build_f stores no e1 block at (2, -2), whose target (3, -3)
-    # is off the support; a wrong one stored there is on no checked walk
+def test_comparison_sees_an_unreached_boundary_block():
+    # radius 2: build_f has no e1 block at (2, -2), whose target (3, -3)
+    # is off the support; a wrong one stored there is on no checked walk,
+    # and the certificate reads the formula, so the comparison alone sees it
     a = (F(1, 2), F(1, 3))
     xs = [[[ZERO, ONE], [ZERO, ZERO]], [[ZERO, F(2, 3)], [ZERO, ZERO]]]
     module = build_f(2, a, xs, 2)
-    assert certify_relations(module, xs)["witness"] is None
-    module.blocks[("e", 1, 2)][(2, -2)] = [[F(7), ZERO], [ZERO, F(7)]]
-    assert verify_relations(module)["witness"] is None
-    assert certify_relations(module, xs)["witness"] == ("block e1", (2, -2))
+    assert module.block(("e", 1, 2), (2, -2)) is None
+    stored = stored_copy(module)
+    stored.blocks[("e", 1, 2)][(2, -2)] = [[F(7), ZERO], [ZERO, F(7)]]
+    assert verify_relations(stored)["witness"] is None
+    assert certify_relations(stored)["witness"] is None
+    cmp = compare_modules(stored, build_f(2, a, xs, 2))
+    assert (cmp["mismatched"], cmp["only_first"], cmp["only_second"]) == ([], [(("e", 1, 2), (2, -2))], [])
+    # a changed block where build_f has one is a mismatch
+    stored.blocks[("e", 2, 1)][(2, -2)][0][1] += 1
+    cmp = compare_modules(stored, build_f(2, a, xs, 2))
+    assert cmp["mismatched"] == [(("e", 2, 1), (2, -2))]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -457,10 +485,8 @@ def test_certificate_passes_up_to_sl8(n):
     dim = 1 + n % 2
     a = random_parameters(n, rng, extension_safe=True)
     xs = random_commuting_nilpotents(n, dim, rng)
-    module = build_f(n, a, xs, 1)
-    rep = certify_relations(module, xs)
+    rep = certify_relations(build_f(n, a, xs, 1))
     assert rep["witness"] is None
-    assert rep["blocks"] == sum(len(per_point) for per_point in module.blocks.values())
     # each relation on the simplex in the coordinates it reads, to its degree:
     # the block of e_(s,t) reads b_t and that of h_i reads b_i and b_(i+1)
     want = 0
@@ -487,3 +513,51 @@ def test_build_f_matches_reference_construction(case):
     mats = [m for per_point in got.blocks.values() for m in per_point.values()]
     assert len({id(m) for m in mats}) == len(mats)
     assert len({id(row) for m in mats for row in m}) == len(mats) * got.fiber_dim
+
+
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda dim: st.lists(nilpotent_polynomials(dim), min_size=5, max_size=5)
+    ),
+    st.lists(parameters, min_size=5, max_size=5),
+)
+@settings(max_examples=30, deadline=None)
+def test_block_tests_the_support_as_blocks_lists_it(n, radius, xs, a):
+    # block() tests p and its end point by arithmetic; blocks enumerates
+    # the support; they agree at every point and every end point off it
+    module = build_f(n, a[:n], xs[:n], radius)
+    support = module.support
+    assert len(support) == len(support.points)
+    ends = {_add(p, gen_shift(n, key)) for key in generator_keys(n) for p in support.points}
+    for key, per_point in module.blocks.items():
+        for p in support.points + sorted(ends.difference(support.points)):
+            assert module.block(key, p) == per_point.get(p)
+
+
+@given(build_f_modules(changed=st.just(False)))
+@settings(max_examples=30, deadline=None)
+def test_stored_copy_has_the_formula_modules_witnesses(case):
+    # the copy reads its blocks from the dict and its formula from the origin
+    module, _xs = case
+    stored = stored_copy(module)
+    assert verify_relations(stored) == verify_relations(module) == _fraction_verify_relations(module)
+    assert certify_relations(stored) == certify_relations(module)
+
+
+def test_checks_at_n7_radius6_never_enumerate_the_support():
+    rng = random.Random(7)
+    a = random_parameters(7, rng, extension_safe=True)
+    xs = random_commuting_nilpotents(7, 3, rng)
+    module = build_f(7, a, xs, 6)
+    assert certify_relations(module)["witness"] is None
+    assert all(map(mat_eq, xs, recover_x(module, a)))
+    assert is_weight_module(module) == all(mat_eq(xs[0], x) for x in xs[1:])
+    # the point list, its index and the listed blocks are cached on first use
+    assert not {"points", "index"}.intersection(vars(module.support))
+    assert "blocks" not in vars(module)
+    assert len(module.support) == 2473325
+    with pytest.raises(ValueError, match="2473325 points .* limit of %d" % slnlab.DUMP_VALUES):
+        slnlab.module_dump(module)
+    assert "points" not in vars(module.support)
