@@ -438,15 +438,18 @@ COMMANDS = {
     ),
     "slnlab": Command(
         ("n", "radius", "fiber", "seed"),
-        lambda args: [("n", 2), ("radius", 0), ("fiber", 1)],
+        # radius 0 has no block to read the Casimir or the fiber matrices
+        # from, and at radius 1 the extension solver solves no block
+        lambda args: [("n", 2), ("radius", 2), ("fiber", 1)],
         lambda report, args: checks_slnlab(report, [args.n], args.radius, args.fiber, [args.seed]),
         "dump",
         _dump_module,
     ),
     "verify-all": Command(
         ("seed", "radius", "slnlab_seeds"),
-        # the lattice battery fixes n = 2..4 and fiber 3; no seed would run none of it
-        lambda args: [("radius", 0), ("slnlab_seeds", 1)],
+        # the lattice battery fixes n = 2..4 and fiber 3; no seed would run
+        # none of it, and it needs radius 2 as slnlab does
+        lambda args: [("radius", 2), ("slnlab_seeds", 1)],
         _verify_all,
     ),
 }

@@ -2,14 +2,19 @@
 
 A number is a Python int when it is integral and a Fraction otherwise
 (`rat` puts a value in that form where it enters the program); no float
-ever appears.  Everything reduces to ranks, solves and nullspaces.  Two
-representations are used: plain dense lists-of-lists for small matrices
-(and for the fiber matrices of lattice modules), and sparse rows (dict
-column -> nonzero number) for the cochain complexes, which are large but
-very thin.  There is one elimination path, RowReducer: an incremental
-sparse row echelon form that reduces vectors on demand.  `rank_matrix`
-reads its rank, and `solve` and `nullspace` back-substitute that echelon
-form once into the reduced row echelon form.  Int entries stay ints while
+ever appears.  Everything reduces to ranks, solves and nullspaces.  Three
+representations are used.  Small dense matrices, the fiber matrices of
+lattice modules among them, are lists of rows of numbers.  An exact
+kernel holds such a matrix as a pair (row-major int tuple, positive
+denominator) with gcd 1, so equal matrices are equal pairs and can key a
+dict; it multiplies, combines with int coefficients, shifts by scalars,
+scales and inverts (by integer Gauss-Jordan) without making a Fraction,
+and mat_mul is its product.  The cochain complexes, large but very thin,
+use sparse rows (dict column -> nonzero number), with one elimination
+path, RowReducer: an incremental sparse row echelon form that reduces
+vectors on demand.  `rank_matrix` reads its rank, and `solve` and
+`nullspace` back-substitute that echelon form once into the reduced row
+echelon form.  Int entries stay ints while
 every pivot is 1 or -1, as nearly every pivot of the line algebras and
 their loop-quiver partners is.  Functions leave their inputs untouched.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 ZERO = Fraction(0)
@@ -253,20 +258,10 @@ def int_product(rows, cols) -> list:
     return [sum(map(mul, row, col)) for row in rows for col in cols]
 
 
-def _lcm_denominator(a) -> int:
-    return lcm(1, *{x.denominator for row in a for x in row})
-
-
 def mat_mul(a, b):
-    """The product a b, with Fraction entries.
-
-    It is one integer product: with da and db the lcms of the denominators
-    of a and of b, a b = (da a)(db b) / (da db).
-    """
-    da, db = _lcm_denominator(a), _lcm_denominator(b)
-    rows = [[x.numerator * (da // x.denominator) for x in row] for row in a]
-    cols = list(zip(*([x.numerator * (db // x.denominator) for x in row] for row in b)))
-    flat, m, den = int_product(rows, cols), len(cols), da * db
+    """The product a b, with Fraction entries: the product of their exact forms."""
+    m = len(b[0]) if b else 0
+    flat, den = qmat_mul(qmat(a), qmat(b), m)
     return [[Fraction(x, den) for x in flat[i * m : (i + 1) * m]] for i in range(len(a))]
 
 
@@ -290,22 +285,110 @@ def mat_pow(a, k: int):
 
 
 def mat_commute(a, b) -> bool:
-    return mat_eq(mat_mul(a, b), mat_mul(b, a))
+    qa, qb = qmat(a), qmat(b)
+    return qmat_mul(qa, qb, len(a)) == qmat_mul(qb, qa, len(a))
 
 
 def mat_is_nilpotent(a) -> bool:
-    return mat_is_zero(mat_pow(a, len(a)))
+    """a^n = 0, for a of dimension n."""
+    q = power = qmat(a)
+    for _ in range(len(a) - 1):
+        power = qmat_mul(power, q, len(a))
+    return not any(power[0])
 
 
-def mat_inv(a):
-    """Exact inverse, or None if singular.
+# ---------------------------------------------------------------------------
+# the exact kernel: a rational matrix as (row-major int tuple, denominator)
+# ---------------------------------------------------------------------------
 
-    One RowReducer pass over the rows [A | I]: A is invertible iff the
-    pivots are the columns of A, and then the reduced rows are [I | A^-1].
+def _normal(flat, den) -> tuple:
+    """The pair of flat / den with a positive denominator and gcd 1 of it and every entry."""
+    g = gcd(den, *flat)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(flat), den
+    return tuple(x // g for x in flat), den // g
+
+
+def qmat(rows) -> tuple:
+    """The exact form (flat, den) of a matrix of ints and Fractions.
+
+    den is the lcm of the entry denominators, so it is already normal: a
+    prime of den divides the denominator of some entry as often as it
+    divides den, and so not that entry's scaled numerator.
     """
-    n = len(a)
-    rows = [{**{j: x for j, x in enumerate(row) if x}, n + i: 1} for i, row in enumerate(a)]
-    pivots = _reducer(rows).rref()
-    if sorted(pivots) != list(range(n)):
-        return None
-    return [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]
+    entries = [x for row in rows for x in row]
+    den = lcm(1, *{x.denominator for x in entries})
+    return tuple(x.numerator * (den // x.denominator) for x in entries), den
+
+
+def qmat_rows(q, m: int):
+    """The matrix of the exact form q, m columns, as rows of Fractions."""
+    flat, den = q
+    return [[Fraction(x, den) for x in flat[i : i + m]] for i in range(0, len(flat), m)]
+
+
+def qmat_mul(a, b, m: int) -> tuple:
+    """The product a b of exact forms, where b has m columns: one integer product."""
+    (fa, da), (fb, db) = a, b
+    k = len(fb) // m if m else 1  # the inner dimension; without columns, any
+    rows = [fa[i : i + k] for i in range(0, len(fa), k)]
+    return _normal(int_product(rows, [fb[j::m] for j in range(m)]), da * db)
+
+
+def qmat_comb(terms) -> tuple:
+    """sum c q over the pairs (c, q) of terms: an integer combination of exact forms."""
+    den = lcm(*(q[1] for _c, q in terms))
+    scaled = ([c * (den // d) * x for x in flat] for c, (flat, d) in terms)
+    return _normal(list(map(sum, zip(*scaled))), den)
+
+
+def qmat_add_scalar(q, c) -> tuple:
+    """q + c Id for a square exact form q and a rational c."""
+    flat, den = q
+    dim = isqrt(len(flat))
+    c = fr(c)
+    out_den = lcm(den, c.denominator)
+    out = [x * (out_den // den) for x in flat]
+    shift = c.numerator * (out_den // c.denominator)
+    for i in range(0, len(out), dim + 1):
+        out[i] += shift
+    return _normal(out, out_den)
+
+
+def qmat_scale(c, q) -> tuple:
+    """c q for a rational c."""
+    c = fr(c)
+    flat, den = q
+    return _normal([c.numerator * x for x in flat], c.denominator * den)
+
+
+def qmat_inv(q):
+    """The inverse of a square exact form, or None if it is singular.
+
+    Integer Gauss-Jordan on [M | I] with M = den q: each step replaces
+    every other row r by p r - c s, with s the pivot row, p its pivot and c
+    the entry of r in the pivot column, then divides r by the gcd of its
+    entries.  These are invertible row operations, so M is invertible iff
+    every column finds a pivot.  Then the left half is diagonal, row i is
+    [p_i e_i | p_i (row i of M^-1)], and q^-1 = den M^-1.
+    """
+    flat, den = q
+    n = isqrt(len(flat))
+    rows = [list(flat[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        p = pivot_row[col]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != col:
+                row = [p * x - c * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+    common = lcm(*(rows[i][i] for i in range(n)))
+    return _normal([x * (den * common // row[i]) for i, row in enumerate(rows) for x in row[n:]], common)

@@ -151,8 +151,12 @@ def test_python_dash_m_runs_the_cli():
     [
         (["--n", "0"], "n = 0 is below 2"),
         (["--n", "1"], "n = 1 is below 2"),
-        (["--radius", "-1"], "radius = -1 is below 0"),
+        (["--radius", "-1"], "radius = -1 is below 2"),
         (["--fiber", "0"], "fiber = 0 is below 1"),
+        # radius 0 has no Casimir block, and at radius 1 the extension
+        # solver solves no block
+        (["--radius", "0"], "radius = 0 is below 2"),
+        (["--radius", "1"], "radius = 1 is below 2"),
     ],
 )
 def test_slnlab_arguments_out_of_range_fail_one_check(args, bound):
@@ -198,7 +202,9 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
         (["families", "--k", "0", "--emit-presentation"], ["k = 0 is below 1"]),
         (["families", "--k", "1", "--family", "bhat", "--emit-presentation"], ["k = 1 is below 2"]),
         (["slnlab", "--n", "1", "--dump"], ["n = 1 is below 2"]),
-        (["verify-all", "--radius", "-1"], ["radius = -1 is below 0"]),
+        (["verify-all", "--radius", "-1"], ["radius = -1 is below 2"]),
+        (["verify-all", "--radius", "0"], ["radius = 0 is below 2"]),
+        (["verify-all", "--radius", "1"], ["radius = 1 is below 2"]),
     ],
 )
 def test_size_arguments_out_of_range_fail_one_check(args, bounds):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,20 @@ from quivdef.linalg import (
     ONE,
     RowReducer,
     fmt_fraction,
-    mat_inv,
+    mat_add,
+    mat_eye,
     mat_is_nilpotent,
     mat_mul,
+    mat_scale,
     nullspace,
     parse_fraction,
+    qmat,
+    qmat_add_scalar,
+    qmat_comb,
+    qmat_inv,
+    qmat_mul,
+    qmat_rows,
+    qmat_scale,
     rat,
     rank_matrix,
     solve,
@@ -182,9 +192,9 @@ def test_small_matrix_helpers():
     a = [[F(0), F(1)], [F(0), F(0)]]
     assert mat_is_nilpotent(a)
     b = [[F(1), F(1)], [F(0), F(1)]]
-    binv = mat_inv(b)
+    binv = qmat_rows(qmat_inv(qmat(b)), 2)
     assert mat_mul(b, binv) == [[F(1), F(0)], [F(0), F(1)]]
-    assert mat_inv(a) is None
+    assert qmat_inv(qmat(a)) is None
 
 
 # Oracle for RowReducer: a Gauss-Jordan reducer that back-substitutes every
@@ -330,7 +340,7 @@ def test_solve_and_nullspace_brute_force(system, data):
 
 
 def gauss_jordan_inverse(a):
-    """Oracle for mat_inv: textbook Gauss-Jordan on [A | I] over Fractions."""
+    """Oracle for qmat_inv: textbook Gauss-Jordan on [A | I] over Fractions."""
     n = len(a)
     m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     row = 0
@@ -353,7 +363,7 @@ def gauss_jordan_inverse(a):
     return [r[n:] for r in m]
 
 
-def test_mat_inv_matches_gauss_jordan():
+def test_qmat_inv_matches_gauss_jordan():
     rng = random.Random(7)
     seen = {True: 0, False: 0}
     for _ in range(400):
@@ -365,7 +375,8 @@ def test_mat_inv_matches_gauss_jordan():
             c = [kind(rng.randint(-2, 2)) for _ in range(n)]
             a[0] = [sum((c[i] * a[i][j] for i in range(1, n)), 0) for j in range(n)]
         before = [list(row) for row in a]
-        got = mat_inv(a)
+        q = qmat_inv(qmat(a))
+        got = None if q is None else qmat_rows(q, n)
         assert a == before
         assert got == gauss_jordan_inverse(a)
         if got is not None:
@@ -416,3 +427,50 @@ def test_mat_mul_matches_triple_loop(case):
     assert (a, b) == before
     assert got == triple_loop_mat_mul(a, b)
     assert all(type(x) is F for row in got for x in row)
+
+
+@st.composite
+def square_pairs(draw):
+    """Two square matrices of dimension 1 to 4 with int, Fraction and zero entries.
+
+    The second is singular in about a third of the draws: one of its rows
+    is a combination of the others, or zero at dimension 1.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    a, b = ([[draw(mixed_entries) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        c = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)]
+        b[0] = [sum((c[i] * b[i][j] for i in range(1, n)), F(0)) for j in range(n)]
+    return a, b
+
+
+def _is_normal(q):
+    flat, den = q
+    return den > 0 and math.gcd(den, *flat) == 1 and all(type(x) is int for x in flat + (den,))
+
+
+@given(square_pairs(), st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3), mixed_entries)
+@settings(max_examples=150, deadline=None)
+def test_exact_kernel_matches_fraction_helpers(case, c, d, r):
+    a, b = case
+    n = len(a)
+    qa, qb = qmat(a), qmat(b)
+    # exact forms are normal, so equal matrices have equal forms
+    assert _is_normal(qa) and _is_normal(qb)
+    assert qmat_rows(qa, n) == a and qmat(qmat_rows(qa, n)) == qa
+    assert (qa == qb) == (a == b)
+    product = qmat_mul(qa, qb, n)
+    assert _is_normal(product) and qmat_rows(product, n) == triple_loop_mat_mul(a, b)
+    comb = qmat_comb([(c, qa), (d, qb)])
+    assert _is_normal(comb) and qmat_rows(comb, n) == mat_add(mat_scale(c, a), mat_scale(d, b))
+    shifted = qmat_add_scalar(qa, r)
+    assert _is_normal(shifted) and qmat_rows(shifted, n) == mat_add(a, mat_scale(r, mat_eye(n)))
+    scaled = qmat_scale(r, qb)
+    assert _is_normal(scaled) and qmat_rows(scaled, n) == mat_scale(r, b)
+    for m, q in ((a, qa), (b, qb)):
+        inv = qmat_inv(q)
+        want = gauss_jordan_inverse(m)
+        assert (inv is None) == (want is None)
+        if inv is not None:
+            assert _is_normal(inv) and qmat_rows(inv, n) == want
+            assert qmat_mul(q, inv, n) == qmat_add_scalar(qmat_scale(0, q), 1)

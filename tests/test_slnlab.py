@@ -1,12 +1,17 @@
+import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from quivdef import slnlab
+from quivdef import linalg, slnlab
 from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale, mat_sub
 from quivdef.slnlab import (
     LatticeModule,
@@ -31,6 +36,7 @@ from quivdef.slnlab import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _monomial_matrix(module, mono, point):
@@ -561,3 +567,82 @@ def test_checks_at_n7_radius6_never_enumerate_the_support():
     with pytest.raises(ValueError, match="2473325 points .* limit of %d" % slnlab.DUMP_VALUES):
         slnlab.module_dump(module)
     assert "points" not in vars(module.support)
+
+
+@pytest.mark.parametrize("radius, matched, only_second", [(1, 11, 19), (2, 42, 52), (3, 113, 81)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reconstruct_matches_build_f(radius, matched, only_second, dim):
+    # the solver reaches no boundary block that build_f lacks, and every
+    # block it solves equals build_f's; the counts are the Fraction solver's
+    rng = random.Random(10 * radius + dim)
+    a = random_parameters(3, rng, extension_safe=True)
+    xs = random_commuting_nilpotents(3, dim, rng)
+    recon, _log = reconstruct_extension(3, a, build_f(2, a[:2], xs[:2], radius), xs[2], radius)
+    cmp = compare_modules(recon, build_f(3, a, xs, radius))
+    assert (cmp["mismatched"], cmp["only_first"]) == ([], [])
+    assert (cmp["matched"], len(cmp["only_second"])) == (matched, only_second)
+    mats = [m for per_point in recon.blocks.values() for m in per_point.values()]
+    assert {type(x) for m in mats for row in m for x in row} == {F}
+    # every block and every row is its own list, so editing one edits no other
+    assert len({id(row) for m in mats for row in m}) == len(mats) * dim
+
+
+def test_reconstruct_log_on_the_benchmark_input(monkeypatch):
+    # the extension input of the lattice benchmark at seed 1: n = 3,
+    # radius 6, fiber 3; the solver works in the exact kernel alone
+    a = (F(1, 3), F(-3, 2), F(1, 4))
+    xs = [
+        [[0, 3, 2], [0, 0, 3], [0, 0, 0]],
+        [[0, 1, 2], [0, 0, 1], [0, 0, 0]],
+        [[0, -2, -3], [0, 0, -2], [0, 0, 0]],
+    ]
+    xs = [[[F(x) for x in row] for row in m] for m in xs]
+    nprime = build_f(2, a[:2], xs[:2], 6)
+    want = build_f(3, a, xs, 6)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction matrix product")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(slnlab, "mat_mul", refuse)
+    assert not hasattr(linalg, "mat_inv")
+    recon, log = reconstruct_extension(3, a, nprime, xs[2], 6)
+    monkeypatch.undo()
+    assert log == {"y_equals_b": 45, "x_equals_b_minus_1": 39, "last_x_equals_b": 74, "last_solved": 74}
+    cmp = compare_modules(recon, want)
+    assert (cmp["mismatched"], cmp["only_first"]) == ([], [])
+
+
+@given(build_f_modules(changed=st.just(False)))
+@settings(max_examples=20, deadline=None)
+def test_verify_relations_lists_no_block_of_a_formula_module(case):
+    # the formula module reads each class through (key, coordinate)
+    module, _xs = case
+    rep = verify_relations(module)
+    assert "blocks" not in vars(module)
+    assert rep == verify_relations(stored_copy(module))
+
+
+COMPARE_ORDER = """
+from fractions import Fraction as F
+from quivdef.slnlab import build_n, compare_modules
+cmp = compare_modules(build_n(3, (F(1, 2), F(1, 3), F(1, 5)), 1), build_n(3, (F(1, 2), F(1, 3), F(1, 7)), 1))
+print(cmp["mismatched"])
+"""
+
+
+def test_comparison_order_does_not_depend_on_the_hash_seed():
+    # a_3 moves the e23 and h2 blocks; sets of keys met h2 first under
+    # some hash seeds and e23 first under others
+    outputs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", COMPARE_ORDER], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    (text,) = outputs
+    e23 = [(-1, 0, 1), (0, -1, 1), (0, 0, 0), (1, -1, 0)]
+    h2 = [(-1, 0, 1), (-1, 1, 0), (0, -1, 1), (0, 0, 0), (0, 1, -1), (1, -1, 0), (1, 0, -1)]
+    assert ast.literal_eval(text) == [(("e", 2, 3), p) for p in e23] + [(("h", 2), p) for p in h2]
