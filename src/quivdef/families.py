@@ -605,17 +605,22 @@ def projective_profile(alg: FiniteDimAlgebra):
     out = {}
     for v in alg.quiver.vertices:
         pv = [i for i in range(alg.dim) if alg.source[i] == v]
-        layer = [{i: 1} for i in pv]
+        # the layer vectors by target w, each in e_w A e_v: r z = 0 unless the
+        # radical element r starts at w, so only those products are formed,
+        # and the nonzero ones reach the reducer in the order of the full loop
+        layer = {}
+        for i in pv:
+            layer.setdefault(alg.target[i], []).append({i: 1})
         loewy = 0
         while layer:
             loewy += 1
-            nxt = []
+            nxt = {}
             red = RowReducer()
             for r in radical:
-                for z in layer:
+                for z in layer.get(alg.source[r], ()):
                     w = alg.mul({r: 1}, z)
                     if w and red.add(w) is not None:
-                        nxt.append(w)
+                        nxt.setdefault(alg.target[r], []).append(w)
             layer = nxt
         by_vertex = {w: len(socle[w, v]) for w in alg.quiver.vertices if (w, v) in socle}
         out[v] = {

@@ -2,21 +2,23 @@
 
 A number is a Python int when it is integral and a Fraction otherwise
 (`rat` puts a value in that form where it enters the program); no float
-ever appears.  Everything reduces to ranks, solves and nullspaces.  Three
-representations are used.  Small dense matrices, the fiber matrices of
-lattice modules among them, are lists of rows of numbers.  An exact
-kernel holds such a matrix as a pair (row-major int tuple, positive
-denominator) with gcd 1, so equal matrices are equal pairs and can key a
-dict; it multiplies, combines with int coefficients, shifts by scalars,
-scales and inverts (by integer Gauss-Jordan) without making a Fraction,
-and mat_mul is its product.  The cochain complexes, large but very thin,
-use sparse rows (dict column -> nonzero number), with one elimination
-path, RowReducer: an incremental sparse row echelon form that reduces
-vectors on demand.  `rank_matrix` reads its rank, and `solve` and
-`nullspace` back-substitute that echelon form once into the reduced row
-echelon form.  Int entries stay ints while
-every pivot is 1 or -1, as nearly every pivot of the line algebras and
-their loop-quiver partners is.  Functions leave their inputs untouched.
+ever appears.  Everything reduces to ranks, solves and nullspaces.  Two
+representations are used inside the program.  A small dense matrix, such
+as a block of a lattice module, is an exact form: a pair (row-major int
+tuple, positive denominator) with gcd 1, so equal matrices are equal
+pairs and can key a dict.  The kernel multiplies, combines with int
+coefficients, shifts by scalars, scales, inverts (by integer
+Gauss-Jordan) and tests commutation and nilpotency without making a
+Fraction.  Lists of rows of numbers appear only where matrices enter or
+leave the program; qmat and qmat_rows convert, and mat_mul is the
+kernel's product.  The cochain complexes, large but very thin, use
+sparse rows (dict column -> nonzero number), with one elimination path,
+RowReducer: an incremental sparse row echelon form that reduces vectors
+on demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
+back-substitute that echelon form once into the reduced row echelon
+form.  Int entries stay ints while every pivot is 1 or -1, as nearly
+every pivot of the line algebras and their loop-quiver partners is.
+Functions leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -228,24 +230,11 @@ def nullspace(rows, ncols: int) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices (lists of lists of Fractions)
+# small dense matrices (lists of rows of numbers), at the program's edges
 # ---------------------------------------------------------------------------
-
-def mat_eye(n: int):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_scalar(c, n: int):
-    c = fr(c)
-    return [[c if i == j else ZERO for j in range(n)] for i in range(n)]
-
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a):
@@ -267,34 +256,6 @@ def mat_mul(a, b):
 
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def mat_trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
-def mat_pow(a, k: int):
-    out = mat_eye(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def mat_commute(a, b) -> bool:
-    qa, qb = qmat(a), qmat(b)
-    return qmat_mul(qa, qb, len(a)) == qmat_mul(qb, qa, len(a))
-
-
-def mat_is_nilpotent(a) -> bool:
-    """a^n = 0, for a of dimension n."""
-    q = power = qmat(a)
-    for _ in range(len(a) - 1):
-        power = qmat_mul(power, q, len(a))
-    return not any(power[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +323,21 @@ def qmat_scale(c, q) -> tuple:
     c = fr(c)
     flat, den = q
     return _normal([c.numerator * x for x in flat], c.denominator * den)
+
+
+def qmat_commute(a, b) -> bool:
+    """a b = b a, for square exact forms of one dimension."""
+    dim = isqrt(len(a[0]))
+    return qmat_mul(a, b, dim) == qmat_mul(b, a, dim)
+
+
+def qmat_is_nilpotent(q) -> bool:
+    """q^n = 0, for a square exact form q of dimension n."""
+    dim = isqrt(len(q[0]))
+    power = q
+    for _ in range(dim - 1):
+        power = qmat_mul(power, q, dim)
+    return not any(power[0])
 
 
 def qmat_inv(q):

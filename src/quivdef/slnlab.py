@@ -6,11 +6,16 @@ each Chevalley generator e_{i,i+1}, e_{i+1,i}, h_i acts by one fiber
 matrix per point, shifting the point by eps_i - eps_j.  build_n is the
 rank-one realization where e_{i,j} scales by a_j + b_j; build_f replaces
 the scalars by X_j + (a_j + b_j) for a tuple of commuting nilpotent
-matrices.  A build_f module is that formula: block(key, b) evaluates it
-where b and the block's end point lie in the support, tested by
-arithmetic, and the per-point dict `blocks` is listed on first access
-only, for the callers that read every block.  A LatticeModule of stored
-blocks, such as reconstruct_extension's, holds that dict itself.
+matrices.  Every block is an exact form of linalg.qmat, a (flat int
+tuple, denominator) pair, so equal blocks are equal values; matrices are
+lists of Fraction rows only where they enter (the fiber matrices given
+to build_f and reconstruct_extension) or leave (recover_x,
+module_dump).  A build_f module is that formula:
+block(key, b) evaluates it where b and the block's end point lie in the
+support, tested by arithmetic, and the per-point dict `blocks` is listed
+on first access only, for the callers that read every block.  A
+LatticeModule of stored blocks, such as reconstruct_extension's, holds
+that dict itself.
 
 verify_relations checks the defining relations (commutators, Cartan
 actions, Serre relations) at every point where all intermediate points
@@ -21,7 +26,7 @@ to a common power of D before they are summed, so the test for zero is
 exact.  The module class chooses how a block becomes an integer class
 (block_classes): a module of stored blocks scales each distinct block
 by the lcm of all block denominators, and a build_f module reads the
-class at p through (key, coordinate of p), scaling D X + (D c + D v) Id
+class at p through (key, coordinate of p), scaling the formula block
 once per pair and listing no block.  A relation reads its blocks at
 fixed offsets from its start point, so its instance at a point is the
 tuple of integer classes of the blocks it reads there (equal matrices
@@ -52,8 +57,7 @@ commutation and Serre constraints level by level; the solver's
 intermediate equalities (the new horizontal block equals the one below,
 the downward block drops by the identity, the final vertical block equals
 its horizontal neighbour) are recorded so they can be asserted.  It
-solves in the exact integer forms of linalg.qmat and makes Fraction
-blocks only for the module it returns.
+solves in the exact forms and returns a module that stores them.
 """
 
 from __future__ import annotations
@@ -72,21 +76,14 @@ from .linalg import (
     fr,
     int_product,
     mat_add,
-    mat_commute,
-    mat_eq,
-    mat_eye,
-    mat_is_nilpotent,
-    mat_is_zero,
     mat_mul,
-    mat_pow,
-    mat_scalar,
     mat_scale,
-    mat_sub,
-    mat_trace,
     qmat,
     qmat_add_scalar,
     qmat_comb,
+    qmat_commute,
     qmat_inv,
+    qmat_is_nilpotent,
     qmat_mul,
     qmat_rows,
     qmat_scale,
@@ -162,7 +159,7 @@ class LatticeModule:
         self.a = tuple(fr(x) for x in a)
         self.support = support
         self.fiber_dim = fiber_dim
-        self.blocks = blocks  # key -> {point: matrix}
+        self.blocks = blocks  # key -> {point: exact form of linalg.qmat}
 
     def block(self, key, point):
         return self.blocks.get(key, {}).get(point)
@@ -171,21 +168,15 @@ class LatticeModule:
         """(D, key -> [(p, end point, class)]) over the stored blocks, for verify_relations.
 
         The class is that in classes of D times the block at p, with D the
-        lcm of the denominators of all block entries.  Blocks whose entries
-        are the same objects are scaled once.
+        lcm of all block denominators.  Equal blocks are scaled once.
         """
-        same = {}  # identities of a block's entries -> the first block with those entries
-        listed = {}
-        for key, per_point in self.blocks.items():
-            shift = gen_shift(self.n, key)
-            listed[key] = rows = []
-            for p, m in per_point.items():
-                ident = tuple(map(id, itertools.chain.from_iterable(m)))
-                same.setdefault(ident, m)
-                rows.append((p, _add(p, shift), ident))
-        scale = math.lcm(1, *{x.denominator for m in same.values() for row in m for x in row})
-        class_of = {ident: classes(_scaled(m, scale)) for ident, m in same.items()}
-        return scale, {key: [(p, q, class_of[ident]) for p, q, ident in rows] for key, rows in listed.items()}
+        distinct = dict.fromkeys(q for per_point in self.blocks.values() for q in per_point.values())
+        scale = math.lcm(1, *(den for _flat, den in distinct))
+        class_of = {q: classes(_scaled(q, scale)) for q in distinct}
+        return scale, {
+            key: [(p, _add(p, gen_shift(self.n, key)), class_of[q]) for p, q in per_point.items()]
+            for key, per_point in self.blocks.items()
+        }
 
     @functools.cached_property
     def formula(self):
@@ -221,32 +212,29 @@ def _coordinates_read(n, keys):
 
 
 class _BlockFormula(dict):
-    """(key, v) -> the build_f block of key where its coordinate is v.
+    """(key, v) -> the exact form of the build_f block of key where its coordinate is v.
 
     The block of e_(s,t) at b is X_t + (a_t + b_t) Id, a function of
     v = b_t alone; the block of h_i is X_i - X_(i+1) + (a_i - a_(i+1) + v) Id
     with v = b_i - b_(i+1).  Each block is made on first lookup, at any v.
+    The scale, the lcm of the denominators of the X and the a, times any
+    block is an integer matrix.
     """
 
-    def __init__(self, n, a, matrices):
+    def __init__(self, n, a, xs):
         super().__init__()
-        xs = [[[fr(x) for x in row] for row in m] for m in matrices]
         self.n = n
         self.parts = {}  # key -> (matrix part, parameter part)
         for i in range(1, n):
             self.parts[("e", i, i + 1)] = (xs[i], a[i])
             self.parts[("e", i + 1, i)] = (xs[i - 1], a[i - 1])
-            self.parts[("h", i)] = (mat_sub(xs[i - 1], xs[i]), a[i - 1] - a[i])
-        self.denominators = {x.denominator for m in xs for row in m for x in row}
-        self.denominators.update(c.denominator for c in a)
+            self.parts[("h", i)] = (qmat_comb(((1, xs[i - 1]), (-1, xs[i]))), a[i - 1] - a[i])
+        self.scale = math.lcm(1, *(den for _flat, den in xs), *(c.denominator for c in a))
 
     def __missing__(self, key_value):
         key, v = key_value
         x, c = self.parts[key]
-        out = [list(row) for row in x]
-        for r in range(len(out)):
-            out[r][r] += c + v
-        self[key_value] = out
+        out = self[key_value] = qmat_add_scalar(x, c + v)
         return out
 
 
@@ -264,25 +252,25 @@ def build_f(n: int, a, matrices, radius: int, check: bool = True) -> LatticeModu
     a = check_parameters(a, n)
     if len(matrices) != n:
         raise ValueError("expected %d fiber matrices" % n)
+    xs = [qmat(m) for m in matrices]
     if check:
-        for idx, x in enumerate(matrices):
-            if not mat_is_nilpotent(x):
+        for idx, x in enumerate(xs):
+            if not qmat_is_nilpotent(x):
                 raise ValueError("fiber matrix %d is not nilpotent" % (idx + 1))
         for i in range(n):
             for j in range(i + 1, n):
-                if not mat_commute(matrices[i], matrices[j]):
+                if not qmat_commute(xs[i], xs[j]):
                     raise ValueError("fiber matrices %d and %d do not commute" % (i + 1, j + 1))
-    formula = _BlockFormula(n, a, matrices)
-    return FormulaModule(n, a, LatticeSupport(n, radius), len(matrices[0]), formula)
+    return FormulaModule(n, a, LatticeSupport(n, radius), len(matrices[0]), _BlockFormula(n, a, xs))
 
 
 class FormulaModule(LatticeModule):
     """A build_f module: its formula, with no stored block.
 
     block() evaluates the formula where build_f has a block, where p and
-    its end point lie in the support.  blocks lists those on first access:
-    a fresh list per block and row, the entries of one (key, coordinate)
-    shared.
+    its end point lie in the support.  blocks lists those on first access,
+    the exact forms the formula made, shared by the blocks of one (key,
+    coordinate).
     """
 
     def __init__(self, n, a, support: LatticeSupport, fiber_dim: int, formula: _BlockFormula):
@@ -319,7 +307,7 @@ class FormulaModule(LatticeModule):
         for key in generator_keys(self.n):
             shift = gen_shift(self.n, key)
             blocks[key] = {
-                p: [list(row) for row in formula[key, _coordinate(key, p)]]
+                p: formula[key, _coordinate(key, p)]
                 for p in support.points
                 if key[0] == "h" or _add(p, shift) in support
             }
@@ -382,9 +370,10 @@ def _relations(n: int):
     return tuple((label, tuple(terms)) for label, terms in rels)
 
 
-def _scaled(m, scale):
-    """scale * m as a row-major tuple of Python ints; scale clears every denominator."""
-    return tuple(x.numerator * (scale // x.denominator) for row in m for x in row)
+def _scaled(q, scale):
+    """scale times the exact form q, a row-major tuple of ints; scale is a multiple of q's denominator."""
+    flat, den = q
+    return flat if den == scale else tuple(x * (scale // den) for x in flat)
 
 
 class _Classes(list):
@@ -410,30 +399,18 @@ class _Classes(list):
 class _FormulaClasses(dict):
     """(key, v) -> the class in classes of D times the formula block of key at coordinate v.
 
-    D, the scale, is the lcm of the formula's denominators, so each key's
-    parts X and c of _BlockFormula scale to the integers D X and D c, and D
-    times the block is D X + (D c + D v) Id: made once per pair, with no
-    Fraction block in between.
+    D, the scale, is the formula's: it clears the denominator of every
+    block.  Each class is made once per pair.
     """
 
     def __init__(self, formula: _BlockFormula, classes: _Classes):
         super().__init__()
+        self.formula = formula
         self.classes = classes
-        self.scale = scale = math.lcm(1, *formula.denominators)
-        self.parts = {
-            key: (_scaled(x, scale), c.numerator * (scale // c.denominator))
-            for key, (x, c) in formula.parts.items()
-        }
-        dim = len(next(iter(formula.parts.values()))[0])
-        self.diagonal = range(0, dim * dim, dim + 1)
+        self.scale = formula.scale
 
     def __missing__(self, key_value):
-        key, v = key_value
-        flat, shift = self.parts[key]
-        out = list(flat)
-        for i in self.diagonal:
-            out[i] += shift + self.scale * v
-        c = self[key_value] = self.classes(tuple(out))
+        c = self[key_value] = self.classes(_scaled(self.formula[key_value], self.scale))
         return c
 
 
@@ -656,17 +633,17 @@ def _binom_half(j: int) -> Fraction:
 
 
 def casimir_block(module: LatticeModule):
-    """(h_1 + 1)^2 + 4 e_{2,1} e_{1,2} acting on the fiber at the origin."""
+    """(h_1 + 1)^2 + 4 e_{2,1} e_{1,2} acting on the fiber at the origin, as an exact form."""
     n = module.n
+    dim = module.fiber_dim
     origin = (0,) * n
     h1 = module.block(("h", 1), origin)
     up = module.block(("e", 1, 2), origin)
     down = module.block(("e", 2, 1), _add(origin, _shift(n, 1, 2)))
     if h1 is None or up is None or down is None:
         raise ValueError("radius too small for the Casimir block")
-    eye = mat_eye(module.fiber_dim)
-    m = mat_add(h1, eye)
-    return mat_add(mat_mul(m, m), mat_scale(4, mat_mul(down, up)))
+    m = qmat_add_scalar(h1, 1)
+    return qmat_comb(((1, qmat_mul(m, m, dim)), (4, qmat_mul(down, up, dim))))
 
 
 def recover_x(module: LatticeModule, a):
@@ -676,7 +653,8 @@ def recover_x(module: LatticeModule, a):
     rational square.  Its polynomial square root (the binomial series in
     the nilpotent part, truncated at the fiber dimension) gives two sign
     branches; the one making the first matrix nilpotent is selected and
-    the rest follow by the Cartan recursion.
+    the rest follow by the Cartan recursion.  The matrices are computed
+    as exact forms and returned as Fraction rows.
     """
     a = check_parameters(a, module.n)
     n = module.n
@@ -686,47 +664,36 @@ def recover_x(module: LatticeModule, a):
     if any(y is None for y in ys):
         raise ValueError("missing Cartan blocks at the origin")
     Y = casimir_block(module)
-    lam = mat_trace(Y) / dim
-    eye = mat_eye(dim)
-    if not mat_is_zero(mat_pow(mat_sub(Y, mat_scale(lam, eye)), dim)):
+    flat, den = Y
+    lam = Fraction(sum(flat[:: dim + 1]), den * dim)
+    if not qmat_is_nilpotent(qmat_add_scalar(Y, -lam)):
         raise ValueError("Casimir block has more than one eigenvalue")
     if lam == 0:
         raise ValueError("singular case: Casimir eigenvalue is zero")
     root = _rational_sqrt(lam)
     if root is None:
         raise ValueError("Casimir eigenvalue %s is not a rational square" % lam)
-    nil = mat_sub(mat_scale(ONE / lam, Y), eye)
-    series = mat_scalar(0, dim)
-    power = eye
-    for j in range(dim):
-        series = mat_add(series, mat_scale(_binom_half(j), power))
-        power = mat_mul(power, nil)
-    x1 = None
-    yprime = None
+    nil = qmat_add_scalar(qmat_scale(ONE / lam, Y), -1)
+    series = qmat_scale(0, Y)  # sum over j < dim of binom(1/2, j) nil^j, by Horner's rule
+    for j in reversed(range(dim)):
+        series = qmat_add_scalar(qmat_mul(series, nil, dim), _binom_half(j))
+    half = Fraction(1, 2)
     for sign in (root, -root):
-        cand_root = mat_scale(sign, series)
-        cand = mat_sub(mat_add(ys[0], cand_root), eye)
-        cand = mat_scale(Fraction(1, 2), cand)
-        cand = mat_sub(cand, mat_scale(a[0], eye))
-        if mat_is_nilpotent(cand):
-            x1 = cand
-            yprime = cand_root
+        yprime = qmat_scale(sign, series)
+        x1 = qmat_add_scalar(qmat_scale(half, qmat_comb(((1, ys[0]), (1, yprime)))), -half - a[0])
+        if qmat_is_nilpotent(x1):
             break
-    if x1 is None:
+    else:
         raise ValueError("no square-root branch makes the first matrix nilpotent")
-    xs = [x1]
-    x2 = mat_scale(Fraction(1, 2), mat_sub(mat_sub(yprime, ys[0]), eye))
-    x2 = mat_sub(x2, mat_scale(a[1], eye))
-    xs.append(x2)
+    xs = [x1, qmat_add_scalar(qmat_scale(half, qmat_comb(((1, yprime), (-1, ys[0])))), -half - a[1])]
     # the Cartan block at the origin is X_i - X_(i+1) + (a_i - a_(i+1)),
     # so the next matrix is X_i - Y_i plus the parameter difference
     for i in range(2, n):
-        nxt = mat_add(mat_sub(xs[i - 1], ys[i - 1]), mat_scale(a[i - 1] - a[i], eye))
-        xs.append(nxt)
+        xs.append(qmat_add_scalar(qmat_comb(((1, xs[i - 1]), (-1, ys[i - 1]))), a[i - 1] - a[i]))
     for i, x in enumerate(xs):
-        if not mat_is_nilpotent(x):
+        if not qmat_is_nilpotent(x):
             raise ValueError("recovered matrix %d is not nilpotent" % (i + 1))
-    return xs
+    return [qmat_rows(x, dim) for x in xs]
 
 
 def is_weight_module(module: LatticeModule) -> bool:
@@ -737,9 +704,8 @@ def is_weight_module(module: LatticeModule) -> bool:
     is scalar only when it is zero, so the h_i blocks are scalar at one
     point exactly when they are scalar at all of them.
     """
-    eye = mat_eye(module.fiber_dim)
     cartan = [module.block(("h", i), (0,) * module.n) for i in range(1, module.n)]
-    return all(mat_eq(m, mat_scale(m[0][0], eye)) for m in cartan)
+    return all(not any(qmat_add_scalar(q, Fraction(-q[0][0], q[1]))[0]) for q in cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +713,13 @@ def is_weight_module(module: LatticeModule) -> bool:
 # ---------------------------------------------------------------------------
 
 def _extract_x(nprime: LatticeModule):
-    """Read the fiber matrices of a build_f-style module at the origin."""
+    """The exact forms of the fiber matrices of a build_f-style module, read at the origin."""
     n = nprime.n
     keys = [("e", 2, 1)] + [("e", j - 1, j) for j in range(2, n + 1)]
     blks = [nprime.block(key, (0,) * n) for key in keys]
     if any(blk is None for blk in blks):
         raise ValueError("radius too small to read the fiber matrices")
-    eye = mat_eye(nprime.fiber_dim)
-    return [mat_sub(blk, mat_scale(c, eye)) for blk, c in zip(blks, nprime.a)]
+    return [qmat_add_scalar(blk, -c) for blk, c in zip(blks, nprime.a)]
 
 
 def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
@@ -769,9 +734,8 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     inversion fails.
 
     The solver holds every block in the exact form of linalg.qmat, so its
-    products, inverses and equality tests are integer ones; the blocks
-    become Fraction rows once, when the module is built, with the entries
-    of equal blocks shared.
+    products, inverses and equality tests are integer ones, and the module
+    it returns stores those forms.
     """
     a = check_parameters(a, n)
     if nprime.n != n - 1 or n < 3:
@@ -785,10 +749,11 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             if (a[i] + a[j]).denominator == 1:
                 raise NoUniqueExtension("a_%d + a_%d is an integer" % (i + 1, j + 1))
     dim = nprime.fiber_dim
-    if not mat_is_nilpotent(x_n):
+    x_last = qmat(x_n)
+    if not qmat_is_nilpotent(x_last):
         raise ValueError("the new fiber matrix must be nilpotent")
     for i, x in enumerate(_extract_x(nprime)):
-        if not mat_commute(x, x_n):
+        if not qmat_commute(x, x_last):
             raise ValueError("new fiber matrix does not commute with X_%d" % (i + 1))
 
     def mul(*factors):
@@ -803,7 +768,6 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     blocks = {key: {} for key in generator_keys(n)}
     log = {"y_equals_b": 0, "x_equals_b_minus_1": 0, "last_x_equals_b": 0, "last_solved": 0}
 
-    x_last = qmat(x_n)
     vertical = {}  # b_n -> (X_n + (a_n + b_n) Id, its inverse or None)
 
     def cblock(p):
@@ -832,7 +796,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
             p = q + (0,)
             tgt = _add(p, gen_shift(n, key))
             if p in support and tgt in support:
-                blocks[key][p] = qmat(m)
+                blocks[key][p] = m
 
     def extend_by_commutation(key):
         """Fill a generator commuting with e_{n-1,n} level by level."""
@@ -954,14 +918,6 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 continue
             blocks[("h", i)][p] = sub(mul(ef, fe), mul(ff, ee))
 
-    rows = {}  # exact form -> its Fraction rows
-
-    def fraction_rows(q):
-        if q not in rows:
-            rows[q] = qmat_rows(q, dim)
-        return [list(row) for row in rows[q]]
-
-    blocks = {key: {p: fraction_rows(q) for p, q in per_point.items()} for key, per_point in blocks.items()}
     return LatticeModule(n, a, support, dim, blocks), log
 
 
@@ -980,7 +936,7 @@ def compare_modules(m1: LatticeModule, m2: LatticeModule):
                 only_first.append((key, p))
             elif p not in b1:
                 only_second.append((key, p))
-            elif mat_eq(b1[p], b2[p]):
+            elif b1[p] == b2[p]:
                 matched += 1
             else:
                 mismatched.append((key, p))
@@ -1027,7 +983,7 @@ def module_dump(module: LatticeModule) -> dict:
     for key in sorted(module.blocks, key=keyname):
         listing = {}
         for p in sorted(module.blocks[key]):
-            m = module.blocks[key][p]
+            m = qmat_rows(module.blocks[key][p], module.fiber_dim)
             listing[",".join(str(x) for x in p)] = [
                 [fmt_fraction(x) for x in row] for row in m
             ]
@@ -1059,7 +1015,7 @@ def random_commuting_nilpotents(n: int, dim: int, rng):
     out = []
     for _ in range(n):
         coeffs = [fr(rng.randint(-3, 3)) for _ in range(dim - 1)]
-        m = mat_scalar(0, dim)
+        m = [[ZERO] * dim for _ in range(dim)]
         p = base
         for c in coeffs:
             m = mat_add(m, mat_scale(c, p))

@@ -31,7 +31,7 @@ from quivdef.families import (
     symmetric_space,
 )
 from quivdef.deformation import psi_target
-from quivdef.linalg import ONE, fmt_fraction, nullspace, rank_matrix
+from quivdef.linalg import ONE, RowReducer, fmt_fraction, nullspace, rank_matrix
 from quivdef.quiver import (
     Arrow,
     CentralQuotient,
@@ -468,6 +468,32 @@ def test_partner_commutators_match_all_pairs(build):
     alg = build()
     assert center_basis(alg) == all_pairs_center_basis(alg)
     assert symmetric_space(alg) == all_pairs_symmetric_space(alg)
+
+
+def all_pairs_loewy_layers(alg, v):
+    """The radical layers of Ae_v, every radical element times every layer vector; the oracle of projective_profile."""
+    layer = [{i: 1} for i in range(alg.dim) if alg.source[i] == v]
+    layers = []
+    while layer:
+        layers.append(layer)
+        nxt = []
+        red = RowReducer()
+        for r in alg.radical_indices():
+            for z in layer:
+                w = alg.mul({r: 1}, z)
+                if w and red.add(w) is not None:
+                    nxt.append(w)
+        layer = nxt
+    return layers
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_ALGEBRAS], ids=[n for n, _ in ORACLE_ALGEBRAS])
+def test_projective_profile_matches_all_pairs_loop(build):
+    alg = build()
+    prof = projective_profile(alg)
+    for v in alg.quiver.vertices:
+        layers = all_pairs_loewy_layers(alg, v)
+        assert (prof[v]["length"], prof[v]["loewy"]) == (len(layers[0]), len(layers))
 
 
 def whole_t_check_central(gq, t_vec, bound):

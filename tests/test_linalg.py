@@ -11,8 +11,6 @@ from quivdef.linalg import (
     RowReducer,
     fmt_fraction,
     mat_add,
-    mat_eye,
-    mat_is_nilpotent,
     mat_mul,
     mat_scale,
     nullspace,
@@ -20,7 +18,9 @@ from quivdef.linalg import (
     qmat,
     qmat_add_scalar,
     qmat_comb,
+    qmat_commute,
     qmat_inv,
+    qmat_is_nilpotent,
     qmat_mul,
     qmat_rows,
     qmat_scale,
@@ -190,8 +190,11 @@ def test_dense_matches_sparse_path():
 
 def test_small_matrix_helpers():
     a = [[F(0), F(1)], [F(0), F(0)]]
-    assert mat_is_nilpotent(a)
+    assert qmat_is_nilpotent(qmat(a))
     b = [[F(1), F(1)], [F(0), F(1)]]
+    assert not qmat_is_nilpotent(qmat(b))
+    assert qmat_commute(qmat(a), qmat(b))
+    assert not qmat_commute(qmat(a), qmat([[F(0), F(0)], [F(1), F(0)]]))
     binv = qmat_rows(qmat_inv(qmat(b)), 2)
     assert mat_mul(b, binv) == [[F(1), F(0)], [F(0), F(1)]]
     assert qmat_inv(qmat(a)) is None
@@ -464,7 +467,7 @@ def test_exact_kernel_matches_fraction_helpers(case, c, d, r):
     comb = qmat_comb([(c, qa), (d, qb)])
     assert _is_normal(comb) and qmat_rows(comb, n) == mat_add(mat_scale(c, a), mat_scale(d, b))
     shifted = qmat_add_scalar(qa, r)
-    assert _is_normal(shifted) and qmat_rows(shifted, n) == mat_add(a, mat_scale(r, mat_eye(n)))
+    assert _is_normal(shifted) and qmat_rows(shifted, n) == mat_add(a, mat_scale(r, fraction_power(a, 0)))
     scaled = qmat_scale(r, qb)
     assert _is_normal(scaled) and qmat_rows(scaled, n) == mat_scale(r, b)
     for m, q in ((a, qa), (b, qb)):
@@ -474,3 +477,45 @@ def test_exact_kernel_matches_fraction_helpers(case, c, d, r):
         if inv is not None:
             assert _is_normal(inv) and qmat_rows(inv, n) == want
             assert qmat_mul(q, inv, n) == qmat_add_scalar(qmat_scale(0, q), 1)
+
+
+def fraction_power(a, k):
+    """a^k by Fraction triple-loop products, a^0 the identity."""
+    n = len(a)
+    out = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        out = triple_loop_mat_mul(out, a)
+    return out
+
+
+@st.composite
+def nilpotent_and_commuting_pairs(draw):
+    """(a, b), square of dimension 1 to 4: a is nilpotent in about half the draws, b a polynomial in a in about half.
+
+    A nilpotent a is strictly upper triangular up to a relabelling of its
+    rows and columns; c0 + c1 a + c2 a^2 commutes with a.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    a = [[draw(mixed_entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        a = [[a[i][j] if order[i] < order[j] else 0 for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        c = [draw(mixed_entries) for _ in range(3)]
+        b = mat_add(
+            mat_add(mat_scale(c[0], fraction_power(a, 0)), mat_scale(c[1], a)),
+            mat_scale(c[2], fraction_power(a, 2)),
+        )
+    else:
+        b = [[draw(mixed_entries) for _ in range(n)] for _ in range(n)]
+    return a, b
+
+
+@given(nilpotent_and_commuting_pairs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_predicates_match_fraction_powers_and_products(case):
+    a, b = case
+    n = len(a)
+    for m in (a, b):
+        assert qmat_is_nilpotent(qmat(m)) == all(x == 0 for row in fraction_power(m, n) for x in row)
+    assert qmat_commute(qmat(a), qmat(b)) == (triple_loop_mat_mul(a, b) == triple_loop_mat_mul(b, a))

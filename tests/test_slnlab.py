@@ -12,7 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from quivdef import linalg, slnlab
-from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_is_zero, mat_mul, mat_scale, mat_sub
+from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_mul, mat_scale, qmat, qmat_rows
 from quivdef.slnlab import (
     LatticeModule,
     LatticeSupport,
@@ -39,14 +39,27 @@ F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def rows_of(q):
+    """The Fraction rows of a square exact form."""
+    return qmat_rows(q, math.isqrt(len(q[0])))
+
+
+def with_entry_changed(q, r, c, x):
+    """The square exact form q with x added to its entry (r, c)."""
+    rows = rows_of(q)
+    rows[r][c] += x
+    return qmat(rows)
+
+
 def _monomial_matrix(module, mono, point):
-    """Compose blocks along a monomial (first entry applied first)."""
+    """Compose blocks along a monomial (first entry applied first), as Fraction rows."""
     cur = point
     mat = None
     for key in mono:
         blk = module.block(key, cur)
         if blk is None:
             return None, None
+        blk = rows_of(blk)
         mat = blk if mat is None else mat_mul(blk, mat)
         cur = _add(cur, gen_shift(module.n, key))
     return mat, cur
@@ -71,7 +84,7 @@ def _fraction_verify_relations(module):
                 skipped += 1
                 continue
             checked += 1
-            if not mat_is_zero(total):
+            if any(x for row in total for x in row):
                 if witness is None:
                     witness = (label, p)
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": module.fiber_dim}
@@ -83,13 +96,13 @@ def _reference_build_f(n, a, matrices, radius):
     dim = len(matrices[0])
     support = LatticeSupport(n, radius)
     xs = [[[fr(x) for x in row] for row in m] for m in matrices]
-    diffs = [mat_sub(xs[i], xs[i + 1]) for i in range(n - 1)]
+    diffs = [mat_add(xs[i], mat_scale(-1, xs[i + 1])) for i in range(n - 1)]
 
     def shifted(x, scal):
         out = [list(row) for row in x]
         for r in range(dim):
             out[r][r] += scal
-        return out
+        return qmat(out)
 
     blocks = {key: {} for key in generator_keys(n)}
     for p in support.points:
@@ -114,14 +127,18 @@ def test_support_shape():
 def test_build_n_blocks_match_formula():
     a = (F(1, 2), F(1, 3))
     m = build_n(2, a, 2)
-    assert m.block(("e", 1, 2), (0, 0)) == [[F(1, 3)]]
-    assert m.block(("h", 1), (0, 0)) == [[F(1, 2) - F(1, 3)]]
+    assert m.block(("e", 1, 2), (0, 0)) == qmat([[F(1, 3)]])
+    assert m.block(("h", 1), (0, 0)) == qmat([[F(1, 2) - F(1, 3)]])
+
+    def entry(key, p):
+        return rows_of(m.block(key, p))[0][0]
+
     # defining relation [e,f] = h at the origin, directly
     lhs = (
-        m.block(("e", 1, 2), (-1, 1))[0][0] * m.block(("e", 2, 1), (0, 0))[0][0]
-        - m.block(("e", 2, 1), (1, -1))[0][0] * m.block(("e", 1, 2), (0, 0))[0][0]
+        entry(("e", 1, 2), (-1, 1)) * entry(("e", 2, 1), (0, 0))
+        - entry(("e", 2, 1), (1, -1)) * entry(("e", 1, 2), (0, 0))
     )
-    assert lhs == m.block(("h", 1), (0, 0))[0][0]
+    assert lhs == entry(("h", 1), (0, 0))
 
 
 def test_integer_parameters_rejected():
@@ -175,13 +192,13 @@ def test_recover_x_on_rank_one():
     a = (F(1, 2), F(1, 3))
     m = build_n(2, a, 1)
     xs = recover_x(m, a)
-    assert all(mat_is_zero(x) for x in xs)
+    assert xs == [[[0]], [[0]]]
 
 
 def test_casimir_block_value():
     a = (F(1, 2), F(1, 3))
     m = build_n(2, a, 1)
-    lam = casimir_block(m)[0][0]
+    lam = rows_of(casimir_block(m))[0][0]
     assert lam == (a[0] + a[1] + 1) ** 2
 
 
@@ -202,6 +219,28 @@ def test_singular_casimir_rejected():
     m = build_n(2, a, 1)
     with pytest.raises(ValueError, match="singular"):
         recover_x(m, a)
+
+
+def stored_sl2_origin(h1, up, down):
+    """An sl_2 module of stored exact forms, with only the blocks the Casimir block reads."""
+    blocks = {("h", 1): {(0, 0): qmat(h1)}, ("e", 1, 2): {(0, 0): qmat(up)}, ("e", 2, 1): {(1, -1): qmat(down)}}
+    return LatticeModule(2, (F(1, 2), F(1, 3)), LatticeSupport(2, 1), len(h1), blocks)
+
+
+def test_casimir_with_two_eigenvalues_rejected():
+    # (h1 + 1)^2 = diag(1, 4) and e21 e12 = 0
+    m = stored_sl2_origin([[0, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert rows_of(casimir_block(m)) == [[1, 0], [0, 4]]
+    with pytest.raises(ValueError, match="^Casimir block has more than one eigenvalue$"):
+        recover_x(m, m.a)
+
+
+@pytest.mark.parametrize("up, lam", [(F(1, 4), "2"), (F(1, 3), "7/3")], ids=["integral", "fractional"])
+def test_casimir_eigenvalue_not_a_square_rejected(up, lam):
+    # (h1 + 1)^2 + 4 e21 e12 = 1 + 4 up on a fiber of dimension 2
+    m = stored_sl2_origin([[0, 0], [0, 0]], [[up, 0], [0, up]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="^Casimir eigenvalue %s is not a rational square$" % lam):
+        recover_x(m, m.a)
 
 
 def test_rational_sqrt():
@@ -343,8 +382,9 @@ def test_integer_kernel_matches_fraction_oracle(module):
 
 
 def stored_copy(module):
-    """The module with its blocks stored: editing them changes this copy's block() too."""
-    return LatticeModule(module.n, module.a, module.support, module.fiber_dim, module.blocks)
+    """The module with its blocks stored: replacing one changes this copy's block() too."""
+    blocks = {key: dict(per_point) for key, per_point in module.blocks.items()}
+    return LatticeModule(module.n, module.a, module.support, module.fiber_dim, blocks)
 
 
 @st.composite
@@ -366,14 +406,14 @@ def build_f_modules(draw, max_radius=3, changed=st.booleans()):
         key = draw(st.sampled_from(generator_keys(n)))
         p = draw(st.sampled_from(sorted(module.blocks[key])))
         r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        module.blocks[key][p][r][c] += draw(fractions.filter(bool))
+        module.blocks[key][p] = with_entry_changed(module.blocks[key][p], r, c, draw(fractions.filter(bool)))
     return module, xs
 
 
 @given(build_f_modules(max_radius=2, changed=st.just(True)))
 @settings(max_examples=30, deadline=None)
 def test_integer_kernel_matches_fraction_oracle_with_one_entry_changed(case):
-    # build_f's equal blocks are interned; the changed one must stay apart
+    # equal blocks share a class; the changed one must stay apart
     module, _xs = case
     assert verify_relations(module) == _fraction_verify_relations(module)
 
@@ -386,7 +426,7 @@ def test_changed_interior_block_is_not_merged_with_its_equals():
     origin = (0, 0, 0)
     # every e2 block with b_3 = 0 equals this one before the change
     assert module.blocks[("e", 2, 3)][(1, -1, 0)] == module.blocks[("e", 2, 3)][origin]
-    module.blocks[("e", 2, 3)][origin][2][0] += 1
+    module.blocks[("e", 2, 3)][origin] = with_entry_changed(module.blocks[("e", 2, 3)][origin], 2, 0, 1)
     rep = verify_relations(module)
     assert rep == _fraction_verify_relations(module)
     assert rep["witness"] == ("[e2,f1]", origin)
@@ -395,14 +435,14 @@ def test_changed_interior_block_is_not_merged_with_its_equals():
 def test_verdicts_are_kept_per_relation():
     # sl_2 on three points with 1x1 blocks; the [h1,e1] instance at (-1, 1)
     # and the [h1,f1] instance at (1, -1) compose the same three integer
-    # matrices (every block of value 1 is one interned object), but their
-    # coefficients differ: the first holds and the second fails
+    # matrices (equal blocks share one class), but their coefficients
+    # differ: the first holds and the second fails
     support = LatticeSupport(2, 1)
-    one = [[F(1)]]
+    one, three = qmat([[1]]), qmat([[3]])
     blocks = {
-        ("e", 1, 2): {(-1, 1): one, (0, 0): [[F(0)]]},
-        ("e", 2, 1): {(0, 0): [[F(3)]], (1, -1): one},
-        ("h", 1): {(-1, 1): one, (0, 0): [[F(3)]], (1, -1): one},
+        ("e", 1, 2): {(-1, 1): one, (0, 0): qmat([[0]])},
+        ("e", 2, 1): {(0, 0): three, (1, -1): one},
+        ("h", 1): {(-1, 1): one, (0, 0): three, (1, -1): one},
     }
     module = LatticeModule(2, (F(1, 2), F(1, 3)), support, 1, blocks)
     rep = verify_relations(module)
@@ -418,8 +458,8 @@ def test_walks_follow_blocks_stored_off_the_support(value):
     # 7 does not
     a = (F(1, 2), F(1, 3))
     module = stored_copy(build_n(2, a, 1))
-    module.blocks[("e", 1, 2)][(1, -1)] = [[a[1] - 1]]
-    module.blocks[("e", 2, 1)][(2, -2)] = [[value]]
+    module.blocks[("e", 1, 2)][(1, -1)] = qmat([[a[1] - 1]])
+    module.blocks[("e", 2, 1)][(2, -2)] = qmat([[value]])
     rep = verify_relations(module)
     assert rep == _fraction_verify_relations(module)
     want = build_n(2, a, 1)
@@ -474,13 +514,13 @@ def test_comparison_sees_an_unreached_boundary_block():
     module = build_f(2, a, xs, 2)
     assert module.block(("e", 1, 2), (2, -2)) is None
     stored = stored_copy(module)
-    stored.blocks[("e", 1, 2)][(2, -2)] = [[F(7), ZERO], [ZERO, F(7)]]
+    stored.blocks[("e", 1, 2)][(2, -2)] = qmat([[F(7), ZERO], [ZERO, F(7)]])
     assert verify_relations(stored)["witness"] is None
     assert certify_relations(stored)["witness"] is None
     cmp = compare_modules(stored, build_f(2, a, xs, 2))
     assert (cmp["mismatched"], cmp["only_first"], cmp["only_second"]) == ([], [(("e", 1, 2), (2, -2))], [])
     # a changed block where build_f has one is a mismatch
-    stored.blocks[("e", 2, 1)][(2, -2)][0][1] += 1
+    stored.blocks[("e", 2, 1)][(2, -2)] = with_entry_changed(stored.blocks[("e", 2, 1)][(2, -2)], 0, 1, 1)
     cmp = compare_modules(stored, build_f(2, a, xs, 2))
     assert cmp["mismatched"] == [(("e", 2, 1), (2, -2))]
 
@@ -515,10 +555,10 @@ def test_build_f_matches_reference_construction(case):
     assert [list(per_point) for per_point in got.blocks.values()] == [
         list(per_point) for per_point in want.blocks.values()
     ]
-    # every block and every row is its own list, so editing one edits no other
-    mats = [m for per_point in got.blocks.values() for m in per_point.values()]
-    assert len({id(m) for m in mats}) == len(mats)
-    assert len({id(row) for m in mats for row in m}) == len(mats) * got.fiber_dim
+    # the listed blocks are the formula's own exact forms, shared per (key, coordinate)
+    for key, per_point in got.blocks.items():
+        for p, q in per_point.items():
+            assert q is got.formula[key, slnlab._coordinate(key, p)]
 
 
 @given(
@@ -581,10 +621,10 @@ def test_reconstruct_matches_build_f(radius, matched, only_second, dim):
     cmp = compare_modules(recon, build_f(3, a, xs, radius))
     assert (cmp["mismatched"], cmp["only_first"]) == ([], [])
     assert (cmp["matched"], len(cmp["only_second"])) == (matched, only_second)
-    mats = [m for per_point in recon.blocks.values() for m in per_point.values()]
-    assert {type(x) for m in mats for row in m for x in row} == {F}
-    # every block and every row is its own list, so editing one edits no other
-    assert len({id(row) for m in mats for row in m}) == len(mats) * dim
+    # every block is a normal exact form, so equal blocks compare equal
+    mats = [q for per_point in recon.blocks.values() for q in per_point.values()]
+    assert {type(x) for flat, den in mats for x in flat + (den,)} == {int}
+    assert all(qmat(qmat_rows(q, dim)) == q for q in mats)
 
 
 def test_reconstruct_log_on_the_benchmark_input(monkeypatch):
