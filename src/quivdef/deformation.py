@@ -25,6 +25,7 @@ property, bijectivity, and identity modulo the deformation parameters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .linalg import RowReducer, fmt_fraction, rat, vec_axpy_inplace
@@ -282,11 +283,12 @@ def verify_psi(k: int, order: int, scale=1):
     Builds the mu-deformation of make_a(k), the quotient of the loop-quiver
     algebra by the (order+1)-st power of its central degree-2 element, the
     image table, and runs verify_deformation_map with the projection onto
-    make_a(k) as the identity-mod-m reduction.  `scale` rescales the image
-    of the deformation parameter (useful as a negative control).
+    make_a(k), built once as the star product's base, as the identity-mod-m
+    reduction.  `scale` rescales the image of the deformation parameter
+    (useful as a negative control).
     """
-    alg = make_a(k)
     S = mu_star_product(k, order)
+    alg = S.base
     cq, target = psi_target(k, order)
     if target.dim != (order + 1) * (4 * k - 2):
         raise AssertionError("truncated quotient has unexpected dimension")
@@ -323,7 +325,8 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     unit preservation, centrality of the parameter images, multiplicativity
     against the star product on every basis pair, bijectivity onto the
     target, and (when a reduction map target-element -> base-element is
-    supplied) identity modulo the parameters.  Returns a report dict; the
+    supplied) identity modulo the parameters.  Each monomial in the
+    parameter images is multiplied out once.  Returns a report dict; the
     'witness' field carries the first failing pair.
     """
     alg = S.base
@@ -341,6 +344,7 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     report["unit"] = one == target.unit()
     report["params_central"] = all(is_central(target, tz) for tz in param_images)
 
+    @functools.cache
     def power(d):
         out = target.unit()
         for i, e in enumerate(d):

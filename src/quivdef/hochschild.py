@@ -229,10 +229,10 @@ class HochschildComplex:
         return cols
 
     def differential_rank(self, n: int) -> int:
-        """Rank of d_n, eliminated once and then remembered."""
+        """Rank of d_n, eliminated once, sparsest column first (less fill-in)."""
         if n not in self._ranks:
             red = RowReducer()
-            for col in self.differential_columns(n):
+            for col in sorted(self.differential_columns(n), key=len):
                 red.add(col)
             self._ranks[n] = red.rank
         return self._ranks[n]

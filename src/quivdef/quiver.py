@@ -19,9 +19,10 @@ algebras and their loop-quiver partners, whose pivots are all 1 or -1,
 have int normal forms and structure constants.  A quotient by an
 element, such as a power of a central element (CentralQuotient), is one
 more presentation: the element's vertex pieces are appended to the
-relations.  When all components from some bound on vanish, the quotient
-is finite dimensional, and GradedQuotient.to_algebra, the one packaging
-path, makes it a FiniteDimAlgebra with explicit structure constants.
+relations, and the components below their degree are the base's own.
+When all components from some bound on vanish, the quotient is finite
+dimensional, and GradedQuotient.to_algebra, the one packaging path, makes
+it a FiniteDimAlgebra, whose structure table visits composable pairs only.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 It clears the denominators of all its tables once and runs in ints.
@@ -30,6 +31,7 @@ It clears the denominators of all its tables once and runs in ints.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -49,12 +51,10 @@ class Arrow:
     degree: int = 1
 
 
-@dataclass(frozen=True)
-class Path:
-    source: str
-    target: str
-    arrows: tuple  # arrow names, rightmost applied first
-    degree: int
+class Path(namedtuple("Path", "source target arrows degree")):
+    """Arrow names rightmost applied first; a tuple, so hash and == run in C."""
+
+    __slots__ = ()
 
     @property
     def is_trivial(self):
@@ -468,7 +468,11 @@ class GradedQuotient:
 
 
 class FiniteDimAlgebra:
-    """Basis paths, structure constants, idempotents, and a grading."""
+    """Basis paths, structure constants, idempotents, and a grading.
+
+    `table` holds the nonzero b_i*b_j; each b_i visits only the b_j ending
+    at its source, in ascending j, so keys come in all-pairs scan order.
+    """
 
     def __init__(self, quiver: Quiver, basis: list[Path], mul_path_fn, presentation=None):
         self.quiver = quiver
@@ -487,11 +491,12 @@ class FiniteDimAlgebra:
         for v in quiver.vertices:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
+        ending_at: dict = {}
+        for j, q in enumerate(self.basis):
+            ending_at.setdefault(q.target, []).append((j, q))
         self.table = {}
         for i, p in enumerate(self.basis):
-            for j, q in enumerate(self.basis):
-                if p.source != q.target:
-                    continue
+            for j, q in ending_at.get(p.source, ()):
                 prod = mul_path_fn(p, q)
                 if prod:
                     self.table[(i, j)] = prod
@@ -629,6 +634,11 @@ class CentralQuotient(GradedQuotient):
     as extra relations.  No centrality is assumed.  When tau is central,
     each ideal slice is the span of the z*tau^power, and the basis is
     `gq`'s basis minus the pivots of those rows.
+
+    A component of degree d reads only relations of degree <= d and the
+    components below it, so below the pieces' degree, which `gq` has
+    computed, every component is `gq`'s own (same rows, same order) and is
+    shared, with the cached arrow products landing there.
     """
 
     def __init__(self, gq: GradedQuotient, tau: dict, tau_degree: int, power: int = 1):
@@ -644,3 +654,7 @@ class CentralQuotient(GradedQuotient):
             pieces.setdefault((comp[i].target, comp[i].source), []).append((tpow[i], comp[i]))
         relations = [Relation(pieces[key]) for key in sorted(pieces)]
         super().__init__(QuiverPresentation(gq.quiver, gq.pres.relations + relations))
+        # finished components are read-only, so sharing them is safe
+        self._components.update((g, gq._components[g]) for g in range(deg))
+        self._zero_from, arrow = gq._zero_from, self.quiver.arrow_by_name
+        self._arrow_cache = {k: nf for k, nf in gq._arrow_cache.items() if k[1] + arrow[k[0]].degree < deg}

@@ -6,7 +6,12 @@ to see the lines as they pass.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+
+import pytest
 
 from quivdef.cli import (
     DEFAULT_SEED,
@@ -122,3 +127,14 @@ def test_criterion_11_determinism():
     print("ACCEPTANCE 11 %s: verify-all report is byte-identical across runs and golden" % status)
     assert first == second
     assert golden
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_verify_all_is_golden_under_any_hash_seed(hash_seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivdef", "verify-all"],
+        capture_output=True,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout).hexdigest() == GOLDEN_MD5

@@ -353,6 +353,18 @@ def test_hh_dimensions_rank_each_differential_once(k, degrees, monkeypatch):
     assert len(calls) == sum(len(cx.differential_columns(n)) for n in range(degrees + 1))
 
 
+@pytest.mark.parametrize(
+    "k, reduced, degrees", [(1, True, 6), (2, True, 6), (3, True, 6), (4, True, 6), (2, False, 3)]
+)
+def test_sparsest_first_ranks_match_the_column_order(k, reduced, degrees):
+    cx = HochschildComplex(make_a(k), reduced=reduced)
+    for n in range(degrees + 1):
+        red = RowReducer()
+        for col in cx.differential_columns(n):
+            red.add(col)
+        assert cx.differential_rank(n) == red.rank, n
+
+
 def scan_tuples(cx, n):
     """The composable n-tuples by a scan of the radical for each extension."""
     alg = cx.alg

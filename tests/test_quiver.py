@@ -1,15 +1,20 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from quivdef import quiver
+from quivdef.deformation import psi_target
 from quivdef.families import (
     BHAT_GRADINGS,
     a_presentation,
     atilde_presentation,
     bhat_presentation,
     central_t,
+    make_a,
+    make_atilde,
     make_bhat,
 )
 from quivdef.linalg import ONE, ZERO, RowReducer, fmt_fraction, rank_matrix
@@ -18,6 +23,7 @@ from quivdef.quiver import (
     BoundTooSmall,
     CentralQuotient,
     GradedQuotient,
+    Path,
     Quiver,
     QuiverPresentation,
     Relation,
@@ -506,3 +512,78 @@ def test_central_quotient_bound_too_small(power):
         bounded_quotient(cq.pres, 2 * power)
     assert cq.to_algebra(2 * power + 1).dim == power * 6
     assert bounded_quotient(cq.pres, 2 * power + 1).dim == power * 6
+
+
+def assert_shares_lower_degrees(gq, cq, deg, last):
+    """cq holds gq's own components below deg, and up to `last` it agrees
+    with a quotient of the same presentation that shares nothing."""
+    for d in range(deg):
+        assert cq._component(d) is gq._component(d), d
+    plain = GradedQuotient(cq.pres)
+    for d in range(last + 1):
+        assert cq.component(d) == plain.component(d), d
+        # every column of the degree, normal word or not
+        for p in plain._component(d)["paths"]:
+            assert cq.reduce_path(p) == plain.reduce_path(p), p
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_central_quotient_shares_the_base_below_its_relations(k):
+    for power in range(1, 5):
+        gq = make_bhat(k, "loops_two")
+        cq = CentralQuotient(gq, central_t(gq), 2, power)
+        # to_algebra(2*power + 1) reads the window of width 2 above the bound
+        assert_shares_lower_degrees(gq, cq, 2 * power, 2 * power + 3)
+
+
+def test_non_central_quotient_shares_the_base_below_its_relations():
+    gq = make_bhat(2, "loops_two")
+    x1, x2 = gq.quiver.arrow_path("x1"), gq.quiver.arrow_path("x2")
+    for tau, power in [(gq.reduce_path(x1), 1), (gq.reduce_combination([(1, x1), (1, x2)], 1), 2)]:
+        assert_shares_lower_degrees(gq, CentralQuotient(gq, tau, 1, power), power, 6)
+
+
+# ---------------------------------------------------------------------------
+# structure tables and paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(make_a, k) for k in range(1, 7)]
+    + [partial(make_atilde, 3)]
+    + [partial(psi_target, k, 2) for k in range(2, 5)],
+)
+def test_table_matches_the_all_pairs_construction(build, monkeypatch):
+    """Key order included: the table once visited every basis pair."""
+    made = []
+    real = quiver.FiniteDimAlgebra
+
+    def all_pairs(quiv, basis, mul_path_fn, presentation=None):
+        table = {}
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis):
+                if p.source == q.target:
+                    prod = mul_path_fn(p, q)
+                    if prod:
+                        table[(i, j)] = prod
+        alg = real(quiv, basis, mul_path_fn, presentation=presentation)
+        made.append((alg, table))
+        return alg
+
+    monkeypatch.setattr(quiver, "FiniteDimAlgebra", all_pairs)
+    build()
+    assert len(made) == 1
+    alg, table = made[0]
+    assert list(alg.table.items()) == list(table.items())
+
+
+def test_path_is_a_tuple_with_its_label():
+    q = a2_quiver()
+    p = compose(q.arrow_path("b1"), q.arrow_path("a1"))
+    twin = Path("1", "1", ("b1", "a1"), 2)
+    assert p == twin and hash(p) == hash(twin) == hash(("1", "1", ("b1", "a1"), 2))
+    assert p.label == repr(p) == str(p) == "b1*a1"
+    e = trivial_path(2)
+    assert e.is_trivial and not p.is_trivial
+    assert e.label == repr(e) == "e2"
+    assert {p: 0}[twin] == 0
