@@ -205,23 +205,19 @@ def deform_from_cocycle(alg: FiniteDimAlgebra, nu: dict, coeffs: dict, params: i
     return S
 
 
-def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int, prescribed=None) -> StarProduct:
+def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarProduct:
     """Extend a 2-cocycle to a one-parameter star product up to the order.
 
     At each order k the right-hand side assembled from the lower terms is
     checked to be a 3-cocycle and the coboundary equation is solved for
     mu_k, taking the reduced-echelon particular solution (free variables
     zero) for reproducibility.  Raises Obstructed when no solution exists.
-    `prescribed` optionally fixes some higher terms {order: cochain}
-    instead of solving for them (they must still satisfy the equations,
-    which the solver verifies by substitution).
     """
     ok, witness = is_cocycle(alg, mu1)
     if not ok:
         raise ValueError("not a 2-cocycle: witness %s" % (witness,))
     cx = HochschildComplex(alg)
     mus = {1: mu1}
-    prescribed = prescribed or {}
 
     tuples3 = set(cx.tuples(3))
     for k in range(2, order + 1):
@@ -231,14 +227,9 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int, prescrib
         rhs = {t: {l: -x for l, x in vec.items()} for t, vec in neg.items()}
         if rhs and cx.apply_d(3, rhs):
             raise AssertionError("right-hand side at order %d is not a 3-cocycle" % k)
-        if k in prescribed:
-            muk = prescribed[k]
-            if cx.apply_d(2, muk) != neg:
-                raise ValueError("prescribed term at order %d violates the equation" % k)
-        else:
-            muk = cx.solve_coboundary(3, neg)
-            if muk is None:
-                raise Obstructed(k, rhs)
+        muk = cx.solve_coboundary(3, neg)
+        if muk is None:
+            raise Obstructed(k, rhs)
         if muk:
             mus[k] = muk
     return StarProduct(alg, 1, order, {(k,): c for k, c in mus.items()})
@@ -317,17 +308,18 @@ def is_central(alg: FiniteDimAlgebra, z: dict) -> bool:
     return all(alg.mul(z, {i: 1}) == alg.mul({i: 1}, z) for i in range(alg.dim))
 
 
-def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dict, param_images: list, reduction=None):
+def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dict, param_images: list, reduction):
     """Check that basis images + parameter images define a deformation iso.
 
     images: base basis index -> element of target; param_images: one
     central element of target per parameter.  Checks performed:
     unit preservation, centrality of the parameter images, multiplicativity
     against the star product on every basis pair, bijectivity onto the
-    target, and (when a reduction map target-element -> base-element is
-    supplied) identity modulo the parameters.  Each monomial in the
-    parameter images is multiplied out once.  Returns a report dict; the
-    'witness' field carries the first failing pair.
+    target, and identity modulo the parameters: the reduction map
+    target-element -> base-element must send each image back to its basis
+    element.  Each monomial in the parameter images is multiplied out
+    once.  Returns a report dict; the 'witness' field carries the first
+    failing pair.
     """
     alg = S.base
     report = {
@@ -383,18 +375,12 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
             count += 1
     report["bijective"] = span.rank == target.dim == count
 
-    if reduction is not None:
-        idok = True
-        for i in range(alg.dim):
-            if reduction(images[i]) != {i: 1}:
-                idok = False
-                break
-        report["identity_mod_m"] = idok
+    report["identity_mod_m"] = all(reduction(images[i]) == {i: 1} for i in range(alg.dim))
     report["ok"] = bool(
         report["unit"]
         and report["params_central"]
         and report["homomorphism"]
         and report["bijective"]
-        and report["identity_mod_m"] in (None, True)
+        and report["identity_mod_m"]
     )
     return report

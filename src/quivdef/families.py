@@ -3,7 +3,9 @@
 make_a(k) builds the symmetric algebra on the double-arrow line quiver with
 k vertices (dimension 4k-2), make_atilde(k) its extension by a zeroth
 vertex, and make_bhat(k) the presentation whose quotient carries a central
-degree-2 element t(k) and surjects onto make_a(k).  Alongside the
+degree-2 element t(k) and surjects onto make_a(k).  The presentations of
+A(k) and Atilde(k) share one line builder (_line), and idempotent_cut
+makes e*A*e by restricting A's structure table.  Alongside the
 constructors live the structural probes: Hom dimensions between projective
 modules, symmetrizing trace forms, the center, radical filtrations, and
 the projection phi with its degreewise bijectivity certificate.  Whether a
@@ -36,36 +38,39 @@ BHAT_GRADINGS = ("loops_two", "all_one", "right_one")
 # the line algebras
 # ---------------------------------------------------------------------------
 
+def _line(first: int, last: int) -> QuiverPresentation:
+    """The double-arrow line on the vertices first..last.
+
+    Arrows a_i: i -> i+1 and b_i: i+1 -> i for first <= i < last, all of
+    degree 1.  Relations, in this order: a_(i+1)*a_i and b_i*b_(i+1) for
+    each i, then b_i*a_i - a_(i-1)*b_(i-1) at each inner vertex i.
+    """
+    arrows = []
+    for i in range(first, last):
+        arrows += [Arrow("a%d" % i, str(i), str(i + 1), 1), Arrow("b%d" % i, str(i + 1), str(i), 1)]
+    q = Quiver([str(i) for i in range(first, last + 1)], arrows)
+    path = q.path_from_arrows
+    rels = []
+    for i in range(first, last - 1):
+        rels.append(Relation([(1, path(["a%d" % (i + 1), "a%d" % i]))]))
+        rels.append(Relation([(1, path(["b%d" % i, "b%d" % (i + 1)]))]))
+    for i in range(first + 1, last):
+        ba, ab = path(["b%d" % i, "a%d" % i]), path(["a%d" % (i - 1), "b%d" % (i - 1)])
+        rels.append(Relation([(1, ba), (-1, ab)]))
+    return QuiverPresentation(q, rels)
+
+
 def a_presentation(k: int) -> QuiverPresentation:
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
         q = Quiver(["1"], [Arrow("x", "1", "1", 1)])
         return QuiverPresentation(q, [Relation([(1, q.path_from_arrows(["x", "x"]))])])
-    vs = [str(i) for i in range(1, k + 1)]
-    arrows = []
-    for i in range(1, k):
-        arrows.append(Arrow("a%d" % i, str(i), str(i + 1), 1))
-        arrows.append(Arrow("b%d" % i, str(i + 1), str(i), 1))
-    q = Quiver(vs, arrows)
-    rels = []
+    pres = _line(1, k)
     if k == 2:
-        rels.append(Relation([(1, q.path_from_arrows(["a1", "b1", "a1"]))]))
-        rels.append(Relation([(1, q.path_from_arrows(["b1", "a1", "b1"]))]))
-    else:
-        for i in range(1, k - 1):
-            rels.append(Relation([(1, q.path_from_arrows(["a%d" % (i + 1), "a%d" % i]))]))
-            rels.append(Relation([(1, q.path_from_arrows(["b%d" % i, "b%d" % (i + 1)]))]))
-        for i in range(2, k):
-            rels.append(
-                Relation(
-                    [
-                        (1, q.path_from_arrows(["b%d" % i, "a%d" % i])),
-                        (-1, q.path_from_arrows(["a%d" % (i - 1), "b%d" % (i - 1)])),
-                    ]
-                )
-            )
-    return QuiverPresentation(q, rels)
+        path = pres.quiver.path_from_arrows
+        pres.relations = [Relation([(1, path(w))]) for w in (["a1", "b1", "a1"], ["b1", "a1", "b1"])]
+    return pres
 
 
 def make_a(k: int) -> FiniteDimAlgebra:
@@ -87,56 +92,34 @@ def make_a(k: int) -> FiniteDimAlgebra:
 def atilde_presentation(k: int) -> QuiverPresentation:
     if k < 1:
         raise ValueError("k must be positive")
-    vs = [str(i) for i in range(0, k + 1)]
-    arrows = []
-    for i in range(0, k):
-        arrows.append(Arrow("a%d" % i, str(i), str(i + 1), 1))
-        arrows.append(Arrow("b%d" % i, str(i + 1), str(i), 1))
-    q = Quiver(vs, arrows)
-    rels = [Relation([(1, q.path_from_arrows(["b0", "a0"]))])]
-    for i in range(0, k - 1):
-        rels.append(Relation([(1, q.path_from_arrows(["a%d" % (i + 1), "a%d" % i]))]))
-        rels.append(Relation([(1, q.path_from_arrows(["b%d" % i, "b%d" % (i + 1)]))]))
-    for i in range(1, k):
-        rels.append(
-            Relation(
-                [
-                    (1, q.path_from_arrows(["b%d" % i, "a%d" % i])),
-                    (-1, q.path_from_arrows(["a%d" % (i - 1), "b%d" % (i - 1)])),
-                ]
-            )
-        )
-    return QuiverPresentation(q, rels)
+    pres = _line(0, k)
+    pres.relations.insert(0, Relation([(1, pres.quiver.path_from_arrows(["b0", "a0"]))]))
+    return pres
 
 
 def make_atilde(k: int) -> FiniteDimAlgebra:
-    alg = bounded_quotient(atilde_presentation(k), 3)
-    alg.family = ("Atilde", k)
-    return alg
+    return bounded_quotient(atilde_presentation(k), 3)
 
 
 def idempotent_cut(alg: FiniteDimAlgebra, vertices) -> FiniteDimAlgebra:
-    """The subalgebra e*A*e for e the sum of the given vertex idempotents."""
+    """The subalgebra e*A*e for e the sum of the given vertex idempotents.
+
+    Its table is alg's table restricted to the basis paths between kept
+    vertices, in alg's key order; a product of two of them that leaves
+    the kept vertices raises ValueError.
+    """
     keep = [str(v) for v in vertices]
     kset = set(keep)
-    basis = [p for p in alg.basis if p.source in kset and p.target in kset]
-    sub_quiver = Quiver(
-        keep,
-        [a for a in alg.quiver.arrows if a.source in kset and a.target in kset],
-    )
-    inside = {p for p in basis}
-
-    def mul_path_fn(p, q):
-        prod = alg.mul_basis(alg.index[p], alg.index[q])
-        for l in prod:
-            if alg.basis[l] not in inside:
+    kept = [i for i, p in enumerate(alg.basis) if p.source in kset and p.target in kset]
+    new = {i: n for n, i in enumerate(kept)}
+    table = {}
+    for (i, j), prod in alg.table.items():
+        if i in new and j in new:
+            if not prod.keys() <= new.keys():
                 raise ValueError("idempotent cut is not multiplicatively closed")
-        return {basis_index[alg.basis[l]]: c for l, c in prod.items()}
-
-    basis_index = {p: i for i, p in enumerate(basis)}
-    cut = FiniteDimAlgebra(sub_quiver, basis, mul_path_fn)
-    cut.family = ("cut",) + tuple(getattr(alg, "family", ()))
-    return cut
+            table[(new[i], new[j])] = {new[l]: c for l, c in prod.items()}
+    sub_quiver = Quiver(keep, [a for a in alg.quiver.arrows if a.source in kset and a.target in kset])
+    return FiniteDimAlgebra(sub_quiver, [alg.basis[i] for i in kept], table)
 
 
 # -- element lookups --------------------------------------------------------
@@ -284,9 +267,7 @@ def bhat_presentation(k: int, grading: str = "loops_two") -> QuiverPresentation:
 
 
 def make_bhat(k: int, grading: str = "loops_two") -> GradedQuotient:
-    gq = GradedQuotient(bhat_presentation(k, grading))
-    gq.family = ("Bhat", k, grading)
-    return gq
+    return GradedQuotient(bhat_presentation(k, grading))
 
 
 def shortest_loop_path(quiver: Quiver, letter: str, v) -> "Path":
@@ -491,8 +472,11 @@ def flatness_dims(k: int, bound: int = 6):
 
 def hom_dimensions(alg: FiniteDimAlgebra):
     """dim Hom(P_i, P_j) = dim e_i A e_j as a nested dict over vertices."""
-    dims = alg.pair_dims()
-    return {v: dict(dims[v]) for v in alg.quiver.vertices}
+    vertices = alg.quiver.vertices
+    out = {v: {w: 0 for w in vertices} for v in vertices}
+    for i in range(alg.dim):
+        out[alg.target[i]][alg.source[i]] += 1
+    return out
 
 
 def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:

@@ -397,9 +397,9 @@ def is_coboundary(alg: FiniteDimAlgebra, c: dict):
     return (f is not None), f
 
 
-def graded_cocycle_degree(alg: FiniteDimAlgebra, c: dict, grading: str | None = None):
-    """The shift d with deg c(u,v) = deg u + deg v + d; or (None, witness)."""
-    degs = alg.alt_gradings[grading] if grading is not None else alg.degrees
+def graded_cocycle_degree(alg: FiniteDimAlgebra, c: dict, grading: str):
+    """The shift d with deg c(u,v) = deg u + deg v + d in `grading`; or (None, witness)."""
+    degs = alg.alt_gradings[grading]
     found = None
     for (u, v), vec in c.items():
         for l, x in vec.items():

@@ -22,7 +22,8 @@ more presentation: the element's vertex pieces are appended to the
 relations, and the components below their degree are the base's own.
 When all components from some bound on vanish, the quotient is finite
 dimensional, and GradedQuotient.to_algebra, the one packaging path, makes
-it a FiniteDimAlgebra, whose structure table visits composable pairs only.
+it a FiniteDimAlgebra: it multiplies the composable basis pairs into a
+structure table, which the algebra stores as given.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 It clears the denominators of all its tables once and runs in ints.
@@ -456,27 +457,34 @@ class GradedQuotient:
             )
         basis = [p for d in range(bound) for p in self.component(d)]
         alg_index = {p: i for i, p in enumerate(basis)}
-
-        def mul_path_fn(p, q):
-            d = p.degree + q.degree
-            if d >= bound:
-                return {}
-            comp = self.component(d)
-            return {alg_index[comp[i]]: x for i, x in self.mul_paths(p, q).items()}
-
-        return FiniteDimAlgebra(self.quiver, basis, mul_path_fn, presentation=self.pres)
+        ending_at: dict = {}
+        for j, q in enumerate(basis):
+            ending_at.setdefault(q.target, []).append((j, q))
+        # each b_i meets only the b_j ending at its source, in ascending j
+        table = {}
+        for i, p in enumerate(basis):
+            for j, q in ending_at.get(p.source, ()):
+                d = p.degree + q.degree
+                if d < bound:
+                    comp = self.component(d)
+                    prod = {alg_index[comp[l]]: x for l, x in self.mul_paths(p, q).items()}
+                    if prod:
+                        table[(i, j)] = prod
+        return FiniteDimAlgebra(self.quiver, basis, table)
 
 
 class FiniteDimAlgebra:
     """Basis paths, structure constants, idempotents, and a grading.
 
-    `table` holds the nonzero b_i*b_j; each b_i visits only the b_j ending
-    at its source, in ascending j, so keys come in all-pairs scan order.
+    `table` maps the basis pairs (i, j) with b_i*b_j nonzero to that
+    product as a sparse vector; the algebra stores it as given and
+    multiplies nothing itself.  GradedQuotient.to_algebra builds it in
+    all-pairs scan order (ascending i, then ascending j), and
+    families.idempotent_cut restricts a parent's table.
     """
 
-    def __init__(self, quiver: Quiver, basis: list[Path], mul_path_fn, presentation=None):
+    def __init__(self, quiver: Quiver, basis: list[Path], table: dict):
         self.quiver = quiver
-        self.pres = presentation
         self.basis = list(basis)
         self.dim = len(self.basis)
         self.index = {p: i for i, p in enumerate(self.basis)}
@@ -491,15 +499,7 @@ class FiniteDimAlgebra:
         for v in quiver.vertices:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
-        ending_at: dict = {}
-        for j, q in enumerate(self.basis):
-            ending_at.setdefault(q.target, []).append((j, q))
-        self.table = {}
-        for i, p in enumerate(self.basis):
-            for j, q in ending_at.get(p.source, ()):
-                prod = mul_path_fn(p, q)
-                if prod:
-                    self.table[(i, j)] = prod
+        self.table = table
         self.alt_gradings: dict[str, list[int]] = {}
 
     def unit(self) -> dict:
@@ -521,13 +521,6 @@ class FiniteDimAlgebra:
         idem = set(self.idempotent.values())
         return [i for i in range(self.dim) if i not in idem]
 
-    def pair_dims(self):
-        """dim e_v A e_w for all vertex pairs, as a nested dict."""
-        out = {v: {w: 0 for w in self.quiver.vertices} for v in self.quiver.vertices}
-        for i in range(self.dim):
-            out[self.target[i]][self.source[i]] += 1
-        return out
-
     def check_identity(self) -> bool:
         one = self.unit()
         for i in range(self.dim):
@@ -544,13 +537,12 @@ class FiniteDimAlgebra:
         i, j, l, _ = min(bad)
         return (self.labels[i], self.labels[j], self.labels[l])
 
-    def check_graded(self, degrees=None):
+    def check_graded(self, degrees):
         """Products must respect the grading; None or a witness pair."""
-        degs = self.degrees if degrees is None else degrees
         for (i, j), prod in self.table.items():
-            d = degs[i] + degs[j]
+            d = degrees[i] + degrees[j]
             for l in prod:
-                if degs[l] != d:
+                if degrees[l] != d:
                     return (self.labels[i], self.labels[j])
         return None
 

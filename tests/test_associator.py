@@ -261,10 +261,13 @@ def test_explicit_zero_coefficients_act_as_absent():
     table = copy.copy(alg)
     table.table = {**alg.table, (a1, a1): {a1: ZERO}}
     assert table.check_associativity() is None
-    S = extend_order_by_order(alg, padded, 4, prescribed={2: {(l1, b1): {b1: ZERO}}})
     T = extend_order_by_order(alg, mu, 4)
+    S = StarProduct(alg, 1, 4, {(1,): padded, (2,): {(l1, b1): {b1: ZERO}}})
+    assert (2,) in S.family
     assert {d: _strip(c) for d, c in S.family.items() if _strip(c)} == T.family
     assert check_associativity(S) is None
+    extended = extend_order_by_order(alg, padded, 4)
+    assert {d: _strip(c) for d, c in extended.family.items() if _strip(c)} == T.family
 
 
 @pytest.mark.parametrize("key", [(6 + 5, 0), (-1, 2), (2, 6)])

@@ -4,8 +4,9 @@ bench/instrument.py patches names such as `StarProduct.mu_pair` and
 `hochschild.is_associative_cochain`, and its graded-component hook reads
 `GradedQuotient.paths_of_degree` and the "basis" entry of `_component`;
 bench/workloads.py calls names such as `linalg.mat_mul` and
-`slnlab.verify_relations`.  A refactor that removes one of them must fail
-here, not only in a benchmark run.
+`slnlab.verify_relations`.  A refactor that removes one of them, or
+changes a signature so that a wrapped call fails, must fail here, not
+only in a benchmark run.
 """
 
 import json
@@ -26,6 +27,18 @@ gq = make_bhat(2)
 for d in range(5):
     gq.dim(d)
 print(tracer.counts["quiver.basis_dim"])
+"""
+
+
+TRACED_PROGRAM = """
+import instrument
+from quivdef import deformation, families
+
+tracer = instrument.Tracer()
+instrument.install(tracer)
+print(deformation.verify_psi(2, 2)["ok"], families.atilde_cut_isomorphic_to_a(3))
+spans = tracer.snapshot()["spans"]
+print(spans["quiver.FiniteDimAlgebra.init"][0], spans["families"][0], spans["quiver.GradedQuotient"][0] > 0)
 """
 
 
@@ -64,6 +77,13 @@ def test_bench_tracer_installs_on_the_program():
 def test_bench_tracer_counts_graded_components():
     # B(2) has dimensions 2, 2, 4, 2, 4 in degrees 0..4
     assert _run_on_bench_path(TRACED_BHAT).split() == ["14"]
+
+
+def test_bench_tracer_wraps_a_traced_program_run():
+    # A(2) and the psi target, then A(3), Atilde(3) and its cut: five
+    # finite algebras, each built through the traced constructors
+    out = _run_on_bench_path(TRACED_PROGRAM).split()
+    assert out[:3] == ["True", "True", "5"] and int(out[3]) > 0 and out[4] == "True"
 
 
 def test_bench_workloads_run_without_failures(tmp_path):

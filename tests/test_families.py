@@ -414,6 +414,31 @@ def test_idempotent_cut_is_closed():
     assert cut.check_associativity() is None
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cut_table_matches_the_pairwise_construction(k):
+    """Key order included: the cut once multiplied every pair of its basis."""
+    parent = make_atilde(k)
+    cut = idempotent_cut(parent, [str(i) for i in range(1, k + 1)])
+    assert cut.basis == [p for p in parent.basis if "0" not in (p.source, p.target)]
+    index = {p: n for n, p in enumerate(cut.basis)}
+    want = {}
+    for i, p in enumerate(cut.basis):
+        for j, q in enumerate(cut.basis):
+            prod = parent.mul_basis(parent.index[p], parent.index[q])
+            if prod:
+                want[(i, j)] = {index[parent.basis[l]]: c for l, c in prod.items()}
+    assert list(cut.table.items()) == list(want.items())
+
+
+def test_cut_of_a_table_leaving_the_kept_vertices_is_rejected():
+    parent = copy.copy(make_atilde(2))
+    a1, b1 = (parent.index[parent.quiver.arrow_path(name)] for name in ("a1", "b1"))
+    assert (b1, a1) in parent.table  # b1*a1, a loop at the kept vertex 1
+    parent.table = {**parent.table, (b1, a1): {parent.idempotent["0"]: 1}}
+    with pytest.raises(ValueError, match="not multiplicatively closed"):
+        idempotent_cut(parent, ["1", "2"])
+
+
 def test_psi_basis_images_rejects_quiver_of_wrong_shape():
     # B(2) has no arrows between vertices 2 and 3, which A(3) needs
     with pytest.raises(ValueError, match="between 2 and 3, found 0 forward and 0 back"):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from quivdef import quiver
 from quivdef.deformation import psi_target
 from quivdef.families import (
     BHAT_GRADINGS,
@@ -144,7 +143,7 @@ def test_bounded_quotient_a2_dimension():
     assert sorted(alg.labels) == sorted(["e1", "e2", "a1", "b1", "a1*b1", "b1*a1"])
     assert alg.check_identity()
     assert alg.check_associativity() is None
-    assert alg.check_graded() is None
+    assert alg.check_graded(alg.degrees) is None
 
 
 def test_bounded_quotient_a4_dimension():
@@ -547,34 +546,55 @@ def test_non_central_quotient_shares_the_base_below_its_relations():
 # structure tables and paths
 # ---------------------------------------------------------------------------
 
+def assert_table_matches_pairwise_oracle(alg, gq, bound):
+    """alg is gq below the bound, its table every basis pair through
+    mul_paths, truncated at the bound, in all-pairs key order."""
+    assert alg.basis == [p for d in range(bound) for p in gq.component(d)]
+    want = {}
+    for i, p in enumerate(alg.basis):
+        for j, q in enumerate(alg.basis):
+            d = p.degree + q.degree
+            prod = gq.mul_paths(p, q) if d < bound else {}
+            if prod:
+                comp = gq.component(d)
+                want[(i, j)] = {alg.index[comp[l]]: x for l, x in prod.items()}
+    assert list(alg.table.items()) == list(want.items())
+
+
+def psi_quotient(k, order):
+    gq = make_bhat(k, "loops_two")
+    return CentralQuotient(gq, central_t(gq), 2, order + 1)
+
+
 @pytest.mark.parametrize(
     "build",
-    [partial(make_a, k) for k in range(1, 7)]
-    + [partial(make_atilde, 3)]
-    + [partial(psi_target, k, 2) for k in range(2, 5)],
+    [(partial(make_a, k), partial(GradedQuotient, a_presentation(k)), 2 if k == 1 else 3) for k in range(1, 7)]
+    + [(partial(make_atilde, 3), partial(GradedQuotient, atilde_presentation(3)), 3)]
+    + [(lambda k=k: psi_target(k, 2)[1], partial(psi_quotient, k, 2), 7) for k in range(2, 5)],
 )
-def test_table_matches_the_all_pairs_construction(build, monkeypatch):
-    """Key order included: the table once visited every basis pair."""
-    made = []
-    real = quiver.FiniteDimAlgebra
+def test_table_matches_the_all_pairs_construction(build):
+    """The algebra as built, against a fresh quotient and its bound."""
+    make, quotient, bound = build
+    assert_table_matches_pairwise_oracle(make(), quotient(), bound)
 
-    def all_pairs(quiv, basis, mul_path_fn, presentation=None):
-        table = {}
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
-                if p.source == q.target:
-                    prod = mul_path_fn(p, q)
-                    if prod:
-                        table[(i, j)] = prod
-        alg = real(quiv, basis, mul_path_fn, presentation=presentation)
-        made.append((alg, table))
-        return alg
 
-    monkeypatch.setattr(quiver, "FiniteDimAlgebra", all_pairs)
-    build()
-    assert len(made) == 1
-    alg, table = made[0]
-    assert list(alg.table.items()) == list(table.items())
+@st.composite
+def finite_presentations(draw):
+    """A drawn presentation with every path of degree 3 or 4 made a
+    relation: a longer path has a subpath of degree 3 or 4 (arrows have
+    degree <= 2), so the quotient vanishes from degree 3 on.  Relations
+    that would kill an idempotent are left out; a finite algebra keeps
+    every vertex."""
+    pres = draw(presentations())
+    kept = [r for r in pres.relations if all(p.arrows for _, p in r.terms)]
+    cut = [Relation([(1, p)]) for p in pres.quiver.enumerate_paths(4) if p.degree >= 3]
+    return QuiverPresentation(pres.quiver, kept + cut)
+
+
+@given(finite_presentations())
+@settings(max_examples=100, deadline=None)
+def test_finite_quotient_tables_match_the_pairwise_oracle(pres):
+    assert_table_matches_pairwise_oracle(bounded_quotient(pres, 3), GradedQuotient(pres), 3)
 
 
 def test_path_is_a_tuple_with_its_label():
