@@ -19,21 +19,17 @@ that dict itself.
 
 verify_relations checks the defining relations (commutators, Cartan
 actions, Serre relations) at every point where all intermediate points
-exist, counting the instances skipped at the boundary.  It works in
-Python integers: every block is D times its rational block, for one D
-that clears every denominator, and the terms of a relation are brought
-to a common power of D before they are summed, so the test for zero is
-exact.  The module class chooses how a block becomes an integer class
-(block_classes): a module of stored blocks scales each distinct block
-by the lcm of all block denominators, and a build_f module reads the
-class at p through (key, coordinate of p), scaling the formula block
-once per pair and listing no block.  A relation reads its blocks at
-fixed offsets from its start point, so its instance at a point is the
-tuple of integer classes of the blocks it reads there (equal matrices
-share a class).  The kernel counts equal tuples once with their
-multiplicity and composes and zero-tests only the distinct ones,
+exist, counting the instances skipped at the boundary.  It reads any
+module's listed blocks and works in Python integers: each distinct
+block becomes D times itself, D the lcm of the block denominators, and
+the terms of a relation are brought to a common power of D before they
+are summed, so the test for zero is exact.  A relation reads its blocks
+at fixed offsets from its start point, so its instance at a point is
+the tuple of integer classes of the blocks it reads there (equal
+matrices share a class).  The kernel counts equal tuples once with
+their multiplicity and composes and zero-tests only the distinct ones,
 through a product table keyed by class pairs; each distinct block,
-product and instance is computed once per check.
+product and instance is computed once per call.
 
 certify_relations checks a module's formula at a cost that does not
 depend on the radius: every relation vanishes on the formula blocks at
@@ -41,12 +37,11 @@ the points of the simplex {b_J >= 0, sum of b_J <= d}, where J is the
 coordinates the relation reads and d its degree.  A relation instance is
 a matrix polynomial of degree <= d in b_J, and that set is unisolvent for
 such polynomials, so the formula satisfies every relation at every point
-of every radius.  It feeds the same kernel, reading each formula block
-through its one coordinate as verify_relations does for a build_f
-module.  The CLI battery uses the certificate and never lists a
-support; verify_relations stays for modules of stored blocks and as the
-certificate's oracle in the tests, and compare_modules tells whether
-stored blocks equal a formula's.
+of every radius.  It feeds the same kernel, taking the class of each
+formula block from (key, its one coordinate), and lists no block.  The
+CLI battery uses the certificate and never lists a support;
+verify_relations stays as the certificate's oracle in the tests, and
+compare_modules tells whether stored blocks equal a formula's.
 
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
@@ -164,20 +159,6 @@ class LatticeModule:
     def block(self, key, point):
         return self.blocks.get(key, {}).get(point)
 
-    def block_classes(self, classes):
-        """(D, key -> [(p, end point, class)]) over the stored blocks, for verify_relations.
-
-        The class is that in classes of D times the block at p, with D the
-        lcm of all block denominators.  Equal blocks are scaled once.
-        """
-        distinct = dict.fromkeys(q for per_point in self.blocks.values() for q in per_point.values())
-        scale = math.lcm(1, *(den for _flat, den in distinct))
-        class_of = {q: classes(_scaled(q, scale)) for q in distinct}
-        return scale, {
-            key: [(p, _add(p, gen_shift(self.n, key)), class_of[q]) for p, q in per_point.items()]
-            for key, per_point in self.blocks.items()
-        }
-
     @functools.cached_property
     def formula(self):
         """The build_f formula of the fiber matrices that the blocks at the origin carry."""
@@ -207,8 +188,13 @@ def _coordinates_read(n, keys):
     _coordinate is linear, so it reads b_(j+1) exactly when it is nonzero
     on the j-th unit vector.
     """
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return [j for j in range(n) if any(_coordinate(key, units[j]) for key in keys)]
+    return [j for j, unit in enumerate(_units(n)) if any(_coordinate(key, unit) for key in keys)]
+
+
+@functools.cache
+def _units(n: int):
+    """The n unit vectors of length n, made once per n."""
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 class _BlockFormula(dict):
@@ -285,20 +271,6 @@ class FormulaModule(LatticeModule):
         if covers(point) and covers(_add(point, gen_shift(self.n, key))):
             return self.formula[key, _coordinate(key, point)]
         return None
-
-    def block_classes(self, classes):
-        """(D, key -> [(p, end point, class)]) over the formula's blocks, none of them listed.
-
-        The class of the block at p is read through (key, _coordinate(key, p))
-        by _FormulaClasses, whose scale is D.
-        """
-        read = _FormulaClasses(self.formula, classes)
-        support = self.support
-        listed = {}
-        for key in generator_keys(self.n):
-            ends = [(p, _add(p, gen_shift(self.n, key))) for p in support.points]
-            listed[key] = [(p, q, read[key, _coordinate(key, p)]) for p, q in ends if q in support]
-        return read.scale, listed
 
     @functools.cached_property
     def blocks(self):
@@ -396,24 +368,6 @@ class _Classes(list):
         return c
 
 
-class _FormulaClasses(dict):
-    """(key, v) -> the class in classes of D times the formula block of key at coordinate v.
-
-    D, the scale, is the formula's: it clears the denominator of every
-    block.  Each class is made once per pair.
-    """
-
-    def __init__(self, formula: _BlockFormula, classes: _Classes):
-        super().__init__()
-        self.formula = formula
-        self.classes = classes
-        self.scale = formula.scale
-
-    def __missing__(self, key_value):
-        c = self[key_value] = self.classes(_scaled(self.formula[key_value], self.scale))
-        return c
-
-
 def _int_mul(rows, cols):
     """The integer matrix with the given rows times the one with the given columns, row-major."""
     return tuple(int_product(rows, cols))
@@ -488,35 +442,39 @@ def verify_relations(module: LatticeModule):
     """Check all defining relations pointwise; returns counts and witness.
 
     A relation instance is checked at every support point where all its
-    monomials walk along the module's blocks, and skipped otherwise (the
-    truncation boundary).  The check is exact in integer arithmetic: each
-    block B becomes the class of D*B, with D and the classes given by the
-    module's block_classes (see _check_instances).  A walk follows
+    monomials walk along the module's listed blocks, and skipped otherwise
+    (the truncation boundary).  The check is exact in integer arithmetic:
+    each distinct block B becomes the class of D*B, with D the lcm of the
+    block denominators (see _check_instances).  A walk follows
     point-indexed arrays made once per call: for each key, cls[key][i] is
     the class of its block at point i and nxt[key][i] the index of that
     block's end point.  The index covers the support, in order, and every
-    other point where a stored block starts or ends, so walks through
-    blocks stored off the support are followed too; index 0 is no point.
-    It applies to any module, reconstruct_extension's output included.
+    other point where a block starts or ends, so walks through blocks
+    stored off the support are followed too; index 0 is no point.  It
+    applies to any module, build_f's and reconstruct_extension's alike;
+    a build_f module lists its blocks for it.
     """
     n = module.n
     dim = module.fiber_dim
     points = module.support.points
+    blocks = module.blocks
+    distinct = dict.fromkeys(q for per_point in blocks.values() for q in per_point.values())
+    scale = math.lcm(1, *(den for _flat, den in distinct))
     classes = _Classes()
-    scale, listed = module.block_classes(classes)
+    class_of = {q: classes(_scaled(q, scale)) for q in distinct}
+    ends = {key: [_add(p, gen_shift(n, key)) for p in per_point] for key, per_point in blocks.items()}
     index = {p: i for i, p in enumerate(points, 1)}
-    for p, q, _c in itertools.chain.from_iterable(listed.values()):
-        for x in (p, q):
-            if x not in index:
-                index[x] = len(index) + 1
+    for p in itertools.chain(*blocks.values(), *ends.values()):
+        if p not in index:
+            index[p] = len(index) + 1
     zero = [0] * (len(index) + 1)
     cls, nxt = {}, {}
-    for key, rows in listed.items():
+    for key, per_point in blocks.items():
         c, t = cls[key], nxt[key] = list(zero), list(zero)
-        for p, q, k in rows:
+        for (p, q), end in zip(per_point.items(), ends[key]):
             i = index[p]
-            c[i] = k
-            t[i] = index[q]
+            c[i] = class_of[q]
+            t[i] = index[end]
     reached = {(): range(1, len(points) + 1)}  # walk -> index of its end at each point, or 0
     read = {}  # monomial prefix -> column
 
@@ -571,7 +529,9 @@ def certify_relations(module: LatticeModule):
     is evaluated on the formula blocks at the simplex set {b_J >= 0, sum
     of b_J <= d} of _relation_simplex, with J the coordinates the relation
     reads and d its degree, off the support too, through the kernel of
-    verify_relations; the cost does not depend on the radius.
+    verify_relations.  The class of a block is made once per (key,
+    coordinate), with the formula's scale as D, and no block is listed, so
+    the cost does not depend on the radius.
 
     A relation reads only the coordinates in J, and its formula blocks are
     affine in them, so an instance is a matrix polynomial of total degree
@@ -588,8 +548,12 @@ def certify_relations(module: LatticeModule):
     and the witness: the first failing (relation, simplex point), or None.
     """
     n = module.n
+    formula = module.formula
     classes = _Classes()
-    class_of = _FormulaClasses(module.formula, classes)
+
+    @functools.cache
+    def class_of(key, v):
+        return classes(_scaled(formula[key, v], formula.scale))
 
     def columns(terms):
         points = _relation_simplex(n, terms)
@@ -601,11 +565,11 @@ def certify_relations(module: LatticeModule):
             for step in walk:
                 offset = _add(offset, gen_shift(n, step))
             shift = _coordinate(key, offset)
-            return [class_of[key, _coordinate(key, p) + shift] for p in points]
+            return [class_of(key, _coordinate(key, p) + shift) for p in points]
 
         return points, read
 
-    checked, _skipped, witness = _check_instances(n, columns, classes, module.fiber_dim, class_of.scale)
+    checked, _skipped, witness = _check_instances(n, columns, classes, module.fiber_dim, formula.scale)
     return {"checked": checked, "witness": witness}
 
 
@@ -752,9 +716,14 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     x_last = qmat(x_n)
     if not qmat_is_nilpotent(x_last):
         raise ValueError("the new fiber matrix must be nilpotent")
-    for i, x in enumerate(_extract_x(nprime)):
+    xs = _extract_x(nprime)
+    for i, x in enumerate(xs):
         if not qmat_commute(x, x_last):
             raise ValueError("new fiber matrix does not commute with X_%d" % (i + 1))
+    # the vertical block at p is the formula's e_{n-1,n} block at b_n
+    formula = _BlockFormula(n, a, xs + [x_last])
+    key_u = ("e", n - 1, n)
+    inverse = functools.cache(lambda v: qmat_inv(formula[key_u, v]))  # b_n -> its inverse or None
 
     def mul(*factors):
         return functools.reduce(lambda x, y: qmat_mul(x, y, dim), factors)
@@ -767,24 +736,12 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     # finding one tests both points
     blocks = {key: {} for key in generator_keys(n)}
     log = {"y_equals_b": 0, "x_equals_b_minus_1": 0, "last_x_equals_b": 0, "last_solved": 0}
-
-    vertical = {}  # b_n -> (X_n + (a_n + b_n) Id, its inverse or None)
-
-    def cblock(p):
-        """The vertical block at p and its inverse, both made once per value of b_n."""
-        v = p[n - 1]
-        if v not in vertical:
-            c = qmat_add_scalar(x_last, a[n - 1] + v)
-            vertical[v] = (c, qmat_inv(c))
-        return vertical[v]
-
     sigma_u, sigma_d = _shift(n, n - 1, n), _shift(n, n, n - 1)
 
     # e_{n-1,n} comes with the chosen bases
-    key_u = ("e", n - 1, n)
     for p in support.points:
         if _add(p, sigma_u) in support:
-            blocks[key_u][p] = cblock(p)[0]
+            blocks[key_u][p] = formula[key_u, p[n - 1]]
 
     # the sl_(n-1) generators on the zero slice
     slice_keys = [("e", i, i + 1) for i in range(1, n - 1)] + [
@@ -799,7 +756,11 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 blocks[key][p] = m
 
     def extend_by_commutation(key):
-        """Fill a generator commuting with e_{n-1,n} level by level."""
+        """Fill a generator commuting with e_{n-1,n} level by level.
+
+        The generator does not move b_n, so the vertical blocks at the
+        start and the end of each of its blocks are equal.
+        """
         sg = gen_shift(n, key)
         for level in range(1, radius + 1):
             for p in support.points:
@@ -809,7 +770,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 gq = blocks[key].get(q)
                 if gq is None:
                     continue
-                blocks[key][p] = mul(cblock(_add(q, sg))[0], gq, cblock(q)[1])
+                blocks[key][p] = mul(formula[key_u, q[n - 1]], gq, inverse(q[n - 1]))
         for level in range(1, radius + 1):
             for p in support.points:
                 if p[n - 1] != level or _add(p, sg) not in support:
@@ -817,7 +778,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
                 gq = blocks[key].get(_add(p, sigma_u))
                 if gq is None:
                     continue
-                blocks[key][p] = mul(cblock(_add(p, sg))[1], gq, cblock(p)[0])
+                blocks[key][p] = mul(inverse(p[n - 1]), gq, formula[key_u, p[n - 1]])
 
     for i in range(1, n - 2):
         extend_by_commutation(("e", i, i + 1))
@@ -881,7 +842,7 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
         b_down = qmat_add_scalar(b, -1)
         if bp1 != qmat_add_scalar(b, 1) or bm1 != b_down:
             raise AssertionError("horizontal blocks out of step at %s" % (p,))
-        c, cinv = cblock(p)
+        c, cinv = formula[key_u, p[n - 1]], inverse(p[n - 1])
         if cinv is None:
             raise NoUniqueExtension("vertical block not invertible at %s" % (p,))
         binv = qmat_inv(b)
@@ -992,21 +953,33 @@ def module_dump(module: LatticeModule) -> dict:
 
 
 def random_parameters(n: int, rng, extension_safe=False):
-    """Rationals with small denominators, avoiding the integrality walls."""
-    while True:
-        a = tuple(
-            Fraction(rng.randint(-6, 6) * 2 + 1, rng.choice([2, 3, 4, 5]))
-            for _ in range(n)
-        )
-        if any(x.denominator == 1 for x in a):
-            continue
-        if extension_safe and any(
-            (a[i] + a[j]).denominator == 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            continue
-        return a
+    """Rationals with small denominators, avoiding the integrality walls.
+
+    No a_i is an integer, nor, with extension_safe, any a_i + a_j.  Whole
+    tuples are drawn until one passes, at most 1000 times: with
+    extension_safe, enough up to n = 8 at seeds 1..199 (552 draws at
+    most), not always from n = 9 on, and whole tuples pass almost never by
+    n = 16.  Then each a_i alone is drawn until it passes with
+    a_1..a_(i-1), which ends: a value in the class mod 1 of an earlier
+    value other than 1/2 passes, and 1/3 does if every earlier value is 1/2.
+    """
+
+    def draw():
+        return Fraction(rng.randint(-6, 6) * 2 + 1, rng.choice([2, 3, 4, 5]))
+
+    def fits(x, before):
+        return x.denominator != 1 and not (extension_safe and any((x + y).denominator == 1 for y in before))
+
+    for _ in range(1000):
+        a = tuple(draw() for _ in range(n))
+        if all(fits(x, a[:i]) for i, x in enumerate(a)):
+            return a
+    a = ()
+    while len(a) < n:
+        x = draw()
+        if fits(x, a):
+            a += (x,)
+    return a
 
 
 def random_commuting_nilpotents(n: int, dim: int, rng):

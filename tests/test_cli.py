@@ -242,6 +242,8 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
             ["families", "--k", "3", "--family", "atilde", "--emit-presentation"],
             "de7c4c5ddd8570e090f47ff7e06323c0",
         ),
+        # its parameters take 63 whole-tuple draws, under random_parameters' cap
+        (["slnlab", "--n", "11", "--radius", "2", "--fiber", "1"], "2a3b2814fbfdb6c4d4100ff619eee44d"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):
@@ -275,6 +277,12 @@ def test_slnlab_n7_radius6_passes_without_listing_its_points():
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert checks and all(c["status"] == "pass" for c in checks)
+
+
+def test_slnlab_n19_ends():
+    # whole-tuple draws of its parameters pass too rarely to end
+    proc = run_cli(["slnlab", "--n", "19", "--radius", "2", "--fiber", "1"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_slnlab_dump_above_its_limit_fails_one_check():

@@ -643,24 +643,50 @@ def test_reconstruct_log_on_the_benchmark_input(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction matrix product")
 
+    inverses = []
+    real_inv = slnlab.qmat_inv
     monkeypatch.setattr(linalg, "mat_mul", refuse)
     monkeypatch.setattr(slnlab, "mat_mul", refuse)
+    monkeypatch.setattr(slnlab, "qmat_inv", lambda q: inverses.append(1) or real_inv(q))
     assert not hasattr(linalg, "mat_inv")
     recon, log = reconstruct_extension(3, a, nprime, xs[2], 6)
     monkeypatch.undo()
     assert log == {"y_equals_b": 45, "x_equals_b_minus_1": 39, "last_x_equals_b": 74, "last_solved": 74}
+    # 45 root separations, two inverses per solved vertical block, and one
+    # vertical block inverse per value of b_3 (12 of them)
+    assert len(inverses) == 205
     cmp = compare_modules(recon, want)
     assert (cmp["mismatched"], cmp["only_first"]) == ([], [])
 
 
-@given(build_f_modules(changed=st.just(False)))
-@settings(max_examples=20, deadline=None)
-def test_verify_relations_lists_no_block_of_a_formula_module(case):
-    # the formula module reads each class through (key, coordinate)
-    module, _xs = case
-    rep = verify_relations(module)
-    assert "blocks" not in vars(module)
-    assert rep == verify_relations(stored_copy(module))
+def whole_tuple_parameters(n, rng, extension_safe=False):
+    """random_parameters' draw of whole tuples, with no cap: its oracle."""
+    while True:
+        a = tuple(Fraction(rng.randint(-6, 6) * 2 + 1, rng.choice([2, 3, 4, 5])) for _ in range(n))
+        if any(x.denominator == 1 for x in a):
+            continue
+        if extension_safe and any((a[i] + a[j]).denominator == 1 for i in range(n) for j in range(i + 1, n)):
+            continue
+        return a
+
+
+@pytest.mark.parametrize("extension_safe", [False, True])
+def test_random_parameters_draw_whole_tuples_as_before(extension_safe):
+    # the callers draw the fiber dimension and matrices from the same rng next
+    for n in range(2, 9):
+        for seed in range(1, 200):
+            rng, want = random.Random(seed), random.Random(seed)
+            assert random_parameters(n, rng, extension_safe) == whole_tuple_parameters(n, want, extension_safe)
+            assert rng.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("n", [19, 25, 40])
+def test_random_parameters_end_past_the_whole_tuple_cap(n):
+    for seed in (1, 2, 2011):
+        a = random_parameters(n, random.Random(seed), extension_safe=True)
+        assert len(a) == n
+        assert all(x.denominator != 1 for x in a)
+        assert all((a[i] + a[j]).denominator != 1 for i in range(n) for j in range(i + 1, n))
 
 
 COMPARE_ORDER = """
