@@ -22,8 +22,10 @@ more presentation: the element's vertex pieces are appended to the
 relations, and the components below their degree are the base's own.
 When all components from some bound on vanish, the quotient is finite
 dimensional, and GradedQuotient.to_algebra, the one packaging path, makes
-it a FiniteDimAlgebra: it multiplies the composable basis pairs into a
-structure table, which the algebra stores as given.
+it a FiniteDimAlgebra with a structure table, which the algebra stores as
+given.  The tail b' of a normal word b = a*b', a its leftmost arrow, is
+normal, so each product b*c = a*(b'*c) is one arrow step on the table
+entry of b'*c.
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 It clears the denominators of all its tables once and runs in ints.
@@ -448,6 +450,11 @@ class GradedQuotient:
         proves that every path of degree >= bound lies in the ideal (such a
         path has a prefix landing inside the window).  If they do not
         vanish the quotient was not captured: raise BoundTooSmall.
+
+        Row i, the products b_i*b_j, is a times row i' for b_i = a*b_i'.
+        Rows are filled shortest word first, because a leftmost arrow of
+        degree 0 can sort a word before its tail (a0*a1 before a1); the
+        table is emitted in ascending (i, j) order.
         """
         width = max(1, self.quiver.max_arrow_degree())
         leftover = [d for d in range(bound, bound + width) if self.dim(d) > 0]
@@ -455,21 +462,34 @@ class GradedQuotient:
             raise BoundTooSmall(
                 "components in degrees %s survive past the bound %d" % (leftover, bound)
             )
-        basis = [p for d in range(bound) for p in self.component(d)]
+        basis: list = []
+        start = []  # index of the first basis path of each degree
+        for d in range(bound):
+            start.append(len(basis))
+            basis += self.component(d)
         alg_index = {p: i for i, p in enumerate(basis)}
         ending_at: dict = {}
         for j, q in enumerate(basis):
-            ending_at.setdefault(q.target, []).append((j, q))
-        # each b_i meets only the b_j ending at its source, in ascending j
-        table = {}
-        for i, p in enumerate(basis):
-            for j, q in ending_at.get(p.source, ()):
-                d = p.degree + q.degree
-                if d < bound:
-                    comp = self.component(d)
-                    prod = {alg_index[comp[l]]: x for l, x in self.mul_paths(p, q).items()}
-                    if prod:
-                        table[(i, j)] = prod
+            ending_at.setdefault(q.target, []).append(j)
+        # row i meets only the b_j ending at b_i's source, in ascending j
+        rows: dict = {}
+        for i in sorted(range(len(basis)), key=lambda i: len(basis[i].arrows)):
+            p = basis[i]
+            if p.is_trivial:
+                rows[i] = {j: {j: 1} for j in ending_at.get(p.source, ())}
+                continue
+            a = self.quiver.arrow_by_name[p.arrows[0]]
+            tail = Path(p.source, a.source, p.arrows[1:], p.degree - a.degree)
+            row = rows[i] = {}
+            for j, vec in rows[alg_index[tail]].items():
+                d = tail.degree + basis[j].degree
+                if d + a.degree < bound:
+                    out: dict = {}
+                    for l, x in vec.items():
+                        vec_axpy_inplace(out, x, self._arrow_times(a.name, d, l - start[d]))
+                    if out:
+                        row[j] = {l + start[d + a.degree]: x for l, x in out.items()}
+        table = {(i, j): prod for i in range(len(basis)) for j, prod in rows[i].items()}
         return FiniteDimAlgebra(self.quiver, basis, table)
 
 
@@ -478,9 +498,9 @@ class FiniteDimAlgebra:
 
     `table` maps the basis pairs (i, j) with b_i*b_j nonzero to that
     product as a sparse vector; the algebra stores it as given and
-    multiplies nothing itself.  GradedQuotient.to_algebra builds it in
-    all-pairs scan order (ascending i, then ascending j), and
-    families.idempotent_cut restricts a parent's table.
+    multiplies nothing itself.  GradedQuotient.to_algebra emits it in
+    ascending (i, j) order, and families.idempotent_cut restricts a
+    parent's table.
     """
 
     def __init__(self, quiver: Quiver, basis: list[Path], table: dict):
@@ -638,7 +658,7 @@ class CentralQuotient(GradedQuotient):
             raise ValueError("power must be positive")
         tpow, deg = dict(tau), tau_degree
         for _ in range(power - 1):
-            tpow = gq.mul(deg, tpow, tau_degree, tau)
+            tpow = gq.mul(tau_degree, tau, deg, tpow)
             deg += tau_degree
         comp = gq.component(deg)
         pieces: dict = {}

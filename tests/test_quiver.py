@@ -470,6 +470,23 @@ def test_central_quotient_matches_one_sided_oracle(k):
             assert cq.component(d) == kept, (power, d)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_central_quotient_relations_match_the_one_sided_power(k):
+    """tau^power is formed as tau*tau^(power-1), the oracle as
+    tau^(power-1)*tau; the appended relations are the same."""
+    gq = make_bhat(k, "loops_two")
+    t = central_t(gq)
+    for power in range(1, 5):
+        cq = CentralQuotient(gq, t, 2, power)
+        oracle = OneSidedCentralQuotient(gq, t, 2, power)
+        comp = gq.component(oracle.tpow_degree)
+        pieces = {}
+        for i in sorted(oracle.tpow):
+            pieces.setdefault((comp[i].target, comp[i].source), []).append((oracle.tpow[i], comp[i]))
+        appended = cq.pres.relations[len(gq.pres.relations) :]
+        assert [r.terms for r in appended] == [tuple(pieces[key]) for key in sorted(pieces)], power
+
+
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("k", [2, 3])
 def test_central_quotient_matches_span_oracle(k, power):
@@ -548,7 +565,8 @@ def test_non_central_quotient_shares_the_base_below_its_relations():
 
 def assert_table_matches_pairwise_oracle(alg, gq, bound):
     """alg is gq below the bound, its table every basis pair through
-    mul_paths, truncated at the bound, in all-pairs key order."""
+    mul_paths, truncated at the bound, in all-pairs key order and with the
+    inner key order of mul_paths."""
     assert alg.basis == [p for d in range(bound) for p in gq.component(d)]
     want = {}
     for i, p in enumerate(alg.basis):
@@ -558,7 +576,9 @@ def assert_table_matches_pairwise_oracle(alg, gq, bound):
             if prod:
                 comp = gq.component(d)
                 want[(i, j)] = {alg.index[comp[l]]: x for l, x in prod.items()}
-    assert list(alg.table.items()) == list(want.items())
+    assert [(key, list(vec.items())) for key, vec in alg.table.items()] == [
+        (key, list(vec.items())) for key, vec in want.items()
+    ]
 
 
 def psi_quotient(k, order):
@@ -570,12 +590,47 @@ def psi_quotient(k, order):
     "build",
     [(partial(make_a, k), partial(GradedQuotient, a_presentation(k)), 2 if k == 1 else 3) for k in range(1, 7)]
     + [(partial(make_atilde, 3), partial(GradedQuotient, atilde_presentation(3)), 3)]
-    + [(lambda k=k: psi_target(k, 2)[1], partial(psi_quotient, k, 2), 7) for k in range(2, 5)],
+    + [
+        (lambda k=k, m=m: psi_target(k, m)[1], partial(psi_quotient, k, m), 2 * m + 3)
+        for k in range(2, 9)
+        for m in range(1, 9)
+    ]
+    + [(partial(make_atilde, k), partial(GradedQuotient, atilde_presentation(k)), 3) for k in (1, 2, 4, 5)],
 )
 def test_table_matches_the_all_pairs_construction(build):
     """The algebra as built, against a fresh quotient and its bound."""
     make, quotient, bound = build
     assert_table_matches_pairwise_oracle(make(), quotient(), bound)
+
+
+def test_table_rows_follow_their_tails_not_the_basis_order():
+    """A degree-0 leftmost arrow sorts a word before its tail: a0*a1 comes
+    before a1, yet its row is a0 times the row of a1."""
+    q = Quiver(["1", "2", "3"], [Arrow("a1", "1", "2", 1), Arrow("a0", "2", "3", 0)])
+    pres = QuiverPresentation(q, [])
+    alg = bounded_quotient(pres, 2)
+    word = q.path_from_arrows(["a0", "a1"])
+    assert alg.index[word] < alg.index[q.arrow_path("a1")]
+    assert_table_matches_pairwise_oracle(alg, GradedQuotient(pres), 2)
+
+
+def test_table_takes_one_arrow_step_per_product(monkeypatch):
+    """With the components built, each table entry costs one _arrow_times
+    step per term of its tail's entry, and nothing goes through mul_paths."""
+    cq = psi_quotient(4, 4)
+    for d in range(11 + 2):
+        cq.component(d)
+    calls = {"_arrow_times": 0, "mul_paths": 0}
+    for name in calls:
+        method = getattr(cq, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cq, name, counted)
+    cq.to_algebra(11)
+    assert calls == {"_arrow_times": 416, "mul_paths": 0}
 
 
 @st.composite
