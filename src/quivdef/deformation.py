@@ -211,7 +211,8 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarP
     At each order k the right-hand side assembled from the lower terms is
     checked to be a 3-cocycle and the coboundary equation is solved for
     mu_k, taking the reduced-echelon particular solution (free variables
-    zero) for reproducibility.  Raises Obstructed when no solution exists.
+    zero) for reproducibility; a zero right-hand side gives mu_k = 0 with
+    no solve.  Raises Obstructed when no solution exists.
     """
     ok, witness = is_cocycle(alg, mu1)
     if not ok:
@@ -219,13 +220,19 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarP
     cx = HochschildComplex(alg)
     mus = {1: mu1}
 
-    tuples3 = set(cx.tuples(3))
+    tuples3 = None  # the reduced triples, made at the first nonzero associator
     for k in range(2, order + 1):
         # the order-k associator of the lower terms, on the reduced triples
         lower = associator([((i,), c) for i, c in sorted(mus.items())], {(k,)})
+        if not lower:
+            continue
+        if tuples3 is None:
+            tuples3 = set(cx.tuples(3))
         neg = {key[:3]: lower[key] for key in sorted(lower) if key[:3] in tuples3}
+        if not neg:
+            continue
         rhs = {t: {l: -x for l, x in vec.items()} for t, vec in neg.items()}
-        if rhs and cx.apply_d(3, rhs):
+        if cx.apply_d(3, rhs):
             raise AssertionError("right-hand side at order %d is not a 3-cocycle" % k)
         muk = cx.solve_coboundary(3, neg)
         if muk is None:

@@ -28,8 +28,14 @@ at fixed offsets from its start point, so its instance at a point is
 the tuple of integer classes of the blocks it reads there (equal
 matrices share a class).  The kernel counts equal tuples once with
 their multiplicity and composes and zero-tests only the distinct ones,
-through a product table keyed by class pairs; each distinct block,
-product and instance is computed once per call.
+through a product table keyed by (block class, product class) pairs;
+each distinct block, product and instance is computed once per call.
+It holds each row of a product as one packed int, its entries in slots
+of b bits (Kronecker substitution), so a product row is d integer
+products and a zero test d sums for fiber dimension d.  b is fixed
+after every column is read, from a bound on every entry, product entry
+and weighted sum the relations can form, so packing is injective and a
+packed sum is 0 exactly when each of its entries is.
 
 certify_relations checks a module's formula at a cost that does not
 depend on the radius: every relation vanishes on the formula blocks at
@@ -69,7 +75,6 @@ from .linalg import (
     ZERO,
     fmt_fraction,
     fr,
-    int_product,
     mat_add,
     mat_mul,
     mat_scale,
@@ -274,15 +279,15 @@ class FormulaModule(LatticeModule):
 
     @functools.cached_property
     def blocks(self):
-        support, formula = self.support, self.formula
+        points, r, formula = self.support.points, self.support.radius, self.formula
         blocks = {}
         for key in generator_keys(self.n):
-            shift = gen_shift(self.n, key)
-            blocks[key] = {
-                p: formula[key, _coordinate(key, p)]
-                for p in support.points
-                if key[0] == "h" or _add(p, shift) in support
-            }
+            starts = points
+            if key[0] == "e":
+                # p + eps_s - eps_t stays in the support exactly when b_s < r and b_t > -r
+                _e, s, t = key
+                starts = [p for p in points if p[s - 1] < r and p[t - 1] > -r]
+            blocks[key] = {p: formula[key, _coordinate(key, p)] for p in starts}
         return blocks
 
 
@@ -349,11 +354,12 @@ def _scaled(q, scale):
 
 
 class _Classes(list):
-    """Block classes: class c >= 1 is the integer matrix self[c], a row-major tuple.
+    """Classes of matrices: class c >= 1 is the matrix self[c], a tuple.
 
-    Class 0 means no block.  Calling with a matrix returns its class,
-    making a new one on first sight, so equal matrices share one class and
-    a table keyed by classes is keyed by value.
+    The kernel keeps blocks as row-major int tuples, products as tuples of
+    packed rows.  Class 0 means no block.  Calling with a matrix returns
+    its class, making a new one on first sight, so equal matrices share
+    one class and a table keyed by classes is keyed by value.
     """
 
     def __init__(self):
@@ -368,9 +374,20 @@ class _Classes(list):
         return c
 
 
-def _int_mul(rows, cols):
-    """The integer matrix with the given rows times the one with the given columns, row-major."""
-    return tuple(int_product(rows, cols))
+def _pack(row, width):
+    """The ints of row as one int: entry j, signed, in the slot at bit j * width."""
+    packed = 0
+    for x in reversed(row):
+        packed = (packed << width) + x
+    return packed
+
+
+def _packed_product(rows, packed):
+    """The packed rows of A B, from the rows of A and the packed rows of B.
+
+    Row i of A B is sum_k A[i][k] (row k of B), and packing is linear.
+    """
+    return tuple([sum(map(operator.mul, row, packed)) for row in rows])
 
 
 def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
@@ -384,37 +401,40 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     rational block with D = scale, so a monomial of length L composes to
     D^L times its rational value.  For a relation sum_t c_t M_t with
     longest monomial L_max and C the lcm of the coefficient denominators,
-    the integer combination sum_t (C c_t D^(L_max - L_t)) (D^L_t M_t) is
-    C D^L_max times the rational sum; C and D are nonzero, so it vanishes
-    exactly when the relation holds.
+    the integer combination sum_t w_t (D^L_t M_t), w_t = C c_t D^(L_max -
+    L_t), is C D^L_max times the rational sum; C and D are nonzero, so it
+    vanishes exactly when the relation holds.
 
     An instance is the tuple of classes that the relation reads at one
     point.  Equal tuples are one instance, counted with their multiplicity;
     one with a class 0 is skipped (some monomial walks off the blocks, even
     one whose coefficient is zero).  Only distinct checked instances are
-    composed, through a table from class pairs to the class of their
-    product, and zero-tested, so each distinct product and instance is
-    computed once per call.  The witness is the first failing instance in
-    relation order, then point order: Counter keeps first-occurrence order.
+    composed, through a table from (block class, product class) pairs to
+    the class of their product, and zero-tested, so each distinct product
+    and instance is computed once per call.  The witness is the first
+    failing instance in relation order, then point order: Counter keeps
+    first-occurrence order.
+
+    The matrices are composed and zero-tested as packed rows: row i of a
+    matrix x is the one int sum_j x_ij 2^(j b) (_pack), so a product row
+    takes d integer products (_packed_product) and a zero test one
+    weighted sum per row.  All columns are read first, so every block
+    class exists (certify_relations makes them as it reads), and then the
+    slot width b is fixed.  Let M >= 1 bound the block entries
+    (1 if all are 0) and d = dim.  An entry of a product of l <= L blocks
+    has |value| <= d^(l-1) M^l <= d^(L-1) M^L, and a weighted combination
+    sum_t w_t P_t of monomials P_t of lengths L_t has |entry| <= W_rel =
+    sum_t max(|w_t|, 1) d^(L_t-1) M^L_t, which also bounds every block
+    entry and every product the relation forms.  W is the largest W_rel
+    and b = W.bit_length() + 1, so every slot value v has |v| <= W <
+    2^(b-1).  Such slots are recovered from the packed int one at a
+    time, lowest first, as its residue mod 2^b taken in [-2^(b-1),
+    2^(b-1)): packing is injective, so product classes interned by their
+    packed rows are classes of equal matrices, and a packed row is 0
+    exactly when every slot is 0.  Packing and products are integer
+    identities, so the zero test is exact.
     """
-    checked = skipped = 0
-    witness = None
-    products = {}  # (class of a block, class of a product) -> class of their product
-    rows_of, cols_of = {}, {}  # class -> the rows, the columns of its matrix
-
-    def compose(walk, instance):
-        c = instance[walk[0]]
-        for step in walk[1:]:
-            a, b = pair = (instance[step], c)
-            c = products.get(pair)
-            if c is None:
-                if a not in rows_of:
-                    rows_of[a] = [classes[a][i : i + dim] for i in range(0, dim * dim, dim)]
-                if b not in cols_of:
-                    cols_of[b] = [classes[b][j::dim] for j in range(dim)]
-                c = products[pair] = classes(_int_mul(rows_of[a], cols_of[b]))
-        return classes[c]
-
+    relations = []
     for label, terms in _relations(n):
         cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
         longest = max(len(mono) for _coeff, mono in terms)
@@ -425,7 +445,34 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
             for _coeff, mono in terms
         ]
         points, read = columns(terms)
-        cols = [read(prefix) for prefix in prefixes]
+        relations.append((label, weights, walks, points, [read(prefix) for prefix in prefixes]))
+
+    top = max((max(map(abs, mat)) for mat in classes[1:]), default=0) or 1
+    bound = max(
+        (
+            sum(max(abs(w), 1) * dim ** (len(walk) - 1) * top ** len(walk) for w, walk in zip(weights, walks))
+            for _label, weights, walks, _points, _cols in relations
+        ),
+        default=0,
+    )
+    width = bound.bit_length() + 1
+    block_rows = [None] + [[mat[i : i + dim] for i in range(0, dim * dim, dim)] for mat in classes[1:]]
+    packed = _Classes()  # product class -> its packed rows
+    lead = [0] + [packed(tuple([_pack(row, width) for row in rows])) for rows in block_rows[1:]]
+    products = {}  # (class of a block, product class) -> product class of their product
+
+    def compose(walk, instance):
+        c = lead[instance[walk[0]]]
+        for step in walk[1:]:
+            pair = (instance[step], c)
+            c = products.get(pair)
+            if c is None:
+                c = products[pair] = packed(_packed_product(block_rows[pair[0]], packed[pair[1]]))
+        return packed[c]
+
+    checked = skipped = 0
+    witness = None
+    for label, weights, walks, points, cols in relations:
         for instance, count in Counter(zip(*cols)).items():
             if 0 in instance:
                 skipped += count
@@ -433,7 +480,7 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
             checked += count
             if witness is None:
                 mats = [compose(walk, instance) for walk in walks]
-                if any(map(sum, zip(*([w * x for x in m] for w, m in zip(weights, mats))))):
+                if any(sum(map(operator.mul, weights, rows)) for rows in zip(*mats)):
                     witness = (label, points[list(zip(*cols)).index(instance)])
     return checked, skipped, witness
 
@@ -462,7 +509,10 @@ def verify_relations(module: LatticeModule):
     scale = math.lcm(1, *(den for _flat, den in distinct))
     classes = _Classes()
     class_of = {q: classes(_scaled(q, scale)) for q in distinct}
-    ends = {key: [_add(p, gen_shift(n, key)) for p in per_point] for key, per_point in blocks.items()}
+    ends = {}
+    for key, per_point in blocks.items():
+        shift = gen_shift(n, key)
+        ends[key] = [_add(p, shift) for p in per_point]
     index = {p: i for i, p in enumerate(points, 1)}
     for p in itertools.chain(*blocks.values(), *ends.values()):
         if p not in index:

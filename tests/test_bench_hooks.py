@@ -56,6 +56,24 @@ print(json.dumps(runs))
 """
 
 
+TRACED_LATTICE = """
+import json
+import sys
+import instrument
+import workloads
+
+inputs, run = workloads.WORKLOADS["lattice"]
+inp = inputs(1, sys.argv[1])
+tracer = instrument.Tracer()
+instrument.install(tracer)
+gate = workloads.Gate()
+observed = {}
+run(inp, gate, observed)
+counts = tracer.snapshot()["counts"]
+print(json.dumps({"failures": gate.failures, "observed": observed, "counts": counts}))
+"""
+
+
 def _run_on_bench_path(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     proc = subprocess.run(
@@ -92,3 +110,14 @@ def test_bench_workloads_run_without_failures(tmp_path):
     assert sorted(runs) == ["cohomology", "lattice", "psi_tower", "verify_all"]
     for name, (attempted, failures) in runs.items():
         assert attempted > 0 and failures == [], name
+
+
+def test_traced_lattice_run_counts_what_it_returns(tmp_path):
+    # the traced pass compares the relation counts its spans collected with
+    # those read from verify_relations' return values
+    run = json.loads(_run_on_bench_path(TRACED_LATTICE, str(tmp_path)))
+    assert run["failures"] == []
+    observed = run["observed"]
+    assert sorted(observed) == ["slnlab.relations.checked", "slnlab.relations.skipped"]
+    assert {key: run["counts"][key] for key in observed} == observed
+    assert observed == {"slnlab.relations.checked": 45030, "slnlab.relations.skipped": 21522}

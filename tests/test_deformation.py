@@ -20,7 +20,7 @@ from quivdef.deformation import (
 )
 from quivdef.families import a_index, b_index, e_index, loop_index, make_a
 from quivdef.hochschild import HochschildComplex, mu_cocycle
-from quivdef.linalg import ONE
+from quivdef.linalg import ONE, vec_axpy_inplace
 
 F = Fraction
 
@@ -200,6 +200,29 @@ def test_extend_order_by_order_from_mu():
         assert check_associativity(S) is None
         # mu is associative, so all higher terms can be chosen zero
         assert set(S.family) == {(1,)}
+
+
+def test_extension_solves_only_nonzero_right_sides(monkeypatch):
+    # mu is associative, so every right side vanishes; mu + d f is not, and
+    # only its order-2 right side is nonzero
+    solved = []
+    real = HochschildComplex.solve_coboundary
+    monkeypatch.setattr(
+        HochschildComplex, "solve_coboundary", lambda self, n, c: solved.append(c) or real(self, n, c)
+    )
+    for k in (2, 3):
+        alg = make_a(k)
+        mu = mu_cocycle(alg)
+        assert set(extend_order_by_order(alg, mu, 5).family) == {(1,)}
+        assert solved == []
+        f = {(b_index(alg, 1),): {b_index(alg, 1): ONE}, (a_index(alg, 1),): {a_index(alg, 1): 2 * ONE}}
+        shifted = {key: dict(vec) for key, vec in mu.items()}
+        for key, vec in HochschildComplex(alg).apply_d(1, f).items():
+            vec_axpy_inplace(shifted.setdefault(key, {}), ONE, vec)
+        S = extend_order_by_order(alg, {key: vec for key, vec in shifted.items() if vec}, 5)
+        assert len(solved) == 1 and solved[0]
+        assert set(S.family) == {(1,), (2,)} and check_associativity(S) is None
+        solved.clear()
 
 
 def test_extend_dual_numbers():

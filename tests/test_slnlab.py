@@ -475,8 +475,8 @@ def test_products_are_composed_once_per_call(monkeypatch):
     xs = [mat_add(mat_scale(c, jordan), mat_scale(d, square)) for c, d in coeffs]
     module = build_f(4, (F(1, 2), F(1, 3), F(-3, 5), F(5, 7)), xs, 3)
     calls = []
-    real = slnlab._int_mul
-    monkeypatch.setattr(slnlab, "_int_mul", lambda *args: calls.append(1) or real(*args))
+    real = slnlab._packed_product
+    monkeypatch.setattr(slnlab, "_packed_product", lambda *args: calls.append(1) or real(*args))
     rep = verify_relations(module)
     assert (rep["checked"], rep["skipped"], rep["witness"]) == (6318, 2922, None)
     # one composition per step after the first of every monomial of every
@@ -491,6 +491,126 @@ def test_products_are_composed_once_per_call(monkeypatch):
     assert compositions == 15836
     assert len(calls) == 2892
     assert 5 * len(calls) < compositions
+
+
+def jordan_module(a, coeffs):
+    """The sl_3 module of radius 2 and fiber 3 with X_t = c N + d N^2, N one Jordan block, for (c, d) in coeffs."""
+    jordan = [[F(int(j == i + 1)) for j in range(3)] for i in range(3)]
+    square = mat_mul(jordan, jordan)
+    xs = [mat_add(mat_scale(c, jordan), mat_scale(d, square)) for c, d in coeffs]
+    return build_f(3, a, xs, 2)
+
+
+def large_entry_module():
+    """Parameters with coprime denominators near 10^6, X entries near 10^9."""
+    coeffs = ((987654321, -999999937), (-999999893, 123456789), (1000000007, 1000000009))
+    return jordan_module((F(1, 1000003), F(-2, 999983), F(5, 1000033)), coeffs)
+
+
+def balanced_module():
+    """Scaled X entries as large as the scaled diagonal, so products come near the bound d^(L-1) M^L."""
+    return jordan_module((F(1000002, 1000003), F(-999982, 999983), F(1000032, 1000033)), ((3, 3), (-3, 3), (3, -3)))
+
+
+def test_large_entries_pass_as_the_fraction_oracle():
+    module = large_entry_module()
+    rep = verify_relations(module)
+    assert rep == _fraction_verify_relations(module)
+    assert (rep["checked"], rep["skipped"], rep["witness"]) == (193, 130, None)
+
+
+@pytest.mark.parametrize("unit", ["one", "one_scaled"])
+def test_largest_entry_off_by_one_fails_as_the_fraction_oracle(unit):
+    # the largest entry, about 2 * 10^9, moves by 1 or by 1/D, with D near
+    # 10^18 the lcm of the denominators, so its scaled entry moves by D or by 1
+    module = large_entry_module()
+    top, key, p = max(
+        (max(abs(x) for row in rows_of(q) for x in row), key, p)
+        for key, per_point in module.blocks.items()
+        for p, q in per_point.items()
+    )
+    assert top > 10**9
+    rows = rows_of(module.blocks[key][p])
+    r, c = next((r, c) for r in range(3) for c in range(3) if abs(rows[r][c]) == top)
+    change = F(1) if unit == "one" else F(1, module.formula.scale)
+    stored = stored_copy(module)
+    stored.blocks[key][p] = with_entry_changed(stored.blocks[key][p], r, c, change)
+    rep = verify_relations(stored)
+    assert rep == _fraction_verify_relations(stored)
+    assert rep["witness"] is not None
+
+
+def largest_slot(module):
+    """The largest |entry| the kernel forms at the checked instances: scaled products of monomial prefixes, and relation sums."""
+    scale = math.lcm(*(q[1] for per_point in module.blocks.values() for q in per_point.values()))
+    top = 0
+    for _label, terms in _relations(module.n):
+        cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
+        longest = max(len(mono) for _coeff, mono in terms)
+        for p in module.support.points:
+            prefixes = [
+                [_monomial_matrix(module, mono[:length], p)[0] for length in range(1, len(mono) + 1)]
+                for _coeff, mono in terms
+            ]
+            if any(mat is None for mats in prefixes for mat in mats):
+                continue
+            for mats in prefixes:
+                for length, mat in enumerate(mats, 1):
+                    top = max(top, *(abs(x) * scale**length for row in mat for x in row))
+            total = [[0] * module.fiber_dim for _ in range(module.fiber_dim)]
+            for (coeff, _mono), mats in zip(terms, prefixes):
+                total = mat_add(total, mat_scale(coeff * cden * scale**longest, mats[-1]))
+            top = max(top, *(abs(x) for row in total for x in row))
+    return int(top)
+
+
+@pytest.mark.parametrize("make, slack", [(large_entry_module, 36), (balanced_module, 7)])
+def test_every_slot_fits_its_width(monkeypatch, make, slack):
+    # every value the kernel forms fits a signed slot of the width it
+    # chose, with this many bits to spare: the bound is pinned, and on the
+    # balanced module a width 8 bits short would let a slot overflow
+    widths = set()
+    real = slnlab._pack
+    monkeypatch.setattr(slnlab, "_pack", lambda row, width: widths.add(width) or real(row, width))
+    module = make()
+    assert verify_relations(module)["witness"] is None
+    (width,) = widths
+    assert largest_slot(module).bit_length() == width - 1 - slack
+
+
+def unpack(packed, width, length):
+    """The signed slots of a packed row, lowest first, each the residue mod 2^width in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(length):
+        x = (packed + half) % (1 << width) - half
+        out.append(x)
+        packed = (packed - x) >> width
+    assert packed == 0
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 8, 2**31 - 1, 2**64, 10**40 + 3])
+def test_signed_slots_up_to_the_bound_round_trip(bound):
+    width = bound.bit_length() + 1
+    for row in ([bound, -bound, 0], [-bound, -bound, -bound], [0, 0, bound], [bound - 1, -bound, bound, 1]):
+        assert unpack(slnlab._pack(row, width), width, len(row)) == row
+    # a combination that is zero in every slot but the last
+    x, y = [bound, -bound, bound], [bound, -bound, bound - 1]
+    combination = slnlab._pack(x, width) - slnlab._pack(y, width)
+    assert combination != 0
+    assert unpack(combination, width, 3) == [0, 0, 1]
+
+
+def test_packed_product_is_the_packed_integer_product():
+    rng = random.Random(5)
+    width = 40
+    for dim in (1, 2, 3):
+        a = [[rng.randint(-999, 999) for _ in range(dim)] for _ in range(dim)]
+        b = [[rng.randint(-999, 999) for _ in range(dim)] for _ in range(dim)]
+        product = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+        packed = slnlab._packed_product(a, [slnlab._pack(row, width) for row in b])
+        assert packed == tuple(slnlab._pack(row, width) for row in product)
 
 
 @given(build_f_modules())
