@@ -2,17 +2,21 @@
 
 A StarProduct deforms the multiplication of a finite dimensional algebra:
 x * y = xy + sum over nonzero multi-indices d of mu_d(x, y) u^d, truncated
-at total degree `order`.  The mu_d are degree-2 cochains in the reduced
-sense, so they vanish whenever an argument is an idempotent and the sum of
-the vertex idempotents stays a strict unit.
+at total degree `order`.  It holds the family as a span: cochains nu_a,
+each with a coefficient polynomial p_a, and mu_d = sum_a p_(a,d) nu_a.  The
+mu_d are degree-2 cochains in the reduced sense, so they vanish whenever an
+argument is an idempotent and the sum of the vertex idempotents stays a
+strict unit.
 
 check_associativity verifies the order-by-order associativity equations
 of the star product, for every multi-index up to the order and every
-basis triple.  It hands the structure constants and the family to the
-sparse associator kernel `quiver.associator`, which starts from the
-nonzero values only and so never walks the triples and splits that are
-zero on both sides; the kernel runs in ints, so a family with rational
-coefficients costs about what an integral one does.
+basis triple.  It hands the structure constants and the r cochains of the
+span to the sparse associator kernel `quiver.associator` once; by
+bilinearity the kernel's pieces, times products of the coefficient
+polynomials, give every order.  The kernel starts from the nonzero values
+only and so never walks the triples that are zero on both sides; it runs
+in ints, so a family with rational coefficients costs about what an
+integral one does.
 extend_order_by_order builds a one-parameter family from a single
 2-cocycle.  For each next order it takes the right-hand side from the
 same kernel and solves the coboundary equation against d_2, which its
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MappingProxyType
 
 from .linalg import RowReducer, fmt_fraction, rat, vec_axpy_inplace
 from .quiver import CentralQuotient, FiniteDimAlgebra, associator
@@ -72,19 +77,39 @@ def multi_indices(m: int, max_total: int, include_zero=True):
 
 
 class StarProduct:
-    def __init__(self, base: FiniteDimAlgebra, params: int, order: int, family: dict):
+    """A truncated star product x*y = xy + sum over d of mu_d(x, y) u^d.
+
+    The family is held as its span: a list of pairs (nu_a, p_a) of a
+    reduced 2-cochain nu_a and a coefficient polynomial p_a = {d: p_(a,d)}
+    over nonzero multi-indices, so that mu_d = sum_a p_(a,d) nu_a.  The
+    argument `family` is that list, or a dict {d: cochain}, read as the
+    span with one monomial per entry.  Zero coefficients and multi-indices
+    above the order are dropped, and a term left with no coefficient or
+    with an empty cochain goes; every other cochain is validated once.
+    """
+
+    def __init__(self, base: FiniteDimAlgebra, params: int, order: int, family):
         self.base = base
         self.params = params
         self.order = order
-        self.family = {}
+        if isinstance(family, dict):
+            family = [(c, {d: 1}) for d, c in family.items()]
+        self.span = []
         radical = set(base.radical_indices())
-        for d, c in family.items():
-            d = tuple(int(x) for x in d)
-            if len(d) != params:
-                raise ValueError("multi-index %r has wrong length" % (d,))
-            if sum(d) == 0:
-                raise ValueError("the zero index is the base multiplication")
-            if sum(d) > order or not c:
+        for c, coeffs in family:
+            poly = {}
+            for d, x in coeffs.items():
+                x = rat(x)
+                if not x:
+                    continue
+                d = tuple(int(e) for e in d)
+                if len(d) != params:
+                    raise ValueError("multi-index %r has wrong length" % (d,))
+                if sum(d) == 0:
+                    raise ValueError("the zero index is the base multiplication")
+                if sum(d) <= order:
+                    poly[d] = x
+            if not poly or not c:
                 continue
             bad = validate_cochain(base, c)
             if bad is not None:
@@ -93,7 +118,21 @@ class StarProduct:
                 if i not in radical or j not in radical:
                     # idempotent slots would break strict unitality
                     raise ValueError("cochain takes idempotent arguments at %s" % ((i, j),))
-            self.family[d] = c
+            self.span.append((c, poly))
+
+    @functools.cached_property
+    def family(self):
+        """{d: mu_d} for every d with a nonzero coefficient, read-only, by d."""
+        out: dict = {}
+        for c, poly in self.span:
+            for d, x in poly.items():
+                mu = out.setdefault(d, {})
+                for pair, vec in c.items():
+                    if pair in mu:
+                        vec_axpy_inplace(mu[pair], x, vec)
+                    else:
+                        mu[pair] = {l: x * y for l, y in vec.items()}
+        return MappingProxyType(dict(sorted(out.items())))
 
     def mu_pair(self, d, i: int, j: int) -> dict:
         """mu_d(b_i, b_j); the zero index is the honest product."""
@@ -117,11 +156,12 @@ class StarProduct:
         prod = self.base.mul_basis(i, j)
         if prod:
             out[(0,) * self.params] = prod
-        for d, c in self.family.items():
-            v = cochain_eval(c, i, j)
+        for c, poly in self.span:
+            v = c.get((i, j))
             if v:
-                out[d] = v
-        return out
+                for d, x in poly.items():
+                    vec_axpy_inplace(out.setdefault(d, {}), x, v)
+        return {d: vec for d, vec in out.items() if vec}
 
     def star(self, x: dict, y: dict) -> dict:
         """Star product of elements {multi-index: vector}.
@@ -159,6 +199,21 @@ class StarProduct:
         return out
 
 
+def _piece_coefficient(S: StarProduct, e) -> dict:
+    """The product of the p_a, each taken e[a] times, cut at the order."""
+    out = {(0,) * S.params: 1}
+    for a, n in enumerate(e):
+        for _ in range(n):
+            prod: dict = {}
+            for d1, x in out.items():
+                for d2, y in S.span[a][1].items():
+                    d = tuple(p + q for p, q in zip(d1, d2))
+                    if sum(d) <= S.order:
+                        prod[d] = prod.get(d, 0) + x * y
+            out = {d: x for d, x in prod.items() if x}
+    return out
+
+
 def check_associativity(S: StarProduct):
     """None, or a witness (multi-index, labels of the failing triple).
 
@@ -166,19 +221,51 @@ def check_associativity(S: StarProduct):
     triples, that the order-d component of (a*b)*c - a*(b*c) vanishes.
     The witness is the first failure by the position of d in
     multi_indices, then by triple.
+
+    One associator call decides every order.  With m the product,
+    mu_d = sum_a p_(a,d) nu_a and B(f, g)(x, y, z) = f(g(x, y), z) -
+    f(x, g(y, z)), bilinearity makes the order-d component
+    [d = 0] B(m, m) + sum_a p_(a,d) K_a + sum_(a<=b) (p_a p_b)_d K_ab, where
+    K_a = B(m, nu_a) + B(nu_a, m), K_aa = B(nu_a, nu_a) and, for a < b,
+    K_ab = B(nu_a, nu_b) + B(nu_b, nu_a).  Handing the kernel m at the
+    zero index and nu_a at the unit vector e_a of Z^r, the pieces are its
+    components at 0, e_a and e_a + e_b.  Only the e_a + e_b whose lowest
+    coefficient degrees sum to at most the order are formed; for a dict
+    family, one monomial per cochain, those are exactly the splits of the
+    multi-indices up to the order.  When every piece vanishes no
+    polynomial is multiplied out.
     """
     alg = S.base
-    indices = multi_indices(S.params, S.order)
-    position = {d: n for n, d in enumerate(indices)}
-    bad = associator([(indices[0], alg.table)] + sorted(S.family.items()), position)
-    if not bad:
-        return None
-    i, j, l, d = min(bad, key=lambda key: (position[key[3]], key[:3]))
-    return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
+    r = len(S.span)
+    units = [tuple(int(a == b) for b in range(r)) for a in range(r)]
+    low = [min(map(sum, poly)) for _, poly in S.span]
+    keep = {(0,) * r, *units}
+    keep.update(
+        tuple(x + y for x, y in zip(units[a], units[b]))
+        for a in range(r)
+        for b in range(a, r)
+        if low[a] + low[b] <= S.order
+    )
+    pieces = associator([((0,) * r, alg.table)] + [(e, c) for e, (c, _) in zip(units, S.span)], keep)
+    by_piece: dict = {}
+    for (i, j, l, e), vec in pieces.items():
+        by_piece.setdefault(e, []).append(((i, j, l), vec))
+    coefficient = {e: _piece_coefficient(S, e) for e in by_piece}
+    for d in sorted({d for poly in coefficient.values() for d in poly}, key=lambda d: (sum(d), d)):
+        component: dict = {}
+        for e, terms in by_piece.items():
+            x = coefficient[e].get(d)
+            if x:
+                for triple, vec in terms:
+                    vec_axpy_inplace(component.setdefault(triple, {}), x, vec)
+        bad = [triple for triple, vec in component.items() if vec]
+        if bad:
+            return (d, tuple(alg.labels[i] for i in min(bad)))
+    return None
 
 
 def deform_from_cocycle(alg: FiniteDimAlgebra, nu: dict, coeffs: dict, params: int, order: int, verify=True) -> StarProduct:
-    """The star product with mu_d = coeffs[d] * nu.
+    """The star product with mu_d = coeffs[d] * nu: the span [(nu, coeffs)].
 
     nu must be an associative 2-cocycle; associativity of the result is
     then automatic, and re-verified unless verify=False.
@@ -189,15 +276,7 @@ def deform_from_cocycle(alg: FiniteDimAlgebra, nu: dict, coeffs: dict, params: i
     ok, witness = is_associative_cochain(alg, nu)
     if not ok:
         raise ValueError("cocycle is not associative: witness %s" % (witness,))
-    family = {}
-    for d, c in coeffs.items():
-        c = rat(c)
-        if not c:
-            continue
-        family[tuple(d)] = {
-            pair: {l: c * x for l, x in vec.items()} for pair, vec in nu.items()
-        }
-    S = StarProduct(alg, params, order, family)
+    S = StarProduct(alg, params, order, [(nu, coeffs)])
     if verify:
         witness = check_associativity(S)
         if witness is not None:

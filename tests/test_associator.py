@@ -5,17 +5,22 @@ The four `_triple_loop_*` functions are the former implementations of
 `hochschild.is_associative_cochain` and
 `FiniteDimAlgebra.check_associativity`, kept verbatim as oracles: they
 walk every basis triple and every split of every multi-index.
-`fraction_associator` is the kernel as it was before it cleared
-denominators, in Fraction arithmetic: the oracle of the integer kernel.
+`_multi_index_check_associativity` is the kernel-based check as it was
+before star products were held as spans: one table per multi-index of
+`StarProduct.family`, every pair of them composed.  It is the oracle of
+the one-call span check.  `fraction_associator` is the kernel as it was
+before it cleared denominators, in Fraction arithmetic: the oracle of the
+integer kernel.
 """
 
 import copy
+import functools
 import itertools
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from quivdef.deformation import (
@@ -26,6 +31,7 @@ from quivdef.deformation import (
 )
 from quivdef.families import make_a
 from quivdef.hochschild import (
+    HochschildComplex,
     cochain_eval,
     cochain_eval_vec_left,
     cochain_eval_vec_right,
@@ -83,6 +89,17 @@ def _triple_loop_check_associativity(S):
             if lhs != rhs:
                 return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
     return None
+
+
+def _multi_index_check_associativity(S):
+    alg = S.base
+    indices = multi_indices(S.params, S.order)
+    position = {d: n for n, d in enumerate(indices)}
+    bad = associator([(indices[0], alg.table)] + sorted(S.family.items()), position)
+    if not bad:
+        return None
+    i, j, l, d = min(bad, key=lambda key: (position[key[3]], key[:3]))
+    return (d, (alg.labels[i], alg.labels[j], alg.labels[l]))
 
 
 def _triple_loop_is_cocycle(alg, c):
@@ -199,6 +216,106 @@ def star_products(draw):
     return StarProduct(ALGS[k], params, order, family)
 
 
+def _one_cochain_slots(alg):
+    """(i, l): i radical, b_l in e_t(i) A e_s(i)."""
+    return [
+        (i, l)
+        for i in alg.radical_indices()
+        for l in range(alg.dim)
+        if alg.target[l] == alg.target[i] and alg.source[l] == alg.source[i]
+    ]
+
+
+COMPLEXES = {k: HochschildComplex(alg) for k, alg in ALGS.items()}
+ONE_SLOTS = {k: _one_cochain_slots(alg) for k, alg in ALGS.items()}
+
+
+def _random_values(draw, slots):
+    """One to three random values at slots (*key, l)."""
+    c = {}
+    for *key, l in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3)):
+        vec = c.setdefault(tuple(key), {})
+        vec[l] = vec.get(l, ZERO) + draw(coefficients)
+    return _strip(c)
+
+
+def _span_cochain(draw, k):
+    """mu, a random coboundary d f, or junk values that are no cocycle."""
+    kind = draw(st.sampled_from(("mu", "coboundary", "junk")))
+    if kind == "mu":
+        return MUS[k]
+    if kind == "coboundary":
+        return _strip(COMPLEXES[k].apply_d(1, _random_values(draw, ONE_SLOTS[k])))
+    return _random_values(draw, SLOTS[k])
+
+
+def _shifted_mu(k, f):
+    """mu + d f on make_a(k)."""
+    shifted = {key: dict(vec) for key, vec in MUS[k].items()}
+    for key, vec in COMPLEXES[k].apply_d(1, f).items():
+        vec_axpy_inplace(shifted.setdefault(key, {}), ONE, vec)
+    return _strip(shifted)
+
+
+def _gauges(k):
+    """Two 1-cochains f of make_a(k), by name."""
+    label = ALGS[k].labels.index
+    top = label("a%d*b%d" % (k - 1, k - 1))
+    return {
+        "loop": {(top,): {label("e%d" % k): 2, top: 1}, (label("b1"),): {label("b1"): 1}},
+        "arrow": {(label("a1"),): {label("a1"): 1}},
+    }
+
+
+GAUGES = {k: _gauges(k) for k in ALGS}
+
+
+@functools.cache
+def _extension(k, gauge, order):
+    """The extension of mu + d f to the order, f = GAUGES[k][gauge]."""
+    return extend_order_by_order(ALGS[k], _shifted_mu(k, GAUGES[k][gauge]), order)
+
+
+def _pullback(S, c):
+    """The span of a one-parameter S along t = sum_i c_i u_i."""
+    out = []
+    for nu, poly in S.span:
+        for (n,), x in poly.items():
+            p = {(0,) * len(c): x}
+            for _ in range(n):
+                q: dict = {}
+                for d, y in p.items():
+                    for i, ci in enumerate(c):
+                        e = d[:i] + (d[i] + 1,) + d[i + 1:]
+                        q[e] = q.get(e, 0) + ci * y
+                p = q
+            out.append((nu, p))
+    return out
+
+
+@st.composite
+def span_star_products(draw):
+    """Cochains, each with a rational coefficient polynomial.
+
+    Half of the draws start from the extension of a gauge-shifted mu,
+    pulled back along a random linear t = c.u: an associative family in
+    which the higher terms cancel the associator of the first only through
+    the mixed pieces.  Up to three terms follow (at least one without that
+    start), each mu, a random coboundary or junk.
+    """
+    k = draw(st.sampled_from(sorted(ALGS)))
+    params = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    span = []
+    if draw(st.booleans()):
+        S = _extension(k, draw(st.sampled_from(sorted(GAUGES[k]))), order)
+        span = _pullback(S, draw(st.lists(coefficients, min_size=params, max_size=params)))
+    indices = multi_indices(params, order, include_zero=False)
+    polys = st.dictionaries(st.sampled_from(indices), coefficients, min_size=1, max_size=3)
+    span += [(_span_cochain(draw, k), draw(polys)) for _ in range(draw(st.integers(0 if span else 1, 3)))]
+    return StarProduct(ALGS[k], params, order, span)
+
+
 # ---------------------------------------------------------------------------
 # the kernel equals the loops, witnesses and defects included
 # ---------------------------------------------------------------------------
@@ -221,6 +338,38 @@ def test_algebra_associativity_matches_triple_loop(alg):
 @settings(max_examples=80, deadline=None)
 def test_star_product_associativity_matches_triple_loop(S):
     assert check_associativity(S) == _triple_loop_check_associativity(S)
+
+
+@given(span_star_products())
+@settings(max_examples=150, deadline=None)
+def test_span_associativity_matches_multi_index_check(S):
+    assert check_associativity(S) == _multi_index_check_associativity(S)
+
+
+def test_span_strategy_reaches_both_verdicts():
+    # only that each verdict occurs matters, so the examples are not shrunk
+    unshrunk = settings(max_examples=500, database=None, phases=[Phase.generate])
+    find(span_star_products(), lambda S: check_associativity(S) is None, settings=unshrunk)
+    find(span_star_products(), lambda S: check_associativity(S) is not None, settings=unshrunk)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("gauge", ["loop", "arrow"])
+def test_extended_gauge_shift_is_associative_on_both_paths(k, gauge):
+    # the higher terms cancel the associator of mu + d f only through the
+    # mixed pieces K_ab, each counted once
+    S = _extension(k, gauge, 5)
+    assert 2 <= len(S.span) <= 5
+    assert check_associativity(S) is None and _multi_index_check_associativity(S) is None
+    # the same family along t = u1 + u2, with p_a = (u1 + u2)^n
+    pulled = _pullback(S, (1, 1))
+    T = StarProduct(ALGS[k], 2, 5, pulled)
+    assert check_associativity(T) is None and _multi_index_check_associativity(T) is None
+    # flipping the sign of the last term breaks both paths at one witness
+    flipped = pulled[:-1] + [(pulled[-1][0], {d: -x for d, x in pulled[-1][1].items()})]
+    U = StarProduct(ALGS[k], 2, 5, flipped)
+    witness = check_associativity(U)
+    assert witness is not None and witness == _multi_index_check_associativity(U)
 
 
 def test_strategies_reach_failures_and_passes():

@@ -56,21 +56,23 @@ print(json.dumps(runs))
 """
 
 
-TRACED_LATTICE = """
+TRACED_WORKLOAD = """
 import json
 import sys
 import instrument
 import workloads
 
-inputs, run = workloads.WORKLOADS["lattice"]
-inp = inputs(1, sys.argv[1])
+inputs, run = workloads.WORKLOADS[sys.argv[1]]
+inp = inputs(1, sys.argv[2])
 tracer = instrument.Tracer()
 instrument.install(tracer)
 gate = workloads.Gate()
 observed = {}
 run(inp, gate, observed)
-counts = tracer.snapshot()["counts"]
-print(json.dumps({"failures": gate.failures, "observed": observed, "counts": counts}))
+snapshot = tracer.snapshot()
+calls = {name: span[0] for name, span in snapshot["spans"].items()}
+result = {"failures": gate.failures, "observed": observed, "counts": snapshot["counts"], "calls": calls}
+print(json.dumps(result))
 """
 
 
@@ -115,9 +117,23 @@ def test_bench_workloads_run_without_failures(tmp_path):
 def test_traced_lattice_run_counts_what_it_returns(tmp_path):
     # the traced pass compares the relation counts its spans collected with
     # those read from verify_relations' return values
-    run = json.loads(_run_on_bench_path(TRACED_LATTICE, str(tmp_path)))
+    run = json.loads(_run_on_bench_path(TRACED_WORKLOAD, "lattice", str(tmp_path)))
     assert run["failures"] == []
     observed = run["observed"]
     assert sorted(observed) == ["slnlab.relations.checked", "slnlab.relations.skipped"]
     assert {key: run["counts"][key] for key in observed} == observed
     assert observed == {"slnlab.relations.checked": 45030, "slnlab.relations.skipped": 21522}
+
+
+def test_traced_cohomology_run_counts_what_it_returns(tmp_path):
+    # the tracer wraps check_associativity, extend_order_by_order and the
+    # StarProduct.mu_* methods by name; the traced run passes every gate,
+    # and its spans count the Koszul generators the certificates return
+    run = json.loads(_run_on_bench_path(TRACED_WORKLOAD, "cohomology", str(tmp_path)))
+    assert run["failures"] == []
+    observed = run["observed"]
+    assert sorted(observed) == ["koszul.generators"]
+    assert run["counts"]["koszul.generators"] == observed["koszul.generators"]
+    calls = run["calls"]
+    assert calls["deformation.check_associativity"] == 2
+    assert calls["deformation.extend_order_by_order"] == 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,6 +184,16 @@ def test_deform_arguments_out_of_range_fail_one_check(args, bounds):
     (check,) = json.loads(proc.stdout)["checks"]
     assert check["name"] == "arguments" and check["status"] == "fail"
     assert check["actual"] == bounds
+
+
+def test_deform_to_order_40_with_three_parameters_passes_in_seconds():
+    # 12340 multi-indices; the span check makes one associator call for all
+    start = time.monotonic()
+    proc = run_cli(["deform", "--k", "2", "--order", "40", "--params", "3"], timeout=60)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failed"] == 0
+    assert elapsed < 5, elapsed
 
 
 @pytest.mark.parametrize(

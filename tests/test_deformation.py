@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivdef import deformation
 from quivdef.deformation import (
     StarProduct,
     check_associativity,
@@ -157,6 +158,50 @@ def test_deform_multiparameter_random_coeffs():
         }
         S = deform_from_cocycle(alg, mu, coeffs, params=3, order=3, verify=False)
         assert check_associativity(S) is None
+
+
+@pytest.mark.parametrize("params, order", [(3, 4), (3, 40), (1, 40)])
+def test_one_associator_call_per_check(monkeypatch, params, order):
+    # m and the one cochain mu: two tables, whatever the order and the
+    # number of parameters
+    tables = []
+    real = deformation.associator
+
+    def counted(terms, keep):
+        tables.append(len(terms))
+        return real(terms, keep)
+
+    monkeypatch.setattr(deformation, "associator", counted)
+    alg, mu = line_algebra_and_cocycle(2)
+    indices = multi_indices(params, order, include_zero=False)
+    coeffs = {d: F(n % 7 + 1, n % 5 + 1) for n, d in enumerate(indices)}
+    S = deform_from_cocycle(alg, mu, coeffs, params, order)
+    assert tables == [2]
+    assert check_associativity(S) is None and tables == [2, 2]
+
+
+BAD_INPUTS = [
+    ((1, 0), {}, "multi-index (1, 0) has wrong length"),
+    ((0,), {}, "the zero index is the base multiplication"),
+    ((1,), {(2, 3): {2: ONE}}, "vertex-inconsistent cochain at (2, 3)"),
+    ((1,), {(0, 0): {0: ONE}}, "cochain takes idempotent arguments at (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("d, c, message", BAD_INPUTS)
+def test_span_and_dict_families_raise_the_same_errors(d, c, message):
+    alg = make_a(2)
+    for family in ({d: c}, [(c, {d: F(1, 2)})], [(mu_cocycle(alg), {(1,): 1}), (c, {(2,): 3, d: -1})]):
+        with pytest.raises(ValueError) as err:
+            StarProduct(alg, 1, 2, family)
+        assert str(err.value) == message
+
+
+def test_zero_span_coefficients_act_as_absent():
+    alg, mu = line_algebra_and_cocycle(2)
+    S = StarProduct(alg, 1, 2, [(mu, {(1,): 1, (2,): 0, (0, 0): F(0)}), ({(2, 3): {2: ONE}}, {(1,): 0})])
+    assert S.span == [(mu, {(1,): 1})] and S.family == {(1,): mu}
+    assert deform_from_cocycle(alg, mu, {(1,): 1, (0, 0): 0}, params=1, order=2).span == S.span
 
 
 def test_zero_family_is_associative():
