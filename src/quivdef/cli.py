@@ -251,7 +251,9 @@ def checks_slnlab(report: Report, ns, radius, max_fiber, seeds):
             dim = rng.randint(1, max_fiber)
             xs = slnlab.random_commuting_nilpotents(n, dim, rng)
             equal_fibers = all(mat_eq(xs[0], x) for x in xs[1:])
-            module = functools.partial(slnlab.build_f, n, a, xs, radius)  # built by each check
+            # built by the first check that asks; a build that raises is not
+            # cached, so it fails each check on its own
+            module = functools.cache(functools.partial(slnlab.build_f, n, a, xs, radius))
             _run_rows(report, "_n%d_s%d" % (n, seed), [
                 ("relations_N", "rank-one lattice module satisfies the defining relations",
                  None, lambda: slnlab.certify_relations(slnlab.build_n(n, a, radius))["witness"]),

@@ -322,11 +322,21 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarP
 
 
 def infinitesimal_class(S: StarProduct):
-    """Per parameter direction: 'trivial'/'nontrivial', with cobounding witness."""
+    """Per parameter direction: 'trivial'/'nontrivial', with cobounding witness.
+
+    The linear term of direction eps is read off the span as the sum of
+    p_(a,eps) nu_a, without the family view.
+    """
     out = []
     for i in range(S.params):
         eps = tuple(1 if j == i else 0 for j in range(S.params))
-        c = S.family.get(eps, {})
+        c: dict = {}
+        for nu, poly in S.span:
+            x = poly.get(eps)
+            if x:
+                for pair, vec in nu.items():
+                    vec_axpy_inplace(c.setdefault(pair, {}), x, vec)
+        c = {pair: vec for pair, vec in c.items() if vec}
         if not c:
             out.append({"direction": i, "verdict": "trivial", "witness": None})
             continue

@@ -11,10 +11,18 @@ modules, symmetrizing trace forms, the center, radical filtrations, and
 the projection phi with its degreewise bijectivity certificate.  Whether a
 symmetrizing form exists is decided exactly from the left socle, in
 polynomial time at any size (symmetric_form).
+
+make_a, make_atilde and make_bhat are memoized for the life of the
+process, so every caller of one family member shares one object (and a
+GradedQuotient its components, filled in once); make_bhat(k) and
+make_bhat(k, "loops_two") are one entry.  No code mutates a returned
+algebra in place: to change one, copy it (copy.copy) and rebind the
+attribute on the copy, as idempotent_cut builds a new table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
@@ -73,6 +81,7 @@ def a_presentation(k: int) -> QuiverPresentation:
     return pres
 
 
+@functools.cache
 def make_a(k: int) -> FiniteDimAlgebra:
     pres = a_presentation(k)
     alg = bounded_quotient(pres, 2 if k == 1 else 3)
@@ -97,6 +106,7 @@ def atilde_presentation(k: int) -> QuiverPresentation:
     return pres
 
 
+@functools.cache
 def make_atilde(k: int) -> FiniteDimAlgebra:
     return bounded_quotient(atilde_presentation(k), 3)
 
@@ -267,7 +277,16 @@ def bhat_presentation(k: int, grading: str = "loops_two") -> QuiverPresentation:
 
 
 def make_bhat(k: int, grading: str = "loops_two") -> GradedQuotient:
+    return _bhat(k, grading)
+
+
+@functools.cache
+def _bhat(k: int, grading: str) -> GradedQuotient:
     return GradedQuotient(bhat_presentation(k, grading))
+
+
+# one cache entry per (k, grading), however the grading was passed
+make_bhat.cache_info, make_bhat.cache_clear = _bhat.cache_info, _bhat.cache_clear
 
 
 def shortest_loop_path(quiver: Quiver, letter: str, v) -> "Path":

@@ -187,13 +187,14 @@ def _coordinate(key, p):
     return p[key[2] - 1]
 
 
-def _coordinates_read(n, keys):
-    """Indices j, ascending, of the coordinates b_(j+1) that some key's _coordinate reads.
+@functools.cache
+def _coordinates_read(n, key):
+    """Indices j of the coordinates b_(j+1) that key's _coordinate reads, made once per (n, key).
 
     _coordinate is linear, so it reads b_(j+1) exactly when it is nonzero
     on the j-th unit vector.
     """
-    return [j for j, unit in enumerate(_units(n)) if any(_coordinate(key, unit) for key in keys)]
+    return tuple(j for j, unit in enumerate(_units(n)) if _coordinate(key, unit))
 
 
 @functools.cache
@@ -546,18 +547,22 @@ def verify_relations(module: LatticeModule):
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
 
 
-@functools.cache
 def _relation_simplex(n: int, terms):
     """The points where certify_relations evaluates a relation: b_J >= 0, sum <= degree.
 
     J is the coordinates its blocks read, or its first n - 1 when it reads
     all n; one coordinate outside J takes up the sum, so the points lie on
-    the lattice.  The degree is the length of the longest monomial.  Made
-    once per relation, as a tuple.
+    the lattice.  The degree is the length of the longest monomial.
+    Relations with the same J and degree share one tuple (_simplex).
     """
-    free = _coordinates_read(n, {key for _coeff, mono in terms for key in mono})[: n - 1]
+    free = sorted({j for _coeff, mono in terms for key in mono for j in _coordinates_read(n, key)})[: n - 1]
+    return _simplex(n, tuple(free), max(len(mono) for _coeff, mono in terms))
+
+
+@functools.cache
+def _simplex(n: int, free, degree: int):
+    """The points b with b_free >= 0 summing to <= degree, the slack coordinate -sum, and 0 elsewhere."""
     slack = max(set(range(n)).difference(free))
-    degree = max(len(mono) for _coeff, mono in terms)
     points = []
     for values in itertools.product(range(degree + 1), repeat=len(free)):
         if sum(values) <= degree:

@@ -374,7 +374,8 @@ def test_extended_gauge_shift_is_associative_on_both_paths(k, gauge):
 
 def test_strategies_reach_failures_and_passes():
     """Each property sees failing inputs, not only associative ones."""
-    once = settings(max_examples=500, database=None)
+    # only that each verdict occurs matters, so the examples are not shrunk
+    once = settings(max_examples=500, database=None, phases=[Phase.generate])
     for strategy, check in (
         (cochains(), lambda case: is_cocycle(*case)[0]),
         (cochains(), lambda case: is_associative_cochain(*case)[0]),

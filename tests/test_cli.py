@@ -8,6 +8,7 @@ import time
 import pytest
 
 from quivdef import cli, slnlab
+from quivdef import families as fam
 from quivdef.cli import build_parser, run_command
 from quivdef.families import a_presentation
 from quivdef.linalg import ONE
@@ -280,6 +281,28 @@ def test_slnlab_battery_reports_the_build_error_in_each_check(monkeypatch):
     assert names == ["relations_N_n2_s5", "relations_F_n2_s5", "roundtrip_n2_s5", "weight_criterion_n2_s5"]
     assert report.checks[0].status == "pass"
     assert {c.actual for c in report.checks[1:4]} == {"error: ValueError: fiber matrix 1 is not nilpotent"}
+
+
+def test_slnlab_battery_builds_each_module_once(monkeypatch):
+    # build_n, the module its three checks share, and reconstruct's N' at
+    # n = 2; reconstruct's comparison module at n = 3
+    built = []
+    build_f = slnlab.build_f
+    monkeypatch.setattr(slnlab, "build_f", lambda n, *args, **kw: built.append(n) or build_f(n, *args, **kw))
+    report = Report("t", {})
+    cli.checks_slnlab(report, [2], 2, 1, [5])
+    assert all(c.status == "pass" for c in report.checks)
+    assert sorted(built) == [2, 2, 2, 3]
+
+
+def test_verify_all_builds_each_family_member_once(tmp_path):
+    # A(k) for k = 1..6 and B(k) in six (k, grading) pairs, each built once
+    for constructor in (fam.make_a, fam.make_atilde, fam.make_bhat):
+        constructor.cache_clear()
+    assert cli.main(["verify-all", "--output", str(tmp_path / "report.json")]) == 0
+    assert fam.make_a.cache_info().misses == 6
+    assert fam.make_bhat.cache_info().misses == 6
+    assert fam.make_atilde.cache_info().misses == 4
 
 
 def test_slnlab_n7_radius6_passes_without_listing_its_points():

@@ -319,6 +319,24 @@ def test_infinitesimal_class_trivial_for_coboundary():
     assert cls[0]["verdict"] == "trivial" and cls[0]["witness"] is not None
 
 
+def test_infinitesimal_class_reads_the_linear_terms_off_the_span():
+    alg = make_a(2)
+    mu = mu_cocycle(alg)
+    df = HochschildComplex(alg).apply_d(1, {(a_index(alg, 1),): {a_index(alg, 1): ONE}})
+    # direction 0 is mu + 2 df, nontrivial; in direction 1 the two mu terms
+    # cancel and df is left, a coboundary; direction 2 has only a square
+    family = [
+        (mu, {(1, 0, 0): 1, (0, 1, 0): 1}),
+        (mu, {(0, 1, 0): -1}),
+        (df, {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 2): 1}),
+    ]
+    S = StarProduct(alg, 3, 2, family)
+    got = infinitesimal_class(S)
+    assert "family" not in vars(S)  # the view of every multi-index is not built
+    assert [c["verdict"] for c in got] == ["nontrivial", "trivial", "trivial"]
+    assert got[1]["witness"] is not None and got[2]["witness"] is None
+
+
 def test_psi_target_dimensions():
     for k in (2, 3):
         cq, target = psi_target(k, 2)

@@ -56,6 +56,24 @@ def test_make_a_dimensions():
         assert make_a(k).dim == 4 * k - 2
 
 
+def test_family_constructors_return_one_object_per_member():
+    assert make_a(3) is make_a(3) and make_atilde(3) is make_atilde(3)
+    assert make_bhat(3) is make_bhat(3, "loops_two") is make_bhat(3, grading="loops_two")
+    assert make_bhat(3, "all_one") is not make_bhat(3)
+    with pytest.raises(ValueError, match="unknown grading"):
+        make_bhat(3, "no_such_grading")
+
+
+def test_a_perturbed_copy_leaves_the_shared_algebra_unchanged():
+    alg = make_a(3)
+    table = {key: dict(vec) for key, vec in alg.table.items()}
+    changed = copy.copy(alg)
+    (i, j), prod = min(alg.table.items())
+    changed.table = {**alg.table, (i, j): {l: 2 * x for l, x in prod.items()}}
+    assert changed.table != alg.table
+    assert make_a(3) is alg and make_a(3).table == table
+
+
 def test_make_a1_is_dual_numbers():
     alg = make_a(1)
     assert sorted(alg.labels) == ["e1", "x"]

@@ -665,6 +665,28 @@ def test_certificate_passes_up_to_sl8(n):
     assert rep["checked"] == want
 
 
+def test_relations_of_one_shape_share_one_simplex():
+    # the shape of a relation is the coordinates J it reads and its degree:
+    # e_(s,t) reads b_t and h_i reads b_i and b_(i+1)
+    n = 12
+    shapes = {}
+    for _label, terms in _relations(n):
+        keys = {key for _coeff, mono in terms for key in mono}
+        read = {key[2] - 1 for key in keys if key[0] == "e"}
+        read.update(i - 1 + d for (kind, i, *_t) in keys if kind == "h" for d in (0, 1))
+        free = sorted(read)[: n - 1]
+        degree = max(len(mono) for _coeff, mono in terms)
+        points = slnlab._relation_simplex(n, terms)
+        assert shapes.setdefault((tuple(free), degree), points) is points
+        slack = max(set(range(n)).difference(free))
+        # distinct points of the simplex, as many as it has
+        assert len(set(points)) == len(points) == math.comb(len(free) + degree, degree)
+        for b in points:
+            assert all(b[j] >= 0 for j in free) and sum(b[j] for j in free) <= degree
+            assert b[slack] == -sum(b[j] for j in free)
+            assert all(x == 0 for j, x in enumerate(b) if j != slack and j not in free)
+
+
 @given(build_f_modules())
 @settings(max_examples=25, deadline=None)
 def test_build_f_matches_reference_construction(case):
