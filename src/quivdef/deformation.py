@@ -163,28 +163,6 @@ class StarProduct:
                     vec_axpy_inplace(out.setdefault(d, {}), x, v)
         return {d: vec for d, vec in out.items() if vec}
 
-    def star(self, x: dict, y: dict) -> dict:
-        """Star product of elements {multi-index: vector}.
-
-        An element of A[[u]]/m^(order+1) is a vector per multi-index; terms
-        of total degree above the order are dropped and zero vectors
-        stripped.  The unit is {zero index: base.unit()}, and the value
-        at u = 0 of an element x is x.get(zero index, {}).
-        """
-        out: dict = {}
-        for e, u in x.items():
-            for f, v in y.items():
-                ef = [p + q for p, q in zip(e, f)]
-                if sum(ef) > self.order:
-                    continue
-                for i, a in u.items():
-                    for j, b in v.items():
-                        for d, vec in self.star_basis(i, j).items():
-                            g = tuple(p + q for p, q in zip(ef, d))
-                            if sum(g) <= self.order:
-                                vec_axpy_inplace(out.setdefault(g, {}), a * b, vec)
-        return {g: vec for g, vec in out.items() if vec}
-
     def family_table(self) -> dict:
         """The family as a serializable table with exact coefficients."""
         labels = self.base.labels

@@ -15,9 +15,10 @@ polynomial time at any size (symmetric_form).
 make_a, make_atilde and make_bhat are memoized for the life of the
 process, so every caller of one family member shares one object (and a
 GradedQuotient its components, filled in once); make_bhat(k) and
-make_bhat(k, "loops_two") are one entry.  No code mutates a returned
-algebra in place: to change one, copy it (copy.copy) and rebind the
-attribute on the copy, as idempotent_cut builds a new table.
+make_bhat(k, "loops_two") are one entry.  The structure table of a
+returned algebra is read-only, so a write to it raises TypeError; to
+perturb one, construct a new FiniteDimAlgebra(alg.quiver, alg.basis,
+table), as idempotent_cut does.
 """
 
 from __future__ import annotations
@@ -292,14 +293,14 @@ make_bhat.cache_info, make_bhat.cache_clear = _bhat.cache_info, _bhat.cache_clea
 def shortest_loop_path(quiver: Quiver, letter: str, v) -> "Path":
     """The shortest loop at v along arrows of one letter (length 1 or 2)."""
     v = str(v)
-    for a in quiver.arrows:
-        if a.name.startswith(letter) and a.source == v and a.target == v:
+    outs = [a for a in quiver.arrows_from.get(v, ()) if a.name.startswith(letter)]
+    for a in outs:
+        if a.target == v:
             return quiver.arrow_path(a.name)
-    outs = [a for a in quiver.arrows if a.name.startswith(letter) and a.source == v and a.target != v]
     if len(outs) == 1:
         o = outs[0]
-        for a in quiver.arrows:
-            if a.name.startswith(letter) and a.source == o.target and a.target == v:
+        for a in quiver.arrows_from[o.target]:
+            if a.name.startswith(letter) and a.target == v:
                 return quiver.path_from_arrows([a.name, o.name])
     raise ValueError("no %s-loop at vertex %s" % (letter, v))
 
@@ -454,8 +455,8 @@ def psi_basis_images(alg: FiniteDimAlgebra, gq: GradedQuotient) -> dict:
         out[e_index(alg, v)] = trivial_path(v)
     for s in range(1, k):
         src, tgt = str(s), str(s + 1)
-        fwd = [a for a in q.arrows if a.source == src and a.target == tgt]
-        back = [a for a in q.arrows if a.source == tgt and a.target == src]
+        fwd = [a for a in q.arrows_from.get(src, ()) if a.target == tgt]
+        back = [a for a in q.arrows_from.get(tgt, ()) if a.target == src]
         if len(fwd) != 1 or len(back) != 1:
             raise ValueError(
                 "expected one arrow each way between %s and %s, found %d forward and %d back"

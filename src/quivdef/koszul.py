@@ -24,19 +24,27 @@ from .quiver import FiniteDimAlgebra, GradedQuotient
 
 
 class GradedAlgebraView:
-    """comp(d) lists (source, target) per basis element; mul is local."""
+    """comp(d) lists (source, target) per basis element; mul is local.
+    Both are memoized for the life of the view, which is one certificate."""
 
     def __init__(self, comp_fn, mul_fn, vertices, generator_degree: int):
         self._comp = comp_fn
-        self.mul = mul_fn
+        self._mul = mul_fn
         self.vertices = list(vertices)
         self.generator_degree = generator_degree
-        self._cache = {}
+        self._comp_cache = {}
+        self._mul_cache = {}
 
     def comp(self, d: int):
-        if d not in self._cache:
-            self._cache[d] = list(self._comp(d))
-        return self._cache[d]
+        if d not in self._comp_cache:
+            self._comp_cache[d] = list(self._comp(d))
+        return self._comp_cache[d]
+
+    def mul(self, *key):
+        """(d1, i1, d2, i2) -> basis element i1 of degree d1 times i2 of degree d2."""
+        if key not in self._mul_cache:
+            self._mul_cache[key] = self._mul(*key)
+        return self._mul_cache[key]
 
     def dim(self, d: int) -> int:
         return len(self.comp(d))
@@ -47,7 +55,7 @@ def view_from_graded_quotient(gq: GradedQuotient) -> GradedAlgebraView:
         return [(p.source, p.target) for p in gq.component(d)]
 
     def mul_fn(d1, i1, d2, i2):
-        return gq.mul_basis(d1, i1, d2, i2)
+        return gq.mul_paths(gq.component(d1)[i1], gq.component(d2)[i2])
 
     gen_deg = max(a.degree for a in gq.quiver.arrows)
     return GradedAlgebraView(comp_fn, mul_fn, gq.quiver.vertices, gen_deg)

@@ -38,6 +38,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .linalg import RowReducer, fmt_fraction, parse_fraction, rat, vec_axpy_inplace
 
@@ -93,12 +94,14 @@ class Quiver:
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
-        vset = set(self.vertices)
+        outgoing = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.source not in vset or a.target not in vset:
+            if a.source not in outgoing or a.target not in outgoing:
                 raise ValueError("arrow %s has undeclared endpoint" % a.name)
             if a.degree < 0:
                 raise ValueError("arrow %s has negative degree" % a.name)
+            outgoing[a.source].append(a)
+        self.arrows_from = {v: tuple(out) for v, out in outgoing.items()}  # in declaration order
         self.arrow_by_name = {a.name: a for a in self.arrows}
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
 
@@ -127,24 +130,18 @@ class Quiver:
         return max((a.degree for a in self.arrows), default=0)
 
     def _check_no_zero_degree_cycle(self):
-        adj = {}
-        for a in self.arrows:
-            if a.degree == 0:
-                adj.setdefault(a.source, []).append(a.target)
         state = {}
 
         def visit(v):
             state[v] = 1
-            for w in adj.get(v, ()):
+            for w in (a.target for a in self.arrows_from[v] if a.degree == 0):
                 if state.get(w) == 1:
-                    raise ValueError(
-                        "cycle of degree-0 arrows; paths of bounded degree are infinite"
-                    )
+                    raise ValueError("cycle of degree-0 arrows; paths of bounded degree are infinite")
                 if w not in state:
                     visit(w)
             state[v] = 2
 
-        for v in list(adj):
+        for v in self.vertices:
             if v not in state:
                 visit(v)
 
@@ -163,8 +160,8 @@ class Quiver:
                 raise RuntimeError("path enumeration exceeded length guard")
             new = []
             for p in frontier:
-                for a in self.arrows:
-                    if a.source == p.target and p.degree + a.degree <= max_degree:
+                for a in self.arrows_from[p.target]:
+                    if p.degree + a.degree <= max_degree:
                         new.append(
                             Path(p.source, a.target, (a.name,) + p.arrows, p.degree + a.degree)
                         )
@@ -296,7 +293,6 @@ class GradedQuotient:
         self._components: dict[int, dict] = {}
         self._zero_from: dict = {}  # degree-0 paths by source vertex
         self._arrow_cache: dict = {}
-        self._prod_cache: dict = {}
 
     def paths_of_degree(self, d: int) -> list[Path]:
         """Every path of degree d; components enumerate degree 0 only."""
@@ -427,19 +423,13 @@ class GradedQuotient:
             return {}
         return self._left_multiply(p.arrows, q.degree, {self._component(q.degree)["local"][q]: 1})
 
-    def mul_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        key = (d1, i1, d2, i2)
-        if key in self._prod_cache:
-            return self._prod_cache[key]
-        out = self._prod_cache[key] = self.mul_paths(self.component(d1)[i1], self.component(d2)[i2])
-        return out
-
     def mul(self, d1: int, v1: dict, d2: int, v2: dict) -> dict:
         """Product of homogeneous vectors; the result lives in degree d1+d2."""
+        comp1, comp2 = self.component(d1), self.component(d2)
         out: dict = {}
         for i1, c1 in v1.items():
             for i2, c2 in v2.items():
-                vec_axpy_inplace(out, c1 * c2, self.mul_basis(d1, i1, d2, i2))
+                vec_axpy_inplace(out, c1 * c2, self.mul_paths(comp1[i1], comp2[i2]))
         return out
 
     def to_algebra(self, bound: int) -> FiniteDimAlgebra:
@@ -497,10 +487,10 @@ class FiniteDimAlgebra:
     """Basis paths, structure constants, idempotents, and a grading.
 
     `table` maps the basis pairs (i, j) with b_i*b_j nonzero to that
-    product as a sparse vector; the algebra stores it as given and
-    multiplies nothing itself.  GradedQuotient.to_algebra emits it in
-    ascending (i, j) order, and families.idempotent_cut restricts a
-    parent's table.
+    product as a sparse vector; the algebra stores it read-only (a write
+    to the table or a row raises TypeError) and multiplies nothing itself.
+    GradedQuotient.to_algebra emits it in ascending (i, j) order, and
+    families.idempotent_cut restricts a parent's table.
     """
 
     def __init__(self, quiver: Quiver, basis: list[Path], table: dict):
@@ -519,7 +509,7 @@ class FiniteDimAlgebra:
         for v in quiver.vertices:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
-        self.table = table
+        self.table = MappingProxyType({key: MappingProxyType(row) for key, row in table.items()})
         self.alt_gradings: dict[str, list[int]] = {}
 
     def unit(self) -> dict:
@@ -669,4 +659,4 @@ class CentralQuotient(GradedQuotient):
         # finished components are read-only, so sharing them is safe
         self._components.update((g, gq._components[g]) for g in range(deg))
         self._zero_from, arrow = gq._zero_from, self.quiver.arrow_by_name
-        self._arrow_cache = {k: nf for k, nf in gq._arrow_cache.items() if k[1] + arrow[k[0]].degree < deg}
+        self._arrow_cache.update((k, nf) for k, nf in gq._arrow_cache.items() if k[1] + arrow[k[0]].degree < deg)

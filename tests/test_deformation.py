@@ -42,17 +42,40 @@ def basis_element(S, i, d=None):
     return {d or (0,) * S.params: {i: ONE}}
 
 
+def star(S, x, y):
+    """Star product of elements {multi-index: vector} of S.
+
+    An element of A[[u]]/m^(order+1) is a vector per multi-index; terms
+    of total degree above the order are dropped and zero vectors
+    stripped.  The unit is {zero index: base.unit()}, and the value at
+    u = 0 of an element x is x.get(zero index, {}).
+    """
+    out: dict = {}
+    for e, u in x.items():
+        for f, v in y.items():
+            ef = [p + q for p, q in zip(e, f)]
+            if sum(ef) > S.order:
+                continue
+            for i, a in u.items():
+                for j, b in v.items():
+                    for d, vec in S.star_basis(i, j).items():
+                        g = tuple(p + q for p, q in zip(ef, d))
+                        if sum(g) <= S.order:
+                            vec_axpy_inplace(out.setdefault(g, {}), a * b, vec)
+    return {g: vec for g, vec in out.items() if vec}
+
+
 def test_dual_numbers_x_star_x_is_t():
     alg = make_a(1)
     S = deform_from_cocycle(alg, mu_dual_numbers(alg), {(1,): 1}, params=1, order=3)
     x = basis_element(S, loop_index(alg, 1))
-    assert S.star(x, x) == {(1,): {e_index(alg, 1): ONE}}
+    assert star(S, x, x) == {(1,): {e_index(alg, 1): ONE}}
 
 
 def test_a2_star_of_arrows():
     S = mu_star_product(2, 3)
     alg = S.base
-    prod = S.star(basis_element(S, a_index(alg, 1)), basis_element(S, b_index(alg, 1)))
+    prod = star(S, basis_element(S, a_index(alg, 1)), basis_element(S, b_index(alg, 1)))
     assert prod == {(0,): {loop_index(alg, 2): ONE}, (1,): {e_index(alg, 2): ONE}}
 
 
@@ -61,8 +84,8 @@ def test_unitality():
     one = {(0,): S.base.unit()}
     for i in range(S.base.dim):
         x = basis_element(S, i)
-        assert S.star(one, x) == x
-        assert S.star(x, one) == x
+        assert star(S, one, x) == x
+        assert star(S, x, one) == x
 
 
 def test_star_associativity_on_elements():
@@ -80,7 +103,7 @@ def test_star_associativity_on_elements():
 
     for _ in range(5):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
-        assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
+        assert star(S, star(S, x, y), z) == star(S, x, star(S, y, z))
 
 
 @pytest.mark.parametrize("params, order", [(1, 3), (2, 2)])
@@ -99,7 +122,7 @@ def test_star_of_shifted_basis_elements_is_mu_pair(params, order):
                         g = tuple(a + b + c for a, b, c in zip(e, f, d))
                         if sum(g) <= order and S.mu_pair(d, i, j):
                             want[g] = S.mu_pair(d, i, j)
-                    have = S.star(basis_element(S, i, e), basis_element(S, j, f))
+                    have = star(S, basis_element(S, i, e), basis_element(S, j, f))
                     assert have == want, (e, f, i, j)
 
 
@@ -138,7 +161,7 @@ def flat_family_and_elements(draw):
 @settings(max_examples=60, deadline=None)
 def test_star_is_associative_on_flat_families(case):
     S, x, y, z = case
-    assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
+    assert star(S, star(S, x, y), z) == star(S, x, star(S, y, z))
 
 
 def test_deform_from_cocycle_is_associative():
@@ -225,7 +248,7 @@ def test_junk_second_order_term_is_caught():
     # the star product itself fails on the named triple at the named index
     d, labels = witness
     x, y, z = (basis_element(S, alg.labels.index(label)) for label in labels)
-    lhs, rhs = S.star(S.star(x, y), z), S.star(x, S.star(y, z))
+    lhs, rhs = star(S, star(S, x, y), z), star(S, x, star(S, y, z))
     assert lhs.get(d, {}) != rhs.get(d, {})
     assert all(lhs.get(e, {}) == rhs.get(e, {}) for e in [(0,), (1,)])
 
@@ -235,7 +258,7 @@ def test_setting_parameters_to_zero_recovers_base():
     alg = S.base
     for i in range(alg.dim):
         for j in range(alg.dim):
-            prod = S.star(basis_element(S, i), basis_element(S, j))
+            prod = star(S, basis_element(S, i), basis_element(S, j))
             assert prod.get((0,), {}) == alg.mul_basis(i, j)
 
 

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +34,7 @@ from quivdef.linalg import ONE, RowReducer, fmt_fraction, nullspace, rank_matrix
 from quivdef.quiver import (
     Arrow,
     CentralQuotient,
+    FiniteDimAlgebra,
     Quiver,
     QuiverPresentation,
     Relation,
@@ -67,11 +67,30 @@ def test_family_constructors_return_one_object_per_member():
 def test_a_perturbed_copy_leaves_the_shared_algebra_unchanged():
     alg = make_a(3)
     table = {key: dict(vec) for key, vec in alg.table.items()}
-    changed = copy.copy(alg)
     (i, j), prod = min(alg.table.items())
-    changed.table = {**alg.table, (i, j): {l: 2 * x for l, x in prod.items()}}
-    assert changed.table != alg.table
+    changed = FiniteDimAlgebra(alg.quiver, alg.basis, {**alg.table, (i, j): {l: 2 * x for l, x in prod.items()}})
+    assert changed.table != alg.table and changed.check_associativity() is not None
     assert make_a(3) is alg and make_a(3).table == table
+    assert alg.check_associativity() is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_a(3), lambda: make_atilde(3), lambda: idempotent_cut(make_atilde(3), ["1", "2", "3"])],
+    ids=["a", "atilde", "cut"],
+)
+def test_a_shared_table_and_its_rows_are_read_only(build):
+    alg = build()
+    (i, j), prod = min(alg.table.items())
+    with pytest.raises(TypeError):
+        alg.table[i, j] = {}
+    with pytest.raises(TypeError):
+        del alg.table[i, j]
+    with pytest.raises(TypeError):
+        alg.table[i, j][min(prod)] = 2
+    with pytest.raises(TypeError):
+        alg.mul_basis(i, j)[min(prod)] = 2
+    assert alg.table[i, j] == prod and make_a(3).check_associativity() is None
 
 
 def test_make_a1_is_dual_numbers():
@@ -143,10 +162,10 @@ def test_table_isomorphism_matches_all_pairs_oracle(k):
     # one structure constant doubled, then one product dropped
     (i, j), prod = sorted(cut.table.items())[-1]
     l = min(prod)
-    doubled = copy.copy(cut)
-    doubled.table = {**cut.table, (i, j): {**prod, l: 2 * prod[l]}}
-    dropped = copy.copy(cut)
-    dropped.table = {key: vec for key, vec in cut.table.items() if key != (i, j)}
+    doubled = FiniteDimAlgebra(cut.quiver, cut.basis, {**cut.table, (i, j): {**prod, l: 2 * prod[l]}})
+    dropped = FiniteDimAlgebra(
+        cut.quiver, cut.basis, {key: vec for key, vec in cut.table.items() if key != (i, j)}
+    )
     for changed in (doubled, dropped):
         assert is_algebra_isomorphism(alg, changed, amap) is False
         assert transports_every_product(alg, changed, amap) is False
@@ -449,10 +468,11 @@ def test_cut_table_matches_the_pairwise_construction(k):
 
 
 def test_cut_of_a_table_leaving_the_kept_vertices_is_rejected():
-    parent = copy.copy(make_atilde(2))
-    a1, b1 = (parent.index[parent.quiver.arrow_path(name)] for name in ("a1", "b1"))
-    assert (b1, a1) in parent.table  # b1*a1, a loop at the kept vertex 1
-    parent.table = {**parent.table, (b1, a1): {parent.idempotent["0"]: 1}}
+    alg = make_atilde(2)
+    a1, b1 = (alg.index[alg.quiver.arrow_path(name)] for name in ("a1", "b1"))
+    assert (b1, a1) in alg.table  # b1*a1, a loop at the kept vertex 1
+    table = {**alg.table, (b1, a1): {alg.idempotent["0"]: 1}}
+    parent = FiniteDimAlgebra(alg.quiver, alg.basis, table)
     with pytest.raises(ValueError, match="not multiplicatively closed"):
         idempotent_cut(parent, ["1", "2"])
 

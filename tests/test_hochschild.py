@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +17,7 @@ from quivdef.hochschild import (
     validate_cochain,
 )
 from quivdef.linalg import ONE, ZERO, RowReducer, solve
+from quivdef.quiver import FiniteDimAlgebra
 
 F = Fraction
 
@@ -314,12 +314,11 @@ def rescaled_basis_vector(alg, i, s):
     """
     scale = [ONE] * alg.dim
     scale[i] = s
-    out = copy.copy(alg)
-    out.table = {
+    table = {
         (u, v): {l: scale[u] * scale[v] / scale[l] * x for l, x in prod.items()}
         for (u, v), prod in alg.table.items()
     }
-    return out
+    return FiniteDimAlgebra(alg.quiver, alg.basis, table)
 
 
 @pytest.mark.parametrize("k, degrees, full_degrees", [(2, 3, 2), (3, 3, 1)])

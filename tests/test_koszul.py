@@ -60,6 +60,24 @@ def test_bhat2_syzygy_counts():
     assert is_linear(res)
 
 
+def test_view_forms_each_product_once_per_certificate():
+    # the view owns the product memo: the B(8) certificate of the benchmark
+    # asks for 6144 basis products, 1712 of them distinct
+    view = view_from_graded_quotient(make_bhat(8, "all_one"))
+    requests = []
+    memoized = view.mul
+
+    def mul(*key):
+        requests.append(key)
+        return memoized(*key)
+
+    view.mul = mul
+    assert koszulity_certificate(view, 6, 7)["all_linear"]
+    assert (len(requests), len(set(requests)), len(view._mul_cache)) == (6144, 1712, 1712)
+    again = view_from_graded_quotient(make_bhat(8, "all_one"))
+    assert again._mul_cache == {}
+
+
 def test_loops_two_grading_first_syzygies():
     # under the deformation grading the loop contributes a degree-2 syzygy
     view = view_from_graded_quotient(make_bhat(2, "loops_two"))
