@@ -13,10 +13,13 @@ through the radical grouped by target vertex, values are read per
 (target, source) pair, and a differential takes its products from
 per-element lists of the nonzero structure constants.  The differentials
 of the line algebras are integer, so `RowReducer` eliminates them in ints
-up to the few pivots other than 1 and -1.  Each differential is ranked
-once per complex, and `hh_dim(i)` and `hh_dim(i+1)` share the rank of
-d_i; `solve_coboundary` eliminates d_(n-1) once per complex for all
-right-hand sides.
+up to the few pivots other than 1 and -1.  `solve_coboundary` eliminates
+d_(n-1) once per complex for all right-hand sides.
+
+Each d_n is ranked once per complex, on the columns of C^n off the pivot
+set P of the rows kept for im d_(n-1).  On a complex that is exact: those
+rows (each monic at its pivot, with nothing left of it) and the unit
+vectors off P form a basis of C^n, and d_n kills the rows.
 
 Cochains are dicts mapping index tuples to sparse value vectors.  The
 degree-2 cocycle that drives all deformations here is mu_cocycle; note it
@@ -105,7 +108,7 @@ class HochschildComplex:
         self._basis: dict[int, list] = {}
         self._basis_index: dict[int, dict] = {}
         self._columns: dict[int, list] = {}
-        self._ranks: dict[int, int] = {}
+        self._pivots: dict[int, frozenset] = {}
         self._images: dict[int, RowReducer] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
         # degree n >= 1 -> {(target of the first entry, source of the last): reduced tuples}
@@ -194,7 +197,13 @@ class HochschildComplex:
         return out
 
     def differential_columns(self, n: int) -> list[dict]:
-        """Matrix of d: C^n -> C^(n+1) as sparse columns over the C^(n+1) basis.
+        """Matrix of d: C^n -> C^(n+1), every column, built once."""
+        if n not in self._columns:
+            self._columns[n] = self._columns_at(n, self.basis(n))
+        return self._columns[n]
+
+    def _columns_at(self, n: int, coords) -> list[dict]:
+        """Sparse columns of d: C^n -> C^(n+1) at the coordinates `coords` of C^n.
 
         The column of the coordinate (t, w) collects c.w on (c,) + t, the
         alternating contractions of t, and w.c on t + (c,), read from the
@@ -202,14 +211,12 @@ class HochschildComplex:
         not compose, or a value in the wrong slot) is dropped.  Integral
         structure constants give int columns.
         """
-        if n in self._columns:
-            return self._columns[n]
         self.basis(n + 1)
         ridx = self._basis_index[n + 1]
         left, right, rev = self._left, self._right, self._rev
         sign_last = 1 if n % 2 else -1
         cols = []
-        for t, w in self.basis(n):
+        for t, w in coords:
             terms = [((c,) + t, l, x) for c, l, x in left.get(w, ())]
             for pos in range(n):
                 sign = 1 if pos % 2 else -1
@@ -225,24 +232,24 @@ class HochschildComplex:
                     else:
                         col.pop(r, None)
             cols.append(col)
-        self._columns[n] = cols
         return cols
 
     def differential_rank(self, n: int) -> int:
-        """Rank of d_n, eliminated once, sparsest column first (less fill-in)."""
-        if n not in self._ranks:
+        """Rank of d_n, sparsest column first; exact only on a complex (see the module docstring)."""
+        if n not in self._pivots:
+            if n:
+                self.differential_rank(n - 1)
+            skip = self._pivots.get(n - 1, ())
+            coords = [bw for r, bw in enumerate(self.basis(n)) if r not in skip]
             red = RowReducer()
-            for col in sorted(self.differential_columns(n), key=len):
+            for col in sorted(self._columns_at(n, coords), key=len):
                 red.add(col)
-            self._ranks[n] = red.rank
-        return self._ranks[n]
+            self._pivots[n] = frozenset(red.rows)
+        return len(self._pivots[n])
 
     def hh_dim(self, i: int) -> int:
         """dim ker d_i - rank d_(i-1), exactly."""
-        ker = len(self.basis(i)) - self.differential_rank(i)
-        if i == 0:
-            return ker
-        return ker - self.differential_rank(i - 1)
+        return len(self.basis(i)) - self.differential_rank(i) - (self.differential_rank(i - 1) if i else 0)
 
     def cochain_to_coords(self, n: int, c: dict) -> dict:
         self.basis(n)

@@ -214,25 +214,36 @@ class QuiverPresentation:
 
     @classmethod
     def from_json(cls, text: str) -> "QuiverPresentation":
+        """Read `to_json` output; one ValueError names each missing or mistyped key."""
         doc = json.loads(text)
-        quiver = Quiver(
-            doc["vertices"],
-            [
-                Arrow(a["name"], str(a["source"]), str(a["target"]), int(a.get("degree", 1)))
-                for a in doc["arrows"]
-            ],
-        )
-        relations = []
-        for terms in doc["relations"]:
-            relations.append(
-                Relation(
-                    [
-                        (parse_fraction(t["coeff"]), quiver.path_from_arrows(t["path"]))
-                        for t in terms
-                    ]
-                )
-            )
-        return cls(quiver, relations)
+        bad = _misfits(doc, _PRESENTATION)
+        if bad:
+            raise ValueError("presentation keys missing or mistyped: " + ", ".join(bad))
+        quiver = Quiver(doc["vertices"], [
+            Arrow(a["name"], str(a["source"]), str(a["target"]), a.get("degree", 1)) for a in doc["arrows"]
+        ])
+        return cls(quiver, [
+            Relation([(parse_fraction(t["coeff"]), quiver.path_from_arrows(t["path"])) for t in terms])
+            for terms in doc["relations"]
+        ])
+
+
+_PRESENTATION = {"vertices": [(str, int)],
+                 "arrows": [{"name": str, "source": (str, int), "target": (str, int), "degree?": int}],
+                 "relations": [[{"coeff": (str, int), "path": [str]}]]}
+
+
+def _misfits(val, shape, where="") -> list[str]:
+    """Where the JSON value val is missing or off shape: [s] is a list of s, a dict
+    maps each key (optional if it ends in "?") to its shape, and types are leaves."""
+    if isinstance(shape, (list, dict)) and not isinstance(val, type(shape)):
+        return [where or "the document"]
+    if isinstance(shape, list):
+        return [w for i, x in enumerate(val) for w in _misfits(x, shape[0], "%s[%d]" % (where, i))]
+    if isinstance(shape, dict):
+        keys = [(k.rstrip("?"), sub) for k, sub in shape.items() if k[-1] != "?" or k[:-1] in val]
+        return [w for k, sub in keys for w in _misfits(val.get(k), sub, (where + "." + k).lstrip("."))]
+    return [] if isinstance(val, shape) and not isinstance(val, bool) else [where]
 
 
 def _finish_component(paths, col, red) -> dict:
@@ -510,7 +521,7 @@ class FiniteDimAlgebra:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
         self.table = MappingProxyType({key: MappingProxyType(row) for key, row in table.items()})
-        self.alt_gradings: dict[str, list[int]] = {}
+        self.alt_gradings = MappingProxyType({})
 
     def unit(self) -> dict:
         return {i: 1 for i in self.idempotent.values()}
@@ -557,12 +568,14 @@ class FiniteDimAlgebra:
         return None
 
     def attach_grading(self, name: str, arrow_degrees: dict):
-        """Add an alternative grading given by degrees per arrow name."""
-        degs = [sum(arrow_degrees[a] for a in p.arrows) for p in self.basis]
+        """Fix an alternative grading, given by degrees per arrow name, under a new name."""
+        if name in self.alt_gradings:
+            raise ValueError("grading %r is already attached" % name)
+        degs = tuple(sum(arrow_degrees[a] for a in p.arrows) for p in self.basis)
         bad = self.check_graded(degs)
         if bad is not None:
             raise ValueError("grading %r is not multiplicative at %s" % (name, bad))
-        self.alt_gradings[name] = degs
+        self.alt_gradings = MappingProxyType({**self.alt_gradings, name: degs})
         return degs
 
 

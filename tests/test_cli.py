@@ -65,7 +65,31 @@ def test_presentation_errors_name_the_exception_type(tmp_path):
     args = build_parser().parse_args(["families", "--presentation", str(path)])
     (load,) = run_command(args).checks
     assert load.name == "load" and load.status == "fail"
-    assert load.actual == "error: KeyError: 'arrows'"
+    assert load.actual == "error: ValueError: presentation keys missing or mistyped: arrows"
+
+
+@pytest.mark.parametrize(
+    "doc, places",
+    [
+        ({"arrows": [], "relations": []}, "vertices"),
+        (
+            {"vertices": ["1"], "arrows": [{"name": "x", "target": "1", "degree": "2"}], "relations": [[{"path": ["x"]}]]},
+            "arrows[0].source, arrows[0].degree, relations[0][0].coeff",
+        ),
+        ({"vertices": ["1"], "arrows": {}, "relations": [{"coeff": "1", "path": "x"}]}, "arrows, relations[0]"),
+        ([], "the document"),
+    ],
+    ids=["no_vertices", "arrow_and_term_keys", "mistyped_lists", "not_an_object"],
+)
+def test_presentation_key_errors_are_one_failing_check(tmp_path, doc, places):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli(["families", "--presentation", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (load,) = json.loads(proc.stdout)["checks"]
+    assert load["name"] == "load" and load["status"] == "fail"
+    assert load["actual"] == "error: ValueError: presentation keys missing or mistyped: " + places
 
 
 def test_missing_presentation_file_is_a_failing_check(tmp_path):
@@ -256,6 +280,8 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
         ),
         # its parameters take 63 whole-tuple draws, under random_parameters' cap
         (["slnlab", "--n", "11", "--radius", "2", "--fiber", "1"], "2a3b2814fbfdb6c4d4100ff619eee44d"),
+        # ranks d_0..d_12 of A(2), each off the pivots of the one before
+        (["hochschild", "--k", "2", "--max-degree", "12"], "d97640599fa6e3081c4a4d47ef30be8e"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):

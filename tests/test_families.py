@@ -93,6 +93,23 @@ def test_a_shared_table_and_its_rows_are_read_only(build):
     assert alg.table[i, j] == prod and make_a(3).check_associativity() is None
 
 
+def test_a_shared_grading_is_read_only():
+    alg = make_a(3)
+    shared = alg.alt_gradings["all_one"]
+    zeros = {a.name: 0 for a in alg.quiver.arrows}
+    with pytest.raises(ValueError, match="already attached"):
+        alg.attach_grading("all_one", zeros)
+    with pytest.raises(TypeError):
+        alg.alt_gradings["all_one"] = [0] * alg.dim
+    with pytest.raises(TypeError):
+        del alg.alt_gradings["all_one"]
+    with pytest.raises(TypeError):
+        alg.alt_gradings["all_one"][0] = 5
+    assert make_a(3).alt_gradings["all_one"] is shared
+    assert shared == tuple(alg.degrees)
+    assert sorted(make_a(3).alt_gradings) == ["a_one_b_zero", "all_one"]
+
+
 def test_make_a1_is_dual_numbers():
     alg = make_a(1)
     assert sorted(alg.labels) == ["e1", "x"]

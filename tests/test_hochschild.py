@@ -16,7 +16,7 @@ from quivdef.hochschild import (
     mu_cocycle,
     validate_cochain,
 )
-from quivdef.linalg import ONE, ZERO, RowReducer, solve
+from quivdef.linalg import ONE, ZERO, RowReducer, solve, vec_axpy_inplace
 from quivdef.quiver import FiniteDimAlgebra
 
 F = Fraction
@@ -336,8 +336,21 @@ def test_non_integral_structure_constants(k, degrees, full_degrees):
         assert cx.differential_columns(n) == fraction_differential_columns(cx, n)
 
 
+def full_elimination_ranks(cx, degrees):
+    """The rank of each d_n, n <= degrees, from all of its columns in order."""
+    ranks = []
+    for n in range(degrees + 1):
+        red = RowReducer()
+        for col in cx.differential_columns(n):
+            red.add(col)
+        ranks.append(red.rank)
+    return ranks
+
+
 @pytest.mark.parametrize("k, degrees", [(2, 4), (4, 3)])
 def test_hh_dimensions_rank_each_differential_once(k, degrees, monkeypatch):
+    # d_n is eliminated only on the coordinates of C^n off the pivots of
+    # im d_(n-1): one `add` per such coordinate
     alg = make_a(k)  # building the algebra eliminates too
     calls = []
     add = RowReducer.add
@@ -348,20 +361,56 @@ def test_hh_dimensions_rank_each_differential_once(k, degrees, monkeypatch):
 
     monkeypatch.setattr(RowReducer, "add", counting_add)
     assert hh_dimensions(alg, degrees) == [k + 1] + [1] * degrees
+    monkeypatch.setattr(RowReducer, "add", add)
     cx = HochschildComplex(alg)
-    assert len(calls) == sum(len(cx.differential_columns(n)) for n in range(degrees + 1))
+    ranks = [0] + full_elimination_ranks(cx, degrees)
+    assert len(calls) == sum(len(cx.basis(n)) - ranks[n] for n in range(degrees + 1))
+    assert len(calls) == {2: 66, 4: 96}[k]
+
+
+def assert_ranks_match_full_elimination(alg, reduced, degrees):
+    want = full_elimination_ranks(HochschildComplex(alg, reduced=reduced), degrees)
+    cx = HochschildComplex(alg, reduced=reduced)
+    assert [cx.differential_rank(n) for n in range(degrees + 1)] == want
+    # asked for in descending degree, each rank first ranks the ones below
+    cx = HochschildComplex(alg, reduced=reduced)
+    assert [cx.differential_rank(n) for n in reversed(range(degrees + 1))] == want[::-1]
 
 
 @pytest.mark.parametrize(
     "k, reduced, degrees", [(1, True, 6), (2, True, 6), (3, True, 6), (4, True, 6), (2, False, 3)]
 )
 def test_sparsest_first_ranks_match_the_column_order(k, reduced, degrees):
-    cx = HochschildComplex(make_a(k), reduced=reduced)
-    for n in range(degrees + 1):
-        red = RowReducer()
-        for col in cx.differential_columns(n):
-            red.add(col)
-        assert cx.differential_rank(n) == red.rank, n
+    assert_ranks_match_full_elimination(make_a(k), reduced, degrees)
+
+
+@pytest.mark.parametrize("reduced, degrees", [(True, 5), (False, 2)])
+@pytest.mark.parametrize(
+    "alg",
+    [make_atilde(1), make_atilde(2), make_atilde(3)]
+    + [rescaled_basis_vector(make_a(k), a_index(make_a(k), 1), F(1, 2)) for k in (2, 3)],
+    ids=["At1", "At2", "At3", "A2_half_a1", "A3_half_a1"],
+)
+def test_ranks_off_the_pivots_match_full_elimination(alg, reduced, degrees):
+    assert_ranks_match_full_elimination(alg, reduced, degrees)
+
+
+@pytest.mark.parametrize("reduced, degrees", [(True, 5), (False, 2)])
+@pytest.mark.parametrize(
+    "alg",
+    [make_a(k) for k in range(1, 6)] + [make_atilde(k) for k in range(1, 4)],
+    ids=["A1", "A2", "A3", "A4", "A5", "At1", "At2", "At3"],
+)
+def test_differentials_compose_to_zero(alg, reduced, degrees):
+    # the premise of ranking d_n off the pivots of im d_(n-1)
+    cx = HochschildComplex(alg, reduced=reduced)
+    for n in range(1, degrees + 1):
+        cols = cx.differential_columns(n)
+        for ci, col in enumerate(cx.differential_columns(n - 1)):
+            out: dict = {}
+            for r, x in col.items():
+                vec_axpy_inplace(out, x, cols[r])
+            assert not out, (n, ci)
 
 
 def scan_tuples(cx, n):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import partial
 
@@ -221,6 +222,23 @@ def test_presentation_json_roundtrip():
     back = QuiverPresentation.from_json(text)
     assert back.to_json() == text
     assert bounded_quotient(back, 3).dim == 6
+
+
+def test_presentation_json_names_every_missing_or_mistyped_key():
+    doc = json.loads(a2_presentation().to_json())
+    del doc["arrows"][0]["degree"]  # optional: an arrow defaults to degree 1
+    assert QuiverPresentation.from_json(json.dumps(doc)).quiver.arrows[0].degree == 1
+    doc["vertices"] = ["1", None]
+    doc["arrows"][1]["degree"] = True
+    del doc["arrows"][1]["name"]
+    doc["relations"][0][0]["coeff"] = 0.5
+    doc["relations"][1][0]["path"] = ["a1", 2]
+    with pytest.raises(ValueError) as err:
+        QuiverPresentation.from_json(json.dumps(doc))
+    assert str(err.value) == (
+        "presentation keys missing or mistyped: vertices[1], arrows[1].name, arrows[1].degree,"
+        " relations[0][0].coeff, relations[1][0].path[1]"
+    )
 
 
 def test_graded_multiplication_respects_relations():
