@@ -120,19 +120,20 @@ class StarProduct:
                     raise ValueError("cochain takes idempotent arguments at %s" % ((i, j),))
             self.span.append((c, poly))
 
+    def mu(self, d) -> dict:
+        """mu_d = sum_a p_(a,d) nu_a, without the pairs whose values cancel."""
+        out: dict = {}
+        for c, poly in self.span:
+            x = poly.get(d)
+            if x:
+                for pair, vec in c.items():
+                    vec_axpy_inplace(out.setdefault(pair, {}), x, vec)
+        return {pair: vec for pair, vec in out.items() if vec}
+
     @functools.cached_property
     def family(self):
         """{d: mu_d} for every d with a nonzero coefficient, read-only, by d."""
-        out: dict = {}
-        for c, poly in self.span:
-            for d, x in poly.items():
-                mu = out.setdefault(d, {})
-                for pair, vec in c.items():
-                    if pair in mu:
-                        vec_axpy_inplace(mu[pair], x, vec)
-                    else:
-                        mu[pair] = {l: x * y for l, y in vec.items()}
-        return MappingProxyType(dict(sorted(out.items())))
+        return MappingProxyType({d: self.mu(d) for d in sorted({d for _, poly in self.span for d in poly})})
 
     def mu_pair(self, d, i: int, j: int) -> dict:
         """mu_d(b_i, b_j); the zero index is the honest product."""
@@ -302,19 +303,11 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarP
 def infinitesimal_class(S: StarProduct):
     """Per parameter direction: 'trivial'/'nontrivial', with cobounding witness.
 
-    The linear term of direction eps is read off the span as the sum of
-    p_(a,eps) nu_a, without the family view.
+    The linear term of direction eps is S.mu(eps), without the family view.
     """
     out = []
     for i in range(S.params):
-        eps = tuple(1 if j == i else 0 for j in range(S.params))
-        c: dict = {}
-        for nu, poly in S.span:
-            x = poly.get(eps)
-            if x:
-                for pair, vec in nu.items():
-                    vec_axpy_inplace(c.setdefault(pair, {}), x, vec)
-        c = {pair: vec for pair, vec in c.items() if vec}
+        c = S.mu(tuple(1 if j == i else 0 for j in range(S.params)))
         if not c:
             out.append({"direction": i, "verdict": "trivial", "witness": None})
             continue

@@ -15,10 +15,12 @@ polynomial time at any size (symmetric_form).
 make_a, make_atilde and make_bhat are memoized for the life of the
 process, so every caller of one family member shares one object (and a
 GradedQuotient its components, filled in once); make_bhat(k) and
-make_bhat(k, "loops_two") are one entry.  The structure table of a
-returned algebra is read-only, so a write to it raises TypeError; to
-perturb one, construct a new FiniteDimAlgebra(alg.quiver, alg.basis,
-table), as idempotent_cut does.
+make_bhat(k, "loops_two") are one entry.  A family member is that cached
+object and carries no tag: line_k(alg) knows make_a(k) by identity.  The
+structure table of a returned algebra is read-only, so a write to it
+raises TypeError; to perturb one, construct a new
+FiniteDimAlgebra(alg.quiver, alg.basis, table), as idempotent_cut does,
+and the copy is not make_a(k).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def a_presentation(k: int) -> QuiverPresentation:
     pres = _line(1, k)
     if k == 2:
         path = pres.quiver.path_from_arrows
-        pres.relations = [Relation([(1, path(w))]) for w in (["a1", "b1", "a1"], ["b1", "a1", "b1"])]
+        return QuiverPresentation(pres.quiver, [Relation([(1, path(w))]) for w in (["a1", "b1", "a1"], ["b1", "a1", "b1"])])
     return pres
 
 
@@ -86,7 +88,6 @@ def a_presentation(k: int) -> QuiverPresentation:
 def make_a(k: int) -> FiniteDimAlgebra:
     pres = a_presentation(k)
     alg = bounded_quotient(pres, 2 if k == 1 else 3)
-    alg.family = ("A", k)
     if k == 1:
         # the single loop sits in degree two for the positively graded view
         alg.attach_grading("all_one", {"x": 2})
@@ -139,15 +140,17 @@ def e_index(alg, v) -> int:
     return alg.idempotent[str(v)]
 
 
+def line_k(alg) -> int:
+    """k when alg is the cached make_a(k) itself; ValueError otherwise."""
+    k = len(alg.quiver.vertices)
+    if alg.dim != 4 * k - 2 or alg is not make_a(k):
+        raise ValueError("expected make_a(k)")
+    return k
+
+
 def arrow_index(alg, source, target) -> int:
     """The unique degree-1 basis element source -> target."""
-    hits = [
-        i
-        for i in range(alg.dim)
-        if alg.degrees[i] == 1
-        and alg.source[i] == str(source)
-        and alg.target[i] == str(target)
-    ]
+    hits = [i for i in alg.between.get((str(target), str(source)), ()) if alg.degrees[i] == 1]
     if len(hits) != 1:
         raise ValueError("no unique arrow %s -> %s" % (source, target))
     return hits[0]
@@ -163,11 +166,7 @@ def b_index(alg, i) -> int:
 
 def loop_index(alg, v) -> int:
     """The unique nontrivial diagonal basis element at the vertex."""
-    hits = [
-        i
-        for i in range(alg.dim)
-        if alg.source[i] == str(v) and alg.target[i] == str(v) and alg.degrees[i] > 0
-    ]
+    hits = [i for i in alg.between.get((str(v), str(v)), ()) if alg.degrees[i] > 0]
     if len(hits) != 1:
         raise ValueError("no unique loop at vertex %s" % v)
     return hits[0]
@@ -445,10 +444,7 @@ def psi_basis_images(alg: FiniteDimAlgebra, gq: GradedQuotient) -> dict:
     last vertex this is automatically the loop arrow the quiver carries).
     The deformation parameter itself is handled by central_t.
     """
-    fam = getattr(alg, "family", None)
-    if not fam or fam[0] != "A":
-        raise ValueError("expected make_a(k)")
-    k = fam[1]
+    k = line_k(alg)
     q = gq.quiver
     out = {}
     for v in range(1, k + 1):
@@ -493,10 +489,7 @@ def flatness_dims(k: int, bound: int = 6):
 def hom_dimensions(alg: FiniteDimAlgebra):
     """dim Hom(P_i, P_j) = dim e_i A e_j as a nested dict over vertices."""
     vertices = alg.quiver.vertices
-    out = {v: {w: 0 for w in vertices} for v in vertices}
-    for i in range(alg.dim):
-        out[alg.target[i]][alg.source[i]] += 1
-    return out
+    return {w: {v: len(alg.between.get((w, v), ())) for v in vertices} for w in vertices}
 
 
 def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:
@@ -604,14 +597,16 @@ def symmetric_form(alg: FiniteDimAlgebra):
 
 def projective_profile(alg: FiniteDimAlgebra):
     """Per vertex: length, Loewy length and socle of the projective Ae_v."""
-    radical = alg.radical_indices()
+    leaving: dict = {}
+    for r in alg.radical_indices():
+        leaving.setdefault(alg.source[r], []).append(r)
     socle = _socle(alg)
     out = {}
     for v in alg.quiver.vertices:
-        pv = [i for i in range(alg.dim) if alg.source[i] == v]
+        pv = [alg.idempotent[v]] + leaving.get(v, [])
         # the layer vectors by target w, each in e_w A e_v: r z = 0 unless the
         # radical element r starts at w, so only those products are formed,
-        # and the nonzero ones reach the reducer in the order of the full loop
+        # and the nonzero ones reach the reducer in ascending r
         layer = {}
         for i in pv:
             layer.setdefault(alg.target[i], []).append({i: 1})
@@ -620,8 +615,8 @@ def projective_profile(alg: FiniteDimAlgebra):
             loewy += 1
             nxt = {}
             red = RowReducer()
-            for r in radical:
-                for z in layer.get(alg.source[r], ()):
+            for r in sorted(r for w in layer for r in leaving.get(w, ())):
+                for z in layer[alg.source[r]]:
                     w = alg.mul({r: 1}, z)
                     if w and red.add(w) is not None:
                         nxt.setdefault(alg.target[r], []).append(w)

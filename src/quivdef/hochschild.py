@@ -10,11 +10,12 @@ it just gets large quickly.
 
 The complex is indexed once, so no step scans the basis: tuples extend
 through the radical grouped by target vertex, values are read per
-(target, source) pair, and a differential takes its products from
-per-element lists of the nonzero structure constants.  The differentials
-of the line algebras are integer, so `RowReducer` eliminates them in ints
-up to the few pivots other than 1 and -1.  `solve_coboundary` eliminates
-d_(n-1) once per complex for all right-hand sides.
+(target, source) pair from the algebra's `between` index, and a
+differential takes its products from per-element lists of the nonzero
+structure constants.  The differentials of the line algebras are
+integer, so `RowReducer` eliminates them in ints up to the few pivots
+other than 1 and -1.  `solve_coboundary` eliminates d_(n-1) once per
+complex for all right-hand sides.
 
 Each d_n is ranked once per complex, on the columns of C^n off the pivot
 set P of the rows kept for im d_(n-1).  On a complex that is exact: those
@@ -41,7 +42,7 @@ import itertools
 from collections import Counter
 
 from .linalg import RowReducer, vec_axpy_inplace
-from .families import a_index, b_index, e_index, loop_index
+from .families import a_index, b_index, e_index, line_k, loop_index
 from .quiver import FiniteDimAlgebra, associator
 
 
@@ -117,10 +118,6 @@ class HochschildComplex:
         self._after: dict = {}
         for j in self.radical:
             self._after.setdefault(alg.target[j], []).append(j)
-        # (target, source) -> the basis of e_target A e_source
-        self._values: dict = {}
-        for w in range(alg.dim):
-            self._values.setdefault((alg.target[w], alg.source[w]), []).append(w)
         # the products with a factor c in the scope: w -> [(c, l, x)] for
         # the terms x b_l of c w, and of w c; and the reverse index
         # l -> [((i, j), x)] for the terms x b_l of b_i b_j over scope pairs
@@ -172,7 +169,7 @@ class HochschildComplex:
                 for j in self._after.get(s, ()):
                     step[f, alg.source[j]] += count
             ends.append(step)
-        return sum(count * len(self._values.get(fs, ())) for fs, count in ends[n].items())
+        return sum(count * len(alg.between.get(fs, ())) for fs, count in ends[n].items())
 
     def basis(self, n: int) -> list:
         """Coordinates of C^n as (tuple, value_index) pairs, counted before any is built."""
@@ -189,7 +186,7 @@ class HochschildComplex:
         elif n == 0:
             slots = [[w for w in range(alg.dim) if alg.source[w] == alg.target[w]]]
         else:
-            values, target, source = self._values, alg.target, alg.source
+            values, target, source = alg.between, alg.target, alg.source
             slots = [values.get((target[t[0]], source[t[-1]]), ()) for t in self.tuples(n)]
         out = [(t, w) for t, ws in zip(self.tuples(n), slots) for w in ws]
         self._basis[n] = out
@@ -339,10 +336,9 @@ def mu_cocycle(alg: FiniteDimAlgebra) -> dict:
     s >= 2: (a_s, l_s) -> (-1)^(s-1) a_s and (l_s, b_s) -> (-1)^(s-1) b_s.
     Everything else is zero.  Requires k >= 2.
     """
-    fam = getattr(alg, "family", None)
-    if not fam or fam[0] != "A" or fam[1] < 2:
+    k = line_k(alg)
+    if k < 2:
         raise ValueError("mu_cocycle is defined on make_a(k) for k >= 2")
-    k = fam[1]
     c: dict = {}
 
     def put(i, j, vec):

@@ -214,9 +214,14 @@ class QuiverPresentation:
 
     @classmethod
     def from_json(cls, text: str) -> "QuiverPresentation":
-        """Read `to_json` output; one ValueError names each missing or mistyped key."""
+        """Read `to_json` output; one ValueError names each missing or mistyped
+        key, or else each path entry that names no declared arrow."""
         doc = json.loads(text)
         bad = _misfits(doc, _PRESENTATION)
+        if not bad:
+            names = {a["name"] for a in doc["arrows"]}
+            bad = ["relations[%d][%d].path[%d]" % (i, j, k) for i, terms in enumerate(doc["relations"])
+                   for j, t in enumerate(terms) for k, name in enumerate(t["path"]) if name not in names]
         if bad:
             raise ValueError("presentation keys missing or mistyped: " + ", ".join(bad))
         quiver = Quiver(doc["vertices"], [
@@ -247,16 +252,20 @@ def _misfits(val, shape, where="") -> list[str]:
 
 
 def _finish_component(paths, col, red) -> dict:
-    """A component: its columns, their reducer, and the non-pivot columns
-    as the basis."""
+    """A component: its columns, their reducer, the non-pivot columns as
+    the basis, and that basis by target vertex ("into"), in basis order."""
     pivots = set(red.pivot_columns())
     basis = [p for i, p in enumerate(paths) if i not in pivots]
+    into: dict = {}
+    for p in basis:
+        into.setdefault(p.target, []).append(p)
     return {
         "paths": paths,
         "col": col,
         "reducer": red,
         "basis": basis,
         "local": {p: i for i, p in enumerate(basis)},
+        "into": into,
     }
 
 
@@ -341,8 +350,7 @@ class GradedQuotient:
             compose(self.quiver.arrow_path(a.name), n)
             for a in self.quiver.arrows
             if 0 < a.degree <= d
-            for n in comps[d - a.degree]["basis"]
-            if n.target == a.source
+            for n in comps[d - a.degree]["into"].get(a.source, ())
         ]
         paths = [compose(z, an) for an in arrow_basis for z in self._zero_from[an.target]]
         paths.sort(key=self.quiver.path_key)
@@ -351,9 +359,7 @@ class GradedQuotient:
         for r in self.pres.relations:
             if not 0 < r.degree <= d:
                 continue
-            for n in comps[d - r.degree]["basis"]:
-                if n.target != r.source:
-                    continue
+            for n in comps[d - r.degree]["into"].get(r.source, ()):
                 for u in self._zero_from[r.target]:
                     vec: dict = {}
                     for c, term in r.terms:
@@ -501,7 +507,9 @@ class FiniteDimAlgebra:
     product as a sparse vector; the algebra stores it read-only (a write
     to the table or a row raises TypeError) and multiplies nothing itself.
     GradedQuotient.to_algebra emits it in ascending (i, j) order, and
-    families.idempotent_cut restricts a parent's table.
+    families.idempotent_cut restricts a parent's table.  `between`, as
+    read-only, maps each vertex pair (w, v) with e_w*A*e_v nonzero to the
+    ascending indices of the basis paths from v to w.
     """
 
     def __init__(self, quiver: Quiver, basis: list[Path], table: dict):
@@ -521,6 +529,10 @@ class FiniteDimAlgebra:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
         self.table = MappingProxyType({key: MappingProxyType(row) for key, row in table.items()})
+        between: dict = {}
+        for i, p in enumerate(self.basis):
+            between.setdefault((p.target, p.source), []).append(i)
+        self.between = MappingProxyType({key: tuple(ids) for key, ids in between.items()})
         self.alt_gradings = MappingProxyType({})
 
     def unit(self) -> dict:

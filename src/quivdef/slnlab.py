@@ -792,6 +792,10 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     blocks = {key: {} for key in generator_keys(n)}
     log = {"y_equals_b": 0, "x_equals_b_minus_1": 0, "last_x_equals_b": 0, "last_solved": 0}
     sigma_u, sigma_d = _shift(n, n - 1, n), _shift(n, n, n - 1)
+    # the points below and above the zero slice, nearest to it first
+    by_level = sorted(support.points, key=lambda p: abs(p[n - 1]))
+    below = [p for p in by_level if p[n - 1] < 0]
+    above = [p for p in by_level if p[n - 1] > 0]
 
     # e_{n-1,n} comes with the chosen bases
     for p in support.points:
@@ -817,23 +821,21 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
         start and the end of each of its blocks are equal.
         """
         sg = gen_shift(n, key)
-        for level in range(1, radius + 1):
-            for p in support.points:
-                if p[n - 1] != -level or _add(p, sg) not in support:
-                    continue
-                q = _add(p, sigma_d)
-                gq = blocks[key].get(q)
-                if gq is None:
-                    continue
-                blocks[key][p] = mul(formula[key_u, q[n - 1]], gq, inverse(q[n - 1]))
-        for level in range(1, radius + 1):
-            for p in support.points:
-                if p[n - 1] != level or _add(p, sg) not in support:
-                    continue
-                gq = blocks[key].get(_add(p, sigma_u))
-                if gq is None:
-                    continue
-                blocks[key][p] = mul(inverse(p[n - 1]), gq, formula[key_u, p[n - 1]])
+        for p in below:
+            if _add(p, sg) not in support:
+                continue
+            q = _add(p, sigma_d)
+            gq = blocks[key].get(q)
+            if gq is None:
+                continue
+            blocks[key][p] = mul(formula[key_u, q[n - 1]], gq, inverse(q[n - 1]))
+        for p in above:
+            if _add(p, sg) not in support:
+                continue
+            gq = blocks[key].get(_add(p, sigma_u))
+            if gq is None:
+                continue
+            blocks[key][p] = mul(inverse(p[n - 1]), gq, formula[key_u, p[n - 1]])
 
     for i in range(1, n - 2):
         extend_by_commutation(("e", i, i + 1))
@@ -844,46 +846,44 @@ def reconstruct_extension(n: int, a, nprime: LatticeModule, x_n, radius: int):
     key_g = ("e", n - 2, n - 1)
     key_back = ("e", n - 1, n - 2)
     sg, sb = gen_shift(n, key_g), gen_shift(n, key_back)
-    for level in range(1, radius + 1):
-        for p in support.points:
-            if p[n - 1] != -level or _add(p, sg) not in support:
-                continue
-            bm_pt = _add(p, sigma_d)
-            b = blocks[key_g].get(_add(bm_pt, sb))
-            bm = blocks[key_g].get(bm_pt)
-            a1b = blocks[key_back].get(p)
-            a2b = blocks[key_back].get(_add(p, sg))
-            if b is None or bm is None or a1b is None or a2b is None:
-                continue
-            b_down = qmat_add_scalar(b, -1)
-            if bm != b_down:
-                raise AssertionError("lower row is not an arithmetic progression")
-            # unique-root condition: (a+2) b - (b-1)(a+1) must be invertible
-            if qmat_inv(sub(mul(a2b, b), mul(b_down, a1b))) is None:
-                raise NoUniqueExtension("root separation fails at %s" % (p,))
-            y = b
-            # check the two defining constraints for the solved block
-            x_guess = qmat_add_scalar(b, 1)
-            if sub(mul(x_guess, a1b), mul(y, a2b)) != sub(a1b, b):
-                raise AssertionError("commutator constraint fails at %s" % (p,))
-            lhs6 = qmat_comb(((1, mul(y, x_guess)), (-2, mul(y, b)), (1, mul(b, b_down))))
-            if any(lhs6[0]):
-                raise AssertionError("Serre constraint fails at %s" % (p,))
-            blocks[key_g][p] = y
-            log["y_equals_b"] += 1
-    for level in range(1, radius + 1):
-        for p in support.points:
-            if p[n - 1] != level or _add(p, sg) not in support:
-                continue
-            q1 = _add(p, sigma_u)
-            b = blocks[key_g].get(q1)
-            b1 = blocks[key_g].get(_add(q1, sigma_u))
-            if b is None or b1 is None:
-                continue
-            if b1 != qmat_add_scalar(b, 1):
-                raise AssertionError("upper row is not an arithmetic progression")
-            blocks[key_g][p] = qmat_add_scalar(b, -1)
-            log["x_equals_b_minus_1"] += 1
+    for p in below:
+        if _add(p, sg) not in support:
+            continue
+        bm_pt = _add(p, sigma_d)
+        b = blocks[key_g].get(_add(bm_pt, sb))
+        bm = blocks[key_g].get(bm_pt)
+        a1b = blocks[key_back].get(p)
+        a2b = blocks[key_back].get(_add(p, sg))
+        if b is None or bm is None or a1b is None or a2b is None:
+            continue
+        b_down = qmat_add_scalar(b, -1)
+        if bm != b_down:
+            raise AssertionError("lower row is not an arithmetic progression")
+        # unique-root condition: (a+2) b - (b-1)(a+1) must be invertible
+        if qmat_inv(sub(mul(a2b, b), mul(b_down, a1b))) is None:
+            raise NoUniqueExtension("root separation fails at %s" % (p,))
+        y = b
+        # check the two defining constraints for the solved block
+        x_guess = qmat_add_scalar(b, 1)
+        if sub(mul(x_guess, a1b), mul(y, a2b)) != sub(a1b, b):
+            raise AssertionError("commutator constraint fails at %s" % (p,))
+        lhs6 = qmat_comb(((1, mul(y, x_guess)), (-2, mul(y, b)), (1, mul(b, b_down))))
+        if any(lhs6[0]):
+            raise AssertionError("Serre constraint fails at %s" % (p,))
+        blocks[key_g][p] = y
+        log["y_equals_b"] += 1
+    for p in above:
+        if _add(p, sg) not in support:
+            continue
+        q1 = _add(p, sigma_u)
+        b = blocks[key_g].get(q1)
+        b1 = blocks[key_g].get(_add(q1, sigma_u))
+        if b is None or b1 is None:
+            continue
+        if b1 != qmat_add_scalar(b, 1):
+            raise AssertionError("upper row is not an arithmetic progression")
+        blocks[key_g][p] = qmat_add_scalar(b, -1)
+        log["x_equals_b_minus_1"] += 1
 
     # e_{n,n-1}: the linear equation from the two commuting squares
     key_d = ("e", n, n - 1)

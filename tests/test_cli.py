@@ -92,6 +92,24 @@ def test_presentation_key_errors_are_one_failing_check(tmp_path, doc, places):
     assert load["actual"] == "error: ValueError: presentation keys missing or mistyped: " + places
 
 
+def test_presentation_paths_through_undeclared_arrows_are_named(tmp_path):
+    doc = {
+        "vertices": ["1"],
+        "arrows": [{"name": "x", "source": "1", "target": "1", "degree": 1}],
+        "relations": [[{"coeff": "1", "path": ["x", "x", "x"]}], [{"coeff": "1", "path": ["z", "x"]}, {"coeff": "-1", "path": ["x", "y"]}]],
+    }
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli(["families", "--presentation", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (load,) = json.loads(proc.stdout)["checks"]
+    assert load["name"] == "load" and load["status"] == "fail"
+    assert load["actual"] == (
+        "error: ValueError: presentation keys missing or mistyped: relations[1][0].path[0], relations[1][1].path[1]"
+    )
+
+
 def test_missing_presentation_file_is_a_failing_check(tmp_path):
     path = tmp_path / "absent.json"
     proc = run_cli(["families", "--presentation", str(path)])
@@ -282,6 +300,8 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
         (["slnlab", "--n", "11", "--radius", "2", "--fiber", "1"], "2a3b2814fbfdb6c4d4100ff619eee44d"),
         # ranks d_0..d_12 of A(2), each off the pivots of the one before
         (["hochschild", "--k", "2", "--max-degree", "12"], "d97640599fa6e3081c4a4d47ef30be8e"),
+        # every lookup of A(200) and Atilde(200) reads the vertex-pair index
+        (["families", "--k", "200"], "263ecee62611e07bd406046d74155c17"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):

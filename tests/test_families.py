@@ -17,6 +17,7 @@ from quivdef.families import (
     hom_dimensions,
     idempotent_cut,
     is_algebra_isomorphism,
+    line_k,
     loop_index,
     make_a,
     make_atilde,
@@ -30,6 +31,7 @@ from quivdef.families import (
     symmetric_space,
 )
 from quivdef.deformation import psi_target
+from quivdef.hochschild import mu_cocycle
 from quivdef.linalg import ONE, RowReducer, fmt_fraction, nullspace, rank_matrix
 from quivdef.quiver import (
     Arrow,
@@ -600,3 +602,59 @@ def test_check_central_matches_whole_t(k):
     witnesses = [check_central(gq, c, 5) for c in candidates]
     assert witnesses == [whole_t_check_central(gq, c, 5) for c in candidates]
     assert witnesses[0] is None and any(witnesses)
+
+
+# a presentation read as `families --presentation FILE` reads it, with a degree-0 arrow
+READ_PRESENTATION = """{
+  "vertices": ["1", "2", "3"],
+  "arrows": [{"name": "c", "source": "1", "target": "2", "degree": 0},
+             {"name": "d", "source": "2", "target": "3", "degree": 1},
+             {"name": "e", "source": "3", "target": "1", "degree": 1}],
+  "relations": [[{"coeff": "1", "path": ["e", "d"]}], [{"coeff": "1", "path": ["c", "e"]}]]
+}"""
+
+INDEXED_ALGEBRAS = (
+    [("A%d" % k, lambda k=k: make_a(k)) for k in range(1, 7)]
+    + [("Atilde%d" % k, lambda k=k: make_atilde(k)) for k in range(1, 5)]
+    + [("psi_target%d" % k, lambda k=k: psi_target(k, 4)[1]) for k in (2, 3, 4)]
+    + [
+        ("cut", lambda: idempotent_cut(make_atilde(3), ["1", "3"])),
+        ("read", lambda: bounded_quotient(QuiverPresentation.from_json(READ_PRESENTATION), 3)),
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in INDEXED_ALGEBRAS], ids=[n for n, _ in INDEXED_ALGEBRAS])
+def test_vertex_pair_index_is_the_scan_and_read_only(build):
+    alg = build()
+    scan: dict = {}
+    for i in range(alg.dim):
+        scan.setdefault((alg.target[i], alg.source[i]), []).append(i)
+    assert dict(alg.between) == {key: tuple(ids) for key, ids in scan.items()}
+    key = min(alg.between)
+    with pytest.raises(TypeError):
+        alg.between[key] = ()
+    with pytest.raises(TypeError):
+        del alg.between[key]
+    with pytest.raises(AttributeError):
+        alg.between[key].append(0)
+
+
+def test_make_a_carries_no_family_tag():
+    assert "family" not in vars(make_a(3))
+    assert [line_k(make_a(k)) for k in range(1, 5)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_atilde(3), lambda: FiniteDimAlgebra(make_a(3).quiver, make_a(3).basis, make_a(3).table)],
+    ids=["atilde3", "copy_of_a3"],
+)
+def test_only_the_cached_line_algebra_is_make_a(build):
+    alg = build()
+    with pytest.raises(ValueError, match="expected make_a"):
+        line_k(alg)
+    with pytest.raises(ValueError):
+        mu_cocycle(alg)
+    with pytest.raises(ValueError):
+        psi_basis_images(alg, make_bhat(3))

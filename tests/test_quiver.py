@@ -680,3 +680,13 @@ def test_path_is_a_tuple_with_its_label():
     assert e.is_trivial and not p.is_trivial
     assert e.label == repr(e) == "e2"
     assert {p: 0}[twin] == 0
+
+
+@pytest.mark.parametrize("grading", BHAT_GRADINGS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_each_component_records_its_basis_by_target(k, grading):
+    gq = make_bhat(k, grading)
+    for d in range(7):
+        comp = gq._component(d)
+        targets = {p.target for p in comp["basis"]}
+        assert comp["into"] == {v: [p for p in comp["basis"] if p.target == v] for v in targets}
