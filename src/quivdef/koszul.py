@@ -147,6 +147,10 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
     the rest times the kernel lies in the kernel, a submodule.  Whether a
     kernel piece is a new generator depends only on that span, so the
     generators and tables are those of the loop over all degrees 1..d.
+    An element of degree 1..G is multiplied into a kernel vector only when
+    it starts at a vertex where some entry of the vector ends; every other
+    such product is 0, so the span and the order of its nonzero vectors
+    are unchanged.
     """
     if max_int < max_hom * view.generator_degree:
         raise ValueError(
@@ -170,11 +174,15 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
             red = reducers[d]
             # span of J * kernel in degree d, through the generator degrees
             for g in range(1, min(d, view.generator_degree) + 1):
-                for ai in range(view.dim(g)):
-                    for vec in kernel.get(d - g, []):
-                        w = prev.left_mul(g, ai, d - g, vec)
-                        if w:
-                            red.add(w)
+                lower = prev.comp(d - g)
+                # each kernel vector with the vertices where it ends
+                vectors = [(vec, {prev.target_vertex(lower[r]) for r in vec}) for vec in kernel.get(d - g, [])]
+                for ai, (src, _tgt) in enumerate(view.comp(g)):
+                    for vec, ends in vectors:
+                        if src in ends:
+                            w = prev.left_mul(g, ai, d - g, vec)
+                            if w:
+                                red.add(w)
             comp = prev.comp(d)
             for vec in kernel.get(d, []):
                 # split by target vertex so generators are vertex-pure

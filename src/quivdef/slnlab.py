@@ -31,11 +31,15 @@ their multiplicity and composes and zero-tests only the distinct ones,
 through a product table keyed by (block class, product class) pairs;
 each distinct block, product and instance is computed once per call.
 It holds each row of a product as one packed int, its entries in slots
-of b bits (Kronecker substitution), so a product row is d integer
-products and a zero test d sums for fiber dimension d.  b is fixed
-after every column is read, from a bound on every entry, product entry
-and weighted sum the relations can form, so packing is injective and a
-packed sum is 0 exactly when each of its entries is.
+of b bits (Kronecker substitution), and the whole product as one more
+int, its rows end to end, so a product row is d integer products for
+fiber dimension d and the zero test of an instance one weighted sum of
+whole-matrix ints.  b is fixed after every column is read, from a bound
+on every entry, product entry and weighted sum the relations can form,
+so packing is injective and a packed sum is 0 exactly when each of its
+entries is.  The rest of a relation's set-up, its integer coefficients,
+prefixes, walks and the coordinate each prefix reads, depends on n
+alone and is made once per n.
 
 certify_relations checks a module's formula at a cost that does not
 depend on the radius: every relation vanishes on the formula blocks at
@@ -44,7 +48,8 @@ coordinates the relation reads and d its degree.  A relation instance is
 a matrix polynomial of degree <= d in b_J, and that set is unisolvent for
 such polynomials, so the formula satisfies every relation at every point
 of every radius.  It feeds the same kernel, taking the class of each
-formula block from (key, its one coordinate), and lists no block.  The
+formula block from (key, its one coordinate), read off each simplex
+point with the coordinate shift of the set-up, and lists no block.  The
 CLI battery uses the certificate and never lists a support;
 verify_relations stays as the certificate's oracle in the tests, and
 compare_modules tells whether stored blocks equal a formula's.
@@ -69,6 +74,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
     ONE,
@@ -348,6 +354,68 @@ def _relations(n: int):
     return tuple((label, tuple(terms)) for label, terms in rels)
 
 
+class _Setup(NamedTuple):
+    """What _check_instances needs of one relation beyond the blocks.
+
+    For the relation sum_t c_t M_t, coefficients[t] is the int C c_t, C
+    the lcm of the denominators of the c_t, and lifts[t] is L_max - L_t,
+    L_t the length of M_t.  prefixes are the distinct monomial prefixes,
+    one instance column each, and walks[t] the columns of the prefixes of
+    M_t, shortest first.  reads[c] is (key, j, shift) for the last key of
+    prefix c: the walk before it moves the key's coordinate (_coordinate,
+    linear) by shift, so from a point p it reads the block at coordinate
+    p[j] + shift, j = t - 1 for e_(s,t), or p[j] - p[j + 1] + shift, j =
+    i - 1 for h_i.  simplex is the relation's point set of
+    _relation_simplex.
+    """
+
+    label: str
+    coefficients: tuple
+    lifts: tuple
+    walks: tuple
+    prefixes: tuple
+    reads: tuple
+    simplex: tuple
+
+
+@functools.cache
+def _relation_setups(n: int):
+    """The _Setup of each relation of _relations(n), made once per n.
+
+    Equal tuples of different relations are one object, which keeps the
+    set-ups of a large n small.
+    """
+    shared = {}
+
+    def share(x):
+        return shared.setdefault(x, x)
+
+    setups = []
+    origin = (0,) * n
+    for label, terms in _relations(n):
+        cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
+        longest = max(len(mono) for _coeff, mono in terms)
+        prefixes = {}  # monomial prefix -> its column in an instance
+        walks = share(tuple(
+            share(tuple(prefixes.setdefault(share(mono[: j + 1]), len(prefixes)) for j in range(len(mono))))
+            for _coeff, mono in terms
+        ))
+        reads = []
+        for *walk, key in prefixes:
+            offset = functools.reduce(_add, (gen_shift(n, step) for step in walk), origin)
+            reads.append(share((key, key[1 if key[0] == "h" else 2] - 1, _coordinate(key, offset))))
+        setups.append(_Setup(
+            label,
+            share(tuple(int(coeff * cden) for coeff, _mono in terms)),
+            share(tuple(longest - len(mono) for _coeff, mono in terms)),
+            walks,
+            share(tuple(prefixes)),
+            share(tuple(reads)),
+            _relation_simplex(n, terms),
+        ))
+    return tuple(setups)
+
+
 def _scaled(q, scale):
     """scale times the exact form q, a row-major tuple of ints; scale is a multiple of q's denominator."""
     flat, den = q
@@ -355,12 +423,11 @@ def _scaled(q, scale):
 
 
 class _Classes(list):
-    """Classes of matrices: class c >= 1 is the matrix self[c], a tuple.
+    """Classes of blocks: class c >= 1 is the block self[c], a row-major int tuple.
 
-    The kernel keeps blocks as row-major int tuples, products as tuples of
-    packed rows.  Class 0 means no block.  Calling with a matrix returns
-    its class, making a new one on first sight, so equal matrices share
-    one class and a table keyed by classes is keyed by value.
+    Class 0 means no block.  Calling with a matrix returns its class,
+    making a new one on first sight, so equal matrices share one class
+    and a table keyed by classes is keyed by value.
     """
 
     def __init__(self):
@@ -391,20 +458,31 @@ def _packed_product(rows, packed):
     return tuple([sum(map(operator.mul, row, packed)) for row in rows])
 
 
+def _whole(rows, width):
+    """The whole matrix as one int, from its d packed rows: row i at bit i d width.
+
+    That is _pack of the row-major entries: entry (i, j) lands in slot i d + j.
+    """
+    stride = len(rows) * width
+    return sum(map(operator.lshift, rows, range(0, len(rows) * stride, stride)))
+
+
 def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     """Every relation of _relations(n) at its points: (checked, skipped, witness).
 
-    columns(terms) gives (points, read) for one relation: read(prefix) is
+    The relations come as their set-ups (_relation_setups), made once per
+    n.  columns(setup) gives (points, cols) for one relation: cols[c] is
     the column, over points, of the classes of the blocks that the last
-    key of prefix reads when prefix, a monomial prefix applied first entry
-    first, is walked from each point; class 0 where the walk leaves the
-    blocks.  classes holds the blocks as integer matrices, each D times its
-    rational block with D = scale, so a monomial of length L composes to
-    D^L times its rational value.  For a relation sum_t c_t M_t with
-    longest monomial L_max and C the lcm of the coefficient denominators,
-    the integer combination sum_t w_t (D^L_t M_t), w_t = C c_t D^(L_max -
-    L_t), is C D^L_max times the rational sum; C and D are nonzero, so it
-    vanishes exactly when the relation holds.
+    key of the set-up's prefix c reads when the prefix, a monomial prefix
+    applied first entry first, is walked from each point; class 0 where
+    the walk leaves the blocks.  classes holds the blocks as integer
+    matrices, each D times its rational block with D = scale, so a
+    monomial of length L composes to D^L times its rational value.  For a
+    relation sum_t c_t M_t with longest monomial L_max and C the lcm of
+    the coefficient denominators, the integer combination sum_t w_t (D^L_t
+    M_t), w_t = C c_t D^(L_max - L_t), is C D^L_max times the rational
+    sum; C and D are nonzero, so it vanishes exactly when the relation
+    holds.
 
     An instance is the tuple of classes that the relation reads at one
     point.  Equal tuples are one instance, counted with their multiplicity;
@@ -416,37 +494,34 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     failing instance in relation order, then point order: Counter keeps
     first-occurrence order.
 
-    The matrices are composed and zero-tested as packed rows: row i of a
-    matrix x is the one int sum_j x_ij 2^(j b) (_pack), so a product row
-    takes d integer products (_packed_product) and a zero test one
-    weighted sum per row.  All columns are read first, so every block
-    class exists (certify_relations makes them as it reads), and then the
-    slot width b is fixed.  Let M >= 1 bound the block entries
-    (1 if all are 0) and d = dim.  An entry of a product of l <= L blocks
-    has |value| <= d^(l-1) M^l <= d^(L-1) M^L, and a weighted combination
-    sum_t w_t P_t of monomials P_t of lengths L_t has |entry| <= W_rel =
-    sum_t max(|w_t|, 1) d^(L_t-1) M^L_t, which also bounds every block
-    entry and every product the relation forms.  W is the largest W_rel
-    and b = W.bit_length() + 1, so every slot value v has |v| <= W <
-    2^(b-1).  Such slots are recovered from the packed int one at a
-    time, lowest first, as its residue mod 2^b taken in [-2^(b-1),
-    2^(b-1)): packing is injective, so product classes interned by their
-    packed rows are classes of equal matrices, and a packed row is 0
-    exactly when every slot is 0.  Packing and products are integer
-    identities, so the zero test is exact.
+    Every matrix is held as packed ints, its entries in slots of b bits
+    (Kronecker substitution).  A product class keeps its packed rows, row
+    i the one int sum_j x_ij 2^(j b) (_pack), and its whole matrix, the
+    one int sum_(i,j) x_ij 2^((i d + j) b), _pack of its row-major entries,
+    which is sum_i (row i) 2^(i d b).  A product takes d integer products
+    of a block row with the packed rows (_packed_product), and the zero
+    test of an instance is one weighted sum of whole-matrix ints.  All
+    columns are read first, so every block class exists (certify_relations
+    makes them as it reads), and then the slot width b is fixed.  Let M
+    >= 1 bound the block entries (1 if all are 0) and d = dim.  An entry
+    of a product of l <= L blocks has |value| <= d^(l-1) M^l <= d^(L-1)
+    M^L, and a weighted combination sum_t w_t P_t of monomials P_t of
+    lengths L_t has |entry| <= W_rel = sum_t max(|w_t|, 1) d^(L_t-1)
+    M^L_t, which also bounds every block entry and every product the
+    relation forms.  W is the largest W_rel and b = W.bit_length() + 1, so
+    every slot value v has |v| <= W < 2^(b-1).  Such slots, the d entries
+    of a row or the d^2 of a whole matrix, are recovered from the packed
+    int one at a time, lowest first, as its residue mod 2^b taken in
+    [-2^(b-1), 2^(b-1)): packing is injective, so product classes
+    interned by their whole-matrix ints are classes of equal matrices,
+    and a whole-matrix sum is 0 exactly when every slot is 0.  Packing and
+    products are integer identities, so the zero test is exact.
     """
     relations = []
-    for label, terms in _relations(n):
-        cden = math.lcm(*(fr(coeff).denominator for coeff, _mono in terms))
-        longest = max(len(mono) for _coeff, mono in terms)
-        weights = [int(coeff * cden) * scale ** (longest - len(mono)) for coeff, mono in terms]
-        prefixes = {}  # monomial prefix -> its column in an instance
-        walks = [
-            [prefixes.setdefault(mono[: j + 1], len(prefixes)) for j in range(len(mono))]
-            for _coeff, mono in terms
-        ]
-        points, read = columns(terms)
-        relations.append((label, weights, walks, points, [read(prefix) for prefix in prefixes]))
+    for setup in _relation_setups(n):
+        weights = [c * scale**lift for c, lift in zip(setup.coefficients, setup.lifts)]
+        points, cols = columns(setup)
+        relations.append((setup.label, weights, setup.walks, points, cols))
 
     top = max((max(map(abs, mat)) for mat in classes[1:]), default=0) or 1
     bound = max(
@@ -458,31 +533,43 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     )
     width = bound.bit_length() + 1
     block_rows = [None] + [[mat[i : i + dim] for i in range(0, dim * dim, dim)] for mat in classes[1:]]
-    packed = _Classes()  # product class -> its packed rows
-    lead = [0] + [packed(tuple([_pack(row, width) for row in rows])) for rows in block_rows[1:]]
-    products = {}  # (class of a block, product class) -> product class of their product
-
-    def compose(walk, instance):
-        c = lead[instance[walk[0]]]
-        for step in walk[1:]:
-            pair = (instance[step], c)
-            c = products.get(pair)
-            if c is None:
-                c = products[pair] = packed(_packed_product(block_rows[pair[0]], packed[pair[1]]))
-        return packed[c]
+    # the blocks are distinct matrices, so block class c is product class c
+    rows = [None] + [tuple([_pack(row, width) for row in mat_rows]) for mat_rows in block_rows[1:]]
+    full = [0] + [_pack(mat, width) for mat in classes[1:]]
+    product_class = {whole: c for c, whole in enumerate(full[1:], 1)}  # whole-matrix int -> product class
+    products = [{} for _ in classes]  # block class -> {product class: product class of their product}
 
     checked = skipped = 0
     witness = None
     for label, weights, walks, points, cols in relations:
+        steps = [(w, walk[0], walk[1:]) for w, walk in zip(weights, walks)]
         for instance, count in Counter(zip(*cols)).items():
             if 0 in instance:
                 skipped += count
                 continue
             checked += count
-            if witness is None:
-                mats = [compose(walk, instance) for walk in walks]
-                if any(sum(map(operator.mul, weights, rows)) for rows in zip(*mats)):
-                    witness = (label, points[list(zip(*cols)).index(instance)])
+            if witness is not None:
+                continue
+            total = 0
+            for w, first, rest in steps:
+                c = instance[first]
+                for step in rest:
+                    b = instance[step]
+                    known = products[b]
+                    after = known.get(c)
+                    if after is None:
+                        prod = _packed_product(block_rows[b], rows[c])
+                        whole = _whole(prod, width)
+                        after = product_class.get(whole)
+                        if after is None:
+                            after = product_class[whole] = len(rows)
+                            rows.append(prod)
+                            full.append(whole)
+                        known[c] = after
+                    c = after
+                total += w * full[c]
+            if total:
+                witness = (label, points[list(zip(*cols)).index(instance)])
     return checked, skipped, witness
 
 
@@ -542,7 +629,7 @@ def verify_relations(module: LatticeModule):
         return read[prefix]
 
     checked, skipped, witness = _check_instances(
-        n, lambda terms: (points, column), classes, dim, scale
+        n, lambda setup: (points, [column(prefix) for prefix in setup.prefixes]), classes, dim, scale
     )
     return {"checked": checked, "skipped": skipped, "witness": witness, "fiber_dim": dim}
 
@@ -610,19 +697,15 @@ def certify_relations(module: LatticeModule):
     def class_of(key, v):
         return classes(_scaled(formula[key, v], formula.scale))
 
-    def columns(terms):
-        points = _relation_simplex(n, terms)
-
-        def read(prefix):
-            # the coordinate is linear: v(p + offset) = v(p) + v(offset)
-            *walk, key = prefix
-            offset = (0,) * n
-            for step in walk:
-                offset = _add(offset, gen_shift(n, step))
-            shift = _coordinate(key, offset)
-            return [class_of(key, _coordinate(key, p) + shift) for p in points]
-
-        return points, read
+    def columns(setup):
+        points = setup.simplex
+        cols = []
+        for key, j, shift in setup.reads:
+            if key[0] == "h":
+                cols.append([class_of(key, p[j] - p[j + 1] + shift) for p in points])
+            else:
+                cols.append([class_of(key, p[j] + shift) for p in points])
+        return points, cols
 
     checked, _skipped, witness = _check_instances(n, columns, classes, module.fiber_dim, formula.scale)
     return {"checked": checked, "witness": witness}

@@ -12,6 +12,7 @@ from quivdef import families as fam
 from quivdef.cli import build_parser, run_command
 from quivdef.families import a_presentation
 from quivdef.linalg import ONE
+from quivdef.quiver import Arrow, Quiver, QuiverPresentation, bounded_quotient
 from quivdef.reports import Report
 
 
@@ -308,6 +309,42 @@ def test_cli_output_is_pinned(args, md5):
     proc = run_cli(args, env={**os.environ, "PYTHONHASHSEED": "0"})
     assert proc.returncode == 0, proc.stderr
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+
+def _full_table_breaks(alg, k):
+    """The oracle of cli.hom_pattern_breaks: every entry of the k x k table of hom_dimensions."""
+    dims = fam.hom_dimensions(alg)
+    vertices = range(1, k + 1)
+    return [
+        (i, j)
+        for i in vertices
+        for j in vertices
+        if dims.get(str(i), {}).get(str(j), 0) != max(0, 2 - abs(i - j))
+    ]
+
+
+def _one_way_line(k):
+    """The path algebra of 1 -> 2 -> ... -> k, no relations: e_j A e_i is 1-dimensional for every i <= j."""
+    q = Quiver([str(i) for i in range(1, k + 1)], [Arrow("c%d" % i, str(i), str(i + 1), 1) for i in range(1, k)])
+    return bounded_quotient(QuiverPresentation(q, []), k)
+
+
+@pytest.mark.parametrize(
+    "alg, k, breaks",
+    [
+        *[(fam.make_a(k), k, False) for k in range(1, 8)],
+        # a vertex past the algebra's, so the band pairs at it read 0
+        *[(fam.make_a(k), k + 1, True) for k in range(1, 5)],
+        (fam.make_atilde(3), 3, False),
+        (fam.make_atilde(3), 4, True),
+        (_one_way_line(5), 5, True),
+        (_one_way_line(5), 3, True),
+    ],
+)
+def test_hom_pattern_breaks_match_the_full_table(alg, k, breaks):
+    got = cli.hom_pattern_breaks(alg, k)
+    assert got == _full_table_breaks(alg, k)
+    assert bool(got) == breaks
 
 
 def test_deform_check_names_are_unique_for_one_parameter():

@@ -613,6 +613,23 @@ def test_packed_product_is_the_packed_integer_product():
         assert packed == tuple(slnlab._pack(row, width) for row in product)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_whole_matrix_int_is_the_packed_row_major_product(dim):
+    # the kernel's zero test reads this one int: slot i d + j holds entry (i, j)
+    rng = random.Random(dim)
+    for width in (12, 40, 97):
+        top = 2 ** (width // 2 - 4)
+        a = [[rng.randint(-top, top) for _ in range(dim)] for _ in range(dim)]
+        b = [[rng.randint(-top, top) for _ in range(dim)] for _ in range(dim)]
+        product = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+        rows = slnlab._packed_product(a, [slnlab._pack(row, width) for row in b])
+        flat = [x for row in product for x in row]
+        assert slnlab._whole(rows, width) == slnlab._pack(flat, width)
+        assert unpack(slnlab._whole(rows, width), width, dim * dim) == flat
+        # a block alone: its packed rows end to end
+        assert slnlab._whole([slnlab._pack(row, width) for row in a], width) == slnlab._pack(sum(a, []), width)
+
+
 @given(build_f_modules())
 @settings(max_examples=40, deadline=None)
 def test_certificate_fails_whenever_pointwise_fails(case):
@@ -643,6 +660,26 @@ def test_comparison_sees_an_unreached_boundary_block():
     stored.blocks[("e", 2, 1)][(2, -2)] = with_entry_changed(stored.blocks[("e", 2, 1)][(2, -2)], 0, 1, 1)
     cmp = compare_modules(stored, build_f(2, a, xs, 2))
     assert cmp["mismatched"] == [(("e", 2, 1), (2, -2))]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_certificates_do_not_depend_on_the_per_n_setups(n):
+    # certify modules of one n in one order, then again in reverse order
+    # from a cleared set-up cache: the same dicts, the same witness
+    rng = random.Random(50 + n)
+    modules = []
+    for dim in (1, 2, 3):
+        a = random_parameters(n, rng, extension_safe=True)
+        modules.append(build_f(n, a, random_commuting_nilpotents(n, dim, rng), 1))
+    a = random_parameters(n, rng)
+    xs = [[[F(0), F(1)], [F(0), F(0)]], [[F(0), F(0)], [F(1), F(0)]]] + [[[ZERO] * 2] * 2] * (n - 2)
+    modules.append(build_f(n, a, xs, 1, check=False))
+    first = [certify_relations(module) for module in modules]
+    assert [rep["witness"] is None for rep in first] == [True, True, True, False]
+    slnlab._relation_setups.cache_clear()
+    again = [certify_relations(module) for module in reversed(modules)][::-1]
+    assert again == first
+    assert again[-1]["witness"] == first[-1]["witness"] == ("[e1,f1]", (0,) * n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
