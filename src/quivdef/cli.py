@@ -7,12 +7,14 @@ ranges.  Random choices (deformation coefficients, lattice parameters,
 fiber matrices) are driven by --seed, which is echoed in the report, so
 reports are byte-identical across runs with the same arguments.
 
-Each subcommand is one row of COMMANDS: its report params, the least
+Each subcommand is one row of COMMANDS: its help line, its int
+arguments with their defaults (echoed as the report's params), the least
 value of each size argument, its battery, and the flag that prints its
 side output (--emit-presentation, --emit-family, --emit-table or --dump)
-in place of the report.  The sizes are checked before any work, for the
-report and the side output alike: a value below its bound gives one
-failing `arguments` check and exit code 1.  A side output that raises,
+in place of the report.  build_parser makes every subparser from these
+rows.  The sizes are checked before any work, for the report and the
+side output alike: a value below its bound gives one failing
+`arguments` check and exit code 1.  A side output that raises,
 such as a `--dump` above slnlab.DUMP_VALUES, gives one failing check
 named after its flag.  `families --presentation FILE` verifies a user
 presentation instead and has no size bounds.
@@ -404,55 +406,67 @@ def _dump_module(args) -> str:
 
 
 class Command(NamedTuple):
-    params: tuple  # the arguments echoed in the report
+    help: str  # the subcommand's line in --help
+    defaults: dict  # each int argument -> its default; the report echoes them
     bounds: Callable  # args -> [(argument, least value)]
     battery: Callable  # (report, args) -> None
     flag: str | None = None  # the argument that selects the side output
+    flag_help: str | None = None
     emit: Callable | None = None  # args -> the side output's text
 
 
 COMMANDS = {
     "families": Command(
-        ("k", "bound"),
+        "line algebra constructions and structure; --bound is the degree bound for centrality/flatness",
+        {"k": 3, "bound": 6},
         # central_B* checks the monomials of degree <= bound - 2, so below bound
         # 2 it tests nothing (phi_B* and flat_dims_B* start at 0); B(k) needs k >= 2
         lambda args: [("k", 2 if args.family == "bhat" else 1), ("bound", 2)],
         _families,
         "emit_presentation",
+        "print the presentation JSON",
         lambda args: getattr(fam, args.family + "_presentation")(args.k).to_json(),
     ),
     "hochschild": Command(
-        ("k", "max_degree"),
+        "Hochschild cohomology and the cocycle",
+        {"k": 2, "max_degree": 3},
         lambda args: [("k", 1), ("max_degree", 0)],
         _hochschild,
     ),
     "deform": Command(
-        ("k", "order", "params", "seed"),
+        "star products and extensions",
+        {"k": 2, "order": 4, "params": 3, "seed": DEFAULT_SEED},
         lambda args: [("k", 2), ("order", 1), ("params", 1)],
         _deform,
         "emit_family",
+        "print the star-product family table",
         _emit_family,
     ),
     "koszul": Command(
-        ("k", "hom_degree", "max_degree"),
+        "linearity of minimal resolutions",
+        {"k": 2, "hom_degree": 3, "max_degree": 5},
         # A(k) fails linearity first at homological degree k, internal degree
         # k + 1, so not_koszul_A3 needs 3 steps and a budget of 4
         lambda args: [("k", 2), ("hom_degree", 3), ("max_degree", max(4, args.hom_degree))],
         lambda report, args: checks_koszul(report, [args.k], args.hom_degree, args.max_degree),
         "emit_table",
+        "print the syzygy degree tables",
         _emit_table,
     ),
     "slnlab": Command(
-        ("n", "radius", "fiber", "seed"),
+        "lattice modules and the extension solver",
+        {"n": 3, "radius": 3, "fiber": 3, "seed": DEFAULT_SEED},
         # radius 0 has no block to read the Casimir or the fiber matrices
         # from, and at radius 1 the extension solver solves no block
         lambda args: [("n", 2), ("radius", 2), ("fiber", 1)],
         lambda report, args: checks_slnlab(report, [args.n], args.radius, args.fiber, [args.seed]),
         "dump",
+        "print the module's block listing",
         _dump_module,
     ),
     "verify-all": Command(
-        ("seed", "radius", "slnlab_seeds"),
+        "the full battery at the documented ranges",
+        {"seed": DEFAULT_SEED, "radius": 3, "slnlab_seeds": 5},
         # the lattice battery fixes n = 2..4 and fiber 3; no seed would run
         # none of it, and it needs radius 2 as slnlab does
         lambda args: [("radius", 2), ("slnlab_seeds", 1)],
@@ -485,50 +499,20 @@ def build_parser():
         "--timings", action="store_true", help="include elapsed times (non-deterministic)"
     )
     sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
-
-    def add(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
-
-    f = add("families", "line algebra constructions and structure")
-    f.add_argument("--k", type=int, default=3)
-    f.add_argument("--bound", type=int, default=6, help="degree bound for centrality/flatness")
-    f.add_argument("--presentation", help="verify a user presentation file instead")
-    f.add_argument("--emit-presentation", action="store_true", help="print the presentation JSON")
-    f.add_argument("--family", choices=["a", "atilde", "bhat"], default="a")
-
-    h = add("hochschild", "Hochschild cohomology and the cocycle")
-    h.add_argument("--k", type=int, default=2)
-    h.add_argument("--max-degree", type=int, default=3)
-
-    d = add("deform", "star products and extensions")
-    d.add_argument("--k", type=int, default=2)
-    d.add_argument("--order", type=int, default=4)
-    d.add_argument("--params", type=int, default=3)
-    d.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    d.add_argument("--emit-family", action="store_true", help="print the star-product family table")
-
-    ko = add("koszul", "linearity of minimal resolutions")
-    ko.add_argument("--k", type=int, default=2)
-    ko.add_argument("--hom-degree", type=int, default=3)
-    ko.add_argument("--max-degree", type=int, default=5)
-    ko.add_argument("--emit-table", action="store_true", help="print the syzygy degree tables")
-
-    s = add("slnlab", "lattice modules and the extension solver")
-    s.add_argument("--n", type=int, default=3)
-    s.add_argument("--radius", type=int, default=3)
-    s.add_argument("--fiber", type=int, default=3)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    s.add_argument("--dump", action="store_true", help="print the module's block listing")
-
-    v = add("verify-all", "the full battery at the documented ranges")
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--radius", type=int, default=3)
-    v.add_argument("--slnlab-seeds", type=int, default=5)
+    for name, command in COMMANDS.items():
+        parser = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
+        for arg, default in command.defaults.items():
+            parser.add_argument("--" + arg.replace("_", "-"), type=int, default=default)
+        if command.flag:
+            parser.add_argument("--" + command.flag.replace("_", "-"), action="store_true", help=command.flag_help)
+        if name == "families":
+            parser.add_argument("--presentation", help="verify a user presentation file instead")
+            parser.add_argument("--family", choices=["a", "atilde", "bhat"], default="a")
     return p
 
 
 def _report(args) -> Report:
-    return Report(args.command, {name: getattr(args, name) for name in COMMANDS[args.command].params})
+    return Report(args.command, {name: getattr(args, name) for name in COMMANDS[args.command].defaults})
 
 
 def run_command(args) -> Report:

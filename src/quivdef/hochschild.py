@@ -108,7 +108,6 @@ class HochschildComplex:
         self._tuples: dict[int, list] = {}
         self._basis: dict[int, list] = {}
         self._basis_index: dict[int, dict] = {}
-        self._columns: dict[int, list] = {}
         self._pivots: dict[int, frozenset] = {}
         self._images: dict[int, RowReducer] = {}
         self.scope = list(self.radical) if reduced else list(range(alg.dim))
@@ -194,10 +193,8 @@ class HochschildComplex:
         return out
 
     def differential_columns(self, n: int) -> list[dict]:
-        """Matrix of d: C^n -> C^(n+1), every column, built once."""
-        if n not in self._columns:
-            self._columns[n] = self._columns_at(n, self.basis(n))
-        return self._columns[n]
+        """Matrix of d: C^n -> C^(n+1), every column."""
+        return self._columns_at(n, self.basis(n))
 
     def _columns_at(self, n: int, coords) -> list[dict]:
         """Sparse columns of d: C^n -> C^(n+1) at the coordinates `coords` of C^n.
@@ -273,10 +270,10 @@ class HochschildComplex:
     def apply_d(self, n: int, c: dict) -> dict:
         """The differential applied to a cochain given as tuple -> vector."""
         coords = self.cochain_to_coords(n, c)
-        cols = self.differential_columns(n)
+        basis = self.basis(n)
         out: dict[int, object] = {}
-        for r, x in coords.items():
-            vec_axpy_inplace(out, x, cols[r])
+        for x, col in zip(coords.values(), self._columns_at(n, [basis[r] for r in coords])):
+            vec_axpy_inplace(out, x, col)
         return self.coords_to_cochain(n + 1, out)
 
     def _image(self, n: int) -> RowReducer:

@@ -169,9 +169,8 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
         prev = covers[-1]
         gens = []
         gen_vectors = []
-        reducers = {d: RowReducer() for d in range(max_int + 1)}
         for d in range(max_int + 1):
-            red = reducers[d]
+            red = RowReducer()
             # span of J * kernel in degree d, through the generator degrees
             for g in range(1, min(d, view.generator_degree) + 1):
                 lower = prev.comp(d - g)

@@ -16,9 +16,9 @@ sparse rows (dict column -> nonzero number), with one elimination path,
 RowReducer: an incremental sparse row echelon form that reduces vectors
 on demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
 back-substitute that echelon form once into the reduced row echelon
-form.  Int entries stay ints while every pivot is 1 or -1, as nearly
-every pivot of the line algebras and their loop-quiver partners is.
-Functions leave their inputs untouched.
+form; they still return dense lists.  Int entries stay ints while every
+pivot is 1 or -1, as nearly every pivot of the line algebras and their
+loop-quiver partners is.  Functions leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -210,17 +210,20 @@ def solve(rows, b, ncols: int):
 
 
 def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list]:
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
+    """The kernel of reduced rows, one dense vector per free column j < ncols, in order.
+
+    Each row is walked once: its entry c at a free column j puts -c at its
+    pivot in the vector of j.  A reduced row is zero at every other pivot,
+    and columns from ncols on (solve's b) have no vector.
+    """
+    basis = {j: [0] * ncols for j in range(ncols) if j not in pivots}
+    for j, v in basis.items():
         v[j] = 1
-        for p, row in pivots.items():
-            c = row.get(j)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    for p, row in pivots.items():
+        for j, c in row.items():
+            if j in basis:
+                basis[j][p] = -c
+    return list(basis.values())
 
 
 def nullspace(rows, ncols: int) -> list[list]:

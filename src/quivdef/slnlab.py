@@ -114,8 +114,8 @@ def _add(p, s):
 class LatticeSupport:
     """The points b with sum zero and max |b_i| <= radius.
 
-    len() counts them and covers() tests one by arithmetic.  points, and
-    the index behind `in` that the per-point loops use, are built on first use.
+    len() counts them, and covers() and `in` test one by arithmetic.
+    points is listed on first use.
     """
 
     def __init__(self, n: int, radius: int):
@@ -127,13 +127,6 @@ class LatticeSupport:
         r = self.radius
         rests = itertools.product(range(-r, r + 1), repeat=self.n - 1)
         return sorted(rest + (-sum(rest),) for rest in rests if abs(sum(rest)) <= r)
-
-    @functools.cached_property
-    def index(self):
-        return {p: i for i, p in enumerate(self.points)}
-
-    def __contains__(self, p):
-        return p in self.index
 
     def __len__(self):
         # c = b + radius runs over 0..2r with sum n r; inclusion-exclusion
@@ -148,6 +141,8 @@ class LatticeSupport:
     def covers(self, p):
         r = self.radius
         return len(p) == self.n and sum(p) == 0 and all(-r <= x <= r for x in p)
+
+    __contains__ = covers
 
 
 def generator_keys(n: int):
@@ -193,20 +188,10 @@ def _coordinate(key, p):
     return p[key[2] - 1]
 
 
-@functools.cache
-def _coordinates_read(n, key):
-    """Indices j of the coordinates b_(j+1) that key's _coordinate reads, made once per (n, key).
-
-    _coordinate is linear, so it reads b_(j+1) exactly when it is nonzero
-    on the j-th unit vector.
-    """
-    return tuple(j for j, unit in enumerate(_units(n)) if _coordinate(key, unit))
-
-
-@functools.cache
-def _units(n: int):
-    """The n unit vectors of length n, made once per n."""
-    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+def _coordinates_read(key):
+    """Indices j of the coordinates b_(j+1) that key's _coordinate reads: t - 1 for e_(s,t), i - 1 and i for h_i."""
+    j = key[1 if key[0] == "h" else 2] - 1
+    return (j, j + 1) if key[0] == "h" else (j,)
 
 
 class _BlockFormula(dict):
@@ -302,12 +287,8 @@ class FormulaModule(LatticeModule):
 # relation checking
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def _relations(n: int):
-    """Defining relations as (label, ((coeff, monomial), ...)); application order.
-
-    Made once per n, as tuples, since every relation check walks them.
-    """
+    """Defining relations as (label, ((coeff, monomial), ...)); application order."""
     rels = []
 
     def e(i):
@@ -351,7 +332,7 @@ def _relations(n: int):
             elif abs(i - j) >= 2 and j > i:
                 rels.append(("[e%d,e%d]" % (i, j), comm(e(i), e(j))))
                 rels.append(("[f%d,f%d]" % (i, j), comm(f(i), f(j))))
-    return tuple((label, tuple(terms)) for label, terms in rels)
+    return rels
 
 
 class _Setup(NamedTuple):
@@ -403,7 +384,7 @@ def _relation_setups(n: int):
         reads = []
         for *walk, key in prefixes:
             offset = functools.reduce(_add, (gen_shift(n, step) for step in walk), origin)
-            reads.append(share((key, key[1 if key[0] == "h" else 2] - 1, _coordinate(key, offset))))
+            reads.append(share((key, _coordinates_read(key)[0], _coordinate(key, offset))))
         setups.append(_Setup(
             label,
             share(tuple(int(coeff * cden) for coeff, _mono in terms)),
@@ -642,7 +623,7 @@ def _relation_simplex(n: int, terms):
     the lattice.  The degree is the length of the longest monomial.
     Relations with the same J and degree share one tuple (_simplex).
     """
-    free = sorted({j for _coeff, mono in terms for key in mono for j in _coordinates_read(n, key)})[: n - 1]
+    free = sorted({j for _coeff, mono in terms for key in mono for j in _coordinates_read(key)})[: n - 1]
     return _simplex(n, tuple(free), max(len(mono) for _coeff, mono in terms))
 
 

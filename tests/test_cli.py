@@ -424,3 +424,41 @@ def test_verify_all_without_lattice_seeds_fails_one_check(seeds, tmp_path):
     assert [(c["name"], c["status"], c["actual"]) for c in checks] == [
         ("arguments", "fail", ["slnlab_seeds = %s is below 1" % seeds])
     ]
+
+
+DEFAULTS = {
+    "families": {"k": 3, "bound": 6},
+    "hochschild": {"k": 2, "max_degree": 3},
+    "deform": {"k": 2, "order": 4, "params": 3, "seed": 2011},
+    "koszul": {"k": 2, "hom_degree": 3, "max_degree": 5},
+    "slnlab": {"n": 3, "radius": 3, "fiber": 3, "seed": 2011},
+    "verify-all": {"seed": 2011, "radius": 3, "slnlab_seeds": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_parser_defaults_and_report_params_are_the_command_rows(name):
+    command = cli.COMMANDS[name]
+    assert command.defaults == DEFAULTS[name]
+    args = build_parser().parse_args([name])
+    ints = {arg: value for arg, value in vars(args).items() if type(value) is int}
+    assert ints == command.defaults
+    others = {"command", "output", "timings"} | ({command.flag} if command.flag else set())
+    if name == "families":
+        others |= {"presentation", "family"}
+    assert vars(args).keys() - ints.keys() == others
+    assert cli._report(args).params == command.defaults
+    for arg in command.defaults:
+        assert getattr(build_parser().parse_args([name, "--" + arg.replace("_", "-"), "7"]), arg) == 7
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_help_lists_every_argument_and_the_flag(name, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    text = capsys.readouterr().out
+    command = cli.COMMANDS[name]
+    options = ["--" + arg.replace("_", "-") for arg in command.defaults]
+    if command.flag:
+        options.append("--" + command.flag.replace("_", "-"))
+    assert [option for option in options if option + " " not in text] == []

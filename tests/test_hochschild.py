@@ -413,6 +413,20 @@ def test_differentials_compose_to_zero(alg, reduced, degrees):
             assert not out, (n, ci)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_apply_d_is_the_product_with_the_differential_columns(k):
+    rng = random.Random(k)
+    cx = HochschildComplex(make_a(k))
+    for n in (1, 2, 3):
+        basis, cols = cx.basis(n), cx.differential_columns(n)
+        for _ in range(5):
+            coords = {r: F(rng.randint(-5, 5), rng.randint(1, 4)) for r in rng.sample(range(len(basis)), 4)}
+            want: dict = {}
+            for r, x in coords.items():
+                vec_axpy_inplace(want, x, cols[r])
+            assert cx.apply_d(n, cx.coords_to_cochain(n, coords)) == cx.coords_to_cochain(n + 1, want)
+
+
 def scan_tuples(cx, n):
     """The composable n-tuples by a scan of the radical for each extension."""
     alg = cx.alg

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import random
@@ -122,6 +123,24 @@ def test_support_shape():
     s3 = LatticeSupport(3, 2)
     assert all(sum(p) == 0 for p in s3.points)
     assert (0, 0, 0) in s3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_support_membership_is_membership_in_points(n, radius):
+    support = LatticeSupport(n, radius)
+    points = set(support.points)
+    box = itertools.product(range(-radius - 1, radius + 2), repeat=n)
+    assert [p for p in box if (p in support) != (p in points)] == []
+    assert (0,) * (n - 1) not in support and (0,) * (n + 1) not in support
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_coordinates_read_are_the_units_a_coordinate_reads(n):
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for key in generator_keys(n):
+        want = tuple(j for j, unit in enumerate(units) if slnlab._coordinate(key, unit))
+        assert slnlab._coordinates_read(key) == want, key
 
 
 def test_build_n_blocks_match_formula():
