@@ -502,12 +502,12 @@ def build_parser():
     for name, command in COMMANDS.items():
         parser = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
         for arg, default in command.defaults.items():
-            parser.add_argument("--" + arg.replace("_", "-"), type=int, default=default)
+            parser.add_argument("--" + arg.replace("_", "-"), type=int, default=default, help="default: %(default)s")
         if command.flag:
             parser.add_argument("--" + command.flag.replace("_", "-"), action="store_true", help=command.flag_help)
         if name == "families":
             parser.add_argument("--presentation", help="verify a user presentation file instead")
-            parser.add_argument("--family", choices=["a", "atilde", "bhat"], default="a")
+            parser.add_argument("--family", choices=["a", "atilde", "bhat"], default="a", help="default: %(default)s")
     return p
 
 

@@ -30,11 +30,11 @@ matrices share a class).  The kernel counts equal tuples once with
 their multiplicity and composes and zero-tests only the distinct ones,
 through a product table keyed by (block class, product class) pairs;
 each distinct block, product and instance is computed once per call.
-It holds each row of a product as one packed int, its entries in slots
-of b bits (Kronecker substitution), and the whole product as one more
-int, its rows end to end, so a product row is d integer products for
-fiber dimension d and the zero test of an instance one weighted sum of
-whole-matrix ints.  b is fixed after every column is read, from a bound
+It holds each product as one int, its entries row-major in slots of b
+bits (Kronecker substitution), formed as d integer products of a block's
+packed columns with the right factor's packed rows, for fiber dimension
+d; a product's rows are packed only if it is a right factor later.  The
+zero test of an instance is one weighted sum of such ints.  b is fixed after every column is read, from a bound
 on every entry, product entry and weighted sum the relations can form,
 so packing is injective and a packed sum is 0 exactly when each of its
 entries is.  The rest of a relation's set-up, its integer coefficients,
@@ -439,13 +439,20 @@ def _packed_product(rows, packed):
     return tuple([sum(map(operator.mul, row, packed)) for row in rows])
 
 
-def _whole(rows, width):
-    """The whole matrix as one int, from its d packed rows: row i at bit i d width.
+def _rows(c, rows, made_from):
+    """Product class c's packed rows, packed on first use from the (block rows, product class) it came from."""
+    if rows[c] is None:
+        left, right = made_from[c]
+        rows[c] = _packed_product(left, _rows(right, rows, made_from))
+    return rows[c]
 
-    That is _pack of the row-major entries: entry (i, j) lands in slot i d + j.
+
+def _product(cols, rows):
+    """_pack of the row-major entries of A B, from A's columns packed at width d b and B's rows at b.
+
+    Column k times row k puts A[i][k] B[k][j] in slot i d + j.
     """
-    stride = len(rows) * width
-    return sum(map(operator.lshift, rows, range(0, len(rows) * stride, stride)))
+    return sum(map(operator.mul, cols, rows))
 
 
 def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
@@ -476,27 +483,32 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     first-occurrence order.
 
     Every matrix is held as packed ints, its entries in slots of b bits
-    (Kronecker substitution).  A product class keeps its packed rows, row
-    i the one int sum_j x_ij 2^(j b) (_pack), and its whole matrix, the
-    one int sum_(i,j) x_ij 2^((i d + j) b), _pack of its row-major entries,
-    which is sum_i (row i) 2^(i d b).  A product takes d integer products
-    of a block row with the packed rows (_packed_product), and the zero
-    test of an instance is one weighted sum of whole-matrix ints.  All
-    columns are read first, so every block class exists (certify_relations
-    makes them as it reads), and then the slot width b is fixed.  Let M
-    >= 1 bound the block entries (1 if all are 0) and d = dim.  An entry
-    of a product of l <= L blocks has |value| <= d^(l-1) M^l <= d^(L-1)
-    M^L, and a weighted combination sum_t w_t P_t of monomials P_t of
-    lengths L_t has |entry| <= W_rel = sum_t max(|w_t|, 1) d^(L_t-1)
-    M^L_t, which also bounds every block entry and every product the
-    relation forms.  W is the largest W_rel and b = W.bit_length() + 1, so
-    every slot value v has |v| <= W < 2^(b-1).  Such slots, the d entries
-    of a row or the d^2 of a whole matrix, are recovered from the packed
-    int one at a time, lowest first, as its residue mod 2^b taken in
-    [-2^(b-1), 2^(b-1)): packing is injective, so product classes
-    interned by their whole-matrix ints are classes of equal matrices,
-    and a whole-matrix sum is 0 exactly when every slot is 0.  Packing and
-    products are integer identities, so the zero test is exact.
+    (Kronecker substitution).  A product class keeps its whole matrix, the
+    one int sum_(i,j) x_ij 2^((i d + j) b), _pack of its row-major
+    entries, and a block class also its packed columns, column k the int
+    sum_i x_ik 2^(i d b).  A block times a product class is then sum_k
+    (column k) (row k), row k of the right factor the int sum_j x_kj
+    2^(j b): d integer products (_product).  Only a right factor needs its
+    packed rows: a block's are packed at once, a product class's on first
+    use, from the block and the product class it was first made from
+    (_rows).  The zero test of an instance is one weighted sum
+    of whole-matrix ints.  All relation columns are read first, so every
+    block class exists (certify_relations makes them as it reads), and
+    then the slot width b is fixed.  Let M >= 1 bound the block entries
+    (1 if all are 0) and d = dim.  An entry of a product of l <= L blocks
+    has |value| <= d^(l-1) M^l <= d^(L-1) M^L, and a weighted combination
+    sum_t w_t P_t of monomials P_t of lengths L_t has |entry| <= W_rel =
+    sum_t max(|w_t|, 1) d^(L_t-1) M^L_t, which also bounds every block
+    entry and every product the relation forms.  W is the largest W_rel
+    and b = W.bit_length() + 1, so every slot value v has |v| <=
+    W < 2^(b-1).  Such slots, the d entries of a row or the d^2 of a whole
+    matrix, are recovered from the packed int one at a time, lowest first,
+    as its residue mod 2^b taken in [-2^(b-1), 2^(b-1)): packing is
+    injective, so product classes interned by their whole-matrix ints are
+    classes of equal matrices, and a whole-matrix sum is 0 exactly when
+    every slot is 0.  Packing and products are integer identities, so the
+    zero test is exact; a column, its slots d b bits wide, is never
+    unpacked.
     """
     relations = []
     for setup in _relation_setups(n):
@@ -514,8 +526,10 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
     )
     width = bound.bit_length() + 1
     block_rows = [None] + [[mat[i : i + dim] for i in range(0, dim * dim, dim)] for mat in classes[1:]]
+    block_cols = [None] + [[_pack(mat[k::dim], dim * width) for k in range(dim)] for mat in classes[1:]]
     # the blocks are distinct matrices, so block class c is product class c
     rows = [None] + [tuple([_pack(row, width) for row in mat_rows]) for mat_rows in block_rows[1:]]
+    made_from = [None] * len(classes)  # product class -> (rows of its block, product class), None for a block
     full = [0] + [_pack(mat, width) for mat in classes[1:]]
     product_class = {whole: c for c, whole in enumerate(full[1:], 1)}  # whole-matrix int -> product class
     products = [{} for _ in classes]  # block class -> {product class: product class of their product}
@@ -539,13 +553,13 @@ def _check_instances(n: int, columns, classes: _Classes, dim: int, scale: int):
                     known = products[b]
                     after = known.get(c)
                     if after is None:
-                        prod = _packed_product(block_rows[b], rows[c])
-                        whole = _whole(prod, width)
+                        whole = _product(block_cols[b], _rows(c, rows, made_from))
                         after = product_class.get(whole)
                         if after is None:
-                            after = product_class[whole] = len(rows)
-                            rows.append(prod)
+                            after = product_class[whole] = len(full)
                             full.append(whole)
+                            rows.append(None)
+                            made_from.append((block_rows[b], c))
                         known[c] = after
                     c = after
                 total += w * full[c]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -462,3 +463,18 @@ def test_help_lists_every_argument_and_the_flag(name, capsys):
     if command.flag:
         options.append("--" + command.flag.replace("_", "-"))
     assert [option for option in options if option + " " not in text] == []
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_help_shows_every_default(name, capsys):
+    # each int option's help is its default, on its line or the next
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    text = capsys.readouterr().out
+    shown = {
+        arg: re.search(r"--%s %s\s+default: (\S+)\n" % (arg.replace("_", "-"), arg.upper()), text)
+        for arg in cli.COMMANDS[name].defaults
+    }
+    assert {arg: match and int(match.group(1)) for arg, match in shown.items()} == DEFAULTS[name]
+    if name == "families":
+        assert re.search(r"--family \{a,atilde,bhat\}\s+default: a\n", text)

@@ -486,16 +486,21 @@ def test_walks_follow_blocks_stored_off_the_support(value):
     assert rep["witness"] == (None if value == a[0] + 2 else ("[e1,f1]", (1, -1)))
 
 
-def test_products_are_composed_once_per_call(monkeypatch):
-    # a fixed sl_4 module of fiber dimension 3, radius 3
+def sl4_module(radius):
+    """A fixed sl_4 module of fiber dimension 3: X_t = c N + d N^2, N one Jordan block."""
     jordan = [[F(int(j == i + 1)) for j in range(3)] for i in range(3)]
     square = mat_mul(jordan, jordan)
     coeffs = ((1, 0), (2, -1), (-1, 3), (0, 1))
     xs = [mat_add(mat_scale(c, jordan), mat_scale(d, square)) for c, d in coeffs]
-    module = build_f(4, (F(1, 2), F(1, 3), F(-3, 5), F(5, 7)), xs, 3)
-    calls = []
-    real = slnlab._packed_product
-    monkeypatch.setattr(slnlab, "_packed_product", lambda *args: calls.append(1) or real(*args))
+    return build_f(4, (F(1, 2), F(1, 3), F(-3, 5), F(5, 7)), xs, radius)
+
+
+def test_products_are_composed_once_per_call(monkeypatch):
+    module = sl4_module(3)
+    calls, packed = [], []
+    real, real_rows = slnlab._product, slnlab._packed_product
+    monkeypatch.setattr(slnlab, "_product", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(slnlab, "_packed_product", lambda *args: packed.append(1) or real_rows(*args))
     rep = verify_relations(module)
     assert (rep["checked"], rep["skipped"], rep["witness"]) == (6318, 2922, None)
     # one composition per step after the first of every monomial of every
@@ -510,6 +515,9 @@ def test_products_are_composed_once_per_call(monkeypatch):
     assert compositions == 15836
     assert len(calls) == 2892
     assert 5 * len(calls) < compositions
+    # rows are packed only for the products that are right factors later
+    assert len(packed) == 125
+    assert len(packed) < len(calls)
 
 
 def jordan_module(a, coeffs):
@@ -587,14 +595,45 @@ def largest_slot(module):
 def test_every_slot_fits_its_width(monkeypatch, make, slack):
     # every value the kernel forms fits a signed slot of the width it
     # chose, with this many bits to spare: the bound is pinned, and on the
-    # balanced module a width 8 bits short would let a slot overflow
+    # balanced module a width 8 bits short would let a slot overflow.  Rows
+    # are packed at that width b, columns at the stride d b
     widths = set()
     real = slnlab._pack
     monkeypatch.setattr(slnlab, "_pack", lambda row, width: widths.add(width) or real(row, width))
     module = make()
     assert verify_relations(module)["witness"] is None
-    (width,) = widths
+    width = min(widths)
+    assert widths == {width, module.fiber_dim * width}
     assert largest_slot(module).bit_length() == width - 1 - slack
+
+
+def upper_half(module):
+    """A stored copy with the h and the raising blocks e_(s,t), s < t, only: every instance that reads a lowering block is skipped."""
+    copy = stored_copy(module)
+    copy.blocks = {key: per_point for key, per_point in copy.blocks.items() if key[0] == "h" or key[1] < key[2]}
+    return copy
+
+
+@pytest.mark.parametrize("make", [balanced_module, lambda: sl4_module(2)], ids=["balanced_module", "sl4_module"])
+def test_changed_middle_factor_of_a_serre_monomial_fails_as_the_fraction_oracle(monkeypatch, make):
+    # e2 at the origin is the middle factor of the Serre monomial (e1, e2, e1)
+    # at -alpha_1, so the rows of its product with e1 are packed for the last
+    # step.  The change adds N^2, which commutes with every X, so the [h, e]
+    # relations still hold; any change of one block breaks an [e, f]
+    # instance that is checked before every Serre relation, so the lowering
+    # blocks are left out, and the first failure is that Serre instance
+    module = upper_half(make())
+    origin = (0,) * module.n
+    changed = module.blocks[("e", 2, 3)][origin] = with_entry_changed(module.blocks[("e", 2, 3)][origin], 0, 2, F(1))
+    lefts = []
+    real = slnlab._packed_product
+    monkeypatch.setattr(slnlab, "_packed_product", lambda rows, packed: lefts.append(tuple(rows)) or real(rows, packed))
+    rep = verify_relations(module)
+    assert rep == _fraction_verify_relations(module)
+    assert rep["witness"] == ("serre(e1,e2)", (-1, 1) + origin[2:])
+    scale = math.lcm(*(q[1] for per_point in module.blocks.values() for q in per_point.values()))
+    flat = slnlab._scaled(changed, scale)
+    assert tuple(flat[i : i + 3] for i in range(0, 9, 3)) in lefts
 
 
 def unpack(packed, width, length):
@@ -633,20 +672,24 @@ def test_packed_product_is_the_packed_integer_product():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_whole_matrix_int_is_the_packed_row_major_product(dim):
-    # the kernel's zero test reads this one int: slot i d + j holds entry (i, j)
+def test_column_times_row_products_are_the_packed_row_major_product(dim):
+    # the kernel's product and zero test read this one int: slot i d + j
+    # holds entry (i, j), from columns packed at width d b and rows at b
     rng = random.Random(dim)
     for width in (12, 40, 97):
         top = 2 ** (width // 2 - 4)
         a = [[rng.randint(-top, top) for _ in range(dim)] for _ in range(dim)]
         b = [[rng.randint(-top, top) for _ in range(dim)] for _ in range(dim)]
         product = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
-        rows = slnlab._packed_product(a, [slnlab._pack(row, width) for row in b])
+        cols = [slnlab._pack([row[k] for row in a], dim * width) for k in range(dim)]
+        rows = [slnlab._pack(row, width) for row in b]
         flat = [x for row in product for x in row]
-        assert slnlab._whole(rows, width) == slnlab._pack(flat, width)
-        assert unpack(slnlab._whole(rows, width), width, dim * dim) == flat
-        # a block alone: its packed rows end to end
-        assert slnlab._whole([slnlab._pack(row, width) for row in a], width) == slnlab._pack(sum(a, []), width)
+        assert sum(col * row for col, row in zip(cols, rows)) == slnlab._pack(flat, width)
+        assert slnlab._product(cols, rows) == slnlab._pack(flat, width)
+        assert unpack(slnlab._product(cols, rows), width, dim * dim) == flat
+        # a block alone: its columns times the rows of the identity
+        identity = [slnlab._pack([int(i == j) for j in range(dim)], width) for i in range(dim)]
+        assert slnlab._product(cols, identity) == slnlab._pack(sum(a, []), width)
 
 
 @given(build_f_modules())
