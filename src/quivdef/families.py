@@ -520,12 +520,11 @@ def center_basis(alg: FiniteDimAlgebra):
             for l, c in _commutator(alg, i, b).items():
                 cols.setdefault(l, {})[i] = c
         rows.extend(cols.values())
-    vecs = nullspace(rows, alg.dim)
-    return [{i: c for i, c in enumerate(v) if c} for v in vecs]
+    return nullspace(rows, alg.dim)
 
 
 def symmetric_space(alg: FiniteDimAlgebra):
-    """Basis of functionals tau with tau(uv) = tau(vu), as dense lists."""
+    """Basis of functionals tau with tau(uv) = tau(vu), as sparse vectors."""
     rows = [
         _commutator(alg, i, j)
         for i, partners in enumerate(_partners(alg))
@@ -550,15 +549,14 @@ def _socle(alg: FiniteDimAlgebra) -> dict:
             for l, c in prod.items():
                 rows.setdefault((r, l), {})[i] = c
     blocks: dict = {}
-    for vec in nullspace(rows.values(), alg.dim):
-        z = {i: c for i, c in enumerate(vec) if c}
+    for z in nullspace(rows.values(), alg.dim):
         j = next(iter(z))
         blocks.setdefault((alg.target[j], alg.source[j]), []).append(z)
     return blocks
 
 
 def symmetric_form(alg: FiniteDimAlgebra):
-    """A trace functional tau with nondegenerate pairing (dense list), or None.
+    """A trace functional tau with nondegenerate pairing (sparse vector), or None.
 
     The test is exact (Nakayama, Ann. of Math. 40 (1939); see
     Skowronski-Yamagata, Frobenius Algebras I (2011)).  For a trace
@@ -570,10 +568,12 @@ def symmetric_form(alg: FiniteDimAlgebra):
     the e_w soc(A).  Hence a form exists iff every e_w soc(A) has dimension
     at most 1 and some tau = sum lam_s tau_s over the basis tau_s of trace
     functionals is nonzero on each of these lines.  Each line asks that one
-    linear form in lam be nonzero.  On the moment curve
-    lam = (1, t, ..., t^(m-1)) each such form is a nonzero polynomial of
-    degree below m, so among (#lines)(m-1) + 1 values of t one avoids
-    all their roots; t = 0 is the first unit vector.
+    linear form in lam be nonzero; its coefficients, the values of the
+    tau_s on the line, are read from the functionals nonzero on the line's
+    support only.  A unit lam = e_s works iff tau_s is nonzero on every
+    line.  On the moment curve lam = (1, t, ..., t^(m-1)) each such form is
+    a nonzero polynomial of degree below m, so among (#lines)(m-1) + 1
+    values of t one avoids all their roots; t = 0 is the first unit vector.
     """
     lines: dict = {}
     for (w, _), vecs in _socle(alg).items():
@@ -581,17 +581,26 @@ def symmetric_form(alg: FiniteDimAlgebra):
     if any(len(vecs) > 1 for vecs in lines.values()):
         return None
     space = symmetric_space(alg)
-    m = len(space)
-    values = [
-        [sum(c * tau[i] for i, c in vec.items()) for tau in space] for (vec,) in lines.values()
-    ]
-    if any(not any(row) for row in values):
+    on: dict = {}  # basis index -> {s: tau_s there}, over the tau_s nonzero there
+    for s, tau in enumerate(space):
+        for i, x in tau.items():
+            on.setdefault(i, {})[s] = x
+    values = [{} for _ in lines]  # per line, {s: tau_s on the line}
+    for row, (vec,) in zip(values, lines.values()):
+        for i, c in vec.items():
+            vec_axpy_inplace(row, c, on.get(i, {}))
+    if not all(values):
         return None
-    units = ([int(r == s) for r in range(m)] for s in range(m))
-    curve = ([t**r for r in range(m)] for t in range(1, len(values) * (m - 1) + 1))
+    m = len(space)
+    hits = Counter(s for row in values for s in row)
+    units = ({s: 1} for s in range(m) if hits[s] == len(values))
+    curve = (dict(enumerate(t**r for r in range(m))) for t in range(1, len(values) * (m - 1) + 1))
     for lam in itertools.chain(units, curve):
-        if all(sum(l * x for l, x in zip(lam, row)) for row in values):
-            return [sum(l * tau[i] for l, tau in zip(lam, space)) for i in range(alg.dim)]
+        if all(sum(lam.get(s, 0) * x for s, x in row.items()) for row in values):
+            tau = {}
+            for s, l in lam.items():
+                vec_axpy_inplace(tau, l, space[s])
+            return tau
     return None
 
 

@@ -202,15 +202,11 @@ def minimal_resolution(view: GradedAlgebraView, vertex, max_hom: int, max_int: i
             for (g, (dm, im)) in comp:
                 vdeg, vvec = gen_vectors[g]
                 cols.append(prev.left_mul(dm, im, vdeg, vvec))
-            nrows = len(prev.comp(d))
             rows: dict[int, dict] = {}
             for ci, col in enumerate(cols):
                 for r, x in col.items():
                     rows.setdefault(r, {})[ci] = x
-            null = nullspace([rows.get(r, {}) for r in range(nrows)], len(cols))
-            new_kernel[d] = [
-                {i: c for i, c in enumerate(v) if c} for v in null
-            ]
+            new_kernel[d] = nullspace([rows[r] for r in sorted(rows)], len(cols))
         kernel = new_kernel
 
     euler_ok = True

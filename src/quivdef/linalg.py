@@ -14,11 +14,13 @@ leave the program; qmat and qmat_rows convert, and mat_mul is the
 kernel's product.  The cochain complexes, large but very thin, use
 sparse rows (dict column -> nonzero number), with one elimination path,
 RowReducer: an incremental sparse row echelon form that reduces vectors
-on demand.  `rank_matrix` reads its rank, and `solve` and `nullspace`
-back-substitute that echelon form once into the reduced row echelon
-form; they still return dense lists.  Int entries stay ints while every
-pivot is 1 or -1, as nearly every pivot of the line algebras and their
-loop-quiver partners is.  Functions leave their inputs untouched.
+on demand.  `rank_matrix`, `solve` and `nullspace` take sparse rows:
+`rank_matrix` reads the echelon form's rank, and `solve` and `nullspace`
+back-substitute it once into the reduced row echelon form and return
+sparse vectors with ascending keys, the form their callers work in.  Int
+entries stay ints while every pivot is 1 or -1, as nearly every pivot of
+the line algebras and their loop-quiver partners is.  Functions leave
+their inputs untouched.
 """
 
 from __future__ import annotations
@@ -162,17 +164,7 @@ class RowReducer:
         return done
 
 
-def _to_sparse_rows(rows):
-    out = []
-    for r in rows:
-        if isinstance(r, dict):
-            out.append(dict(r))
-        else:
-            out.append({j: x for j, x in enumerate(r) if x})
-    return out
-
-
-def _reducer(rows: list[dict]) -> RowReducer:
+def _reducer(rows) -> RowReducer:
     """A RowReducer holding the sparse rows."""
     red = RowReducer()
     for r in rows:
@@ -181,55 +173,52 @@ def _reducer(rows: list[dict]) -> RowReducer:
 
 
 def rank_matrix(rows) -> int:
-    """Exact rank over Q of the rows (dense lists or sparse dicts)."""
-    return _reducer(_to_sparse_rows(rows)).rank
+    """Exact rank over Q of the sparse rows."""
+    return _reducer(rows).rank
 
 
 def solve(rows, b, ncols: int):
     """Solve M x = b exactly.
 
-    `rows` iterates the rows of M (dense lists or sparse dicts), `b` is a
-    list of numbers.  Returns (x, nullspace_basis) with x the particular
-    solution whose free variables vanish, or None when b is not in the
-    image.  Nullspace vectors are dense lists.
+    `rows` iterates the sparse rows of M, `b` is a list of numbers, one
+    per row.  Returns (x, nullspace_basis) with x the particular solution
+    whose free variables vanish, as a sparse vector, and the kernel basis
+    of `nullspace`, or None when b is not in the image.
     """
-    srows = _to_sparse_rows(rows)
-    aug = ncols  # extra column carrying b
-    for i, r in enumerate(srows):
-        bi = rat(b[i])
-        if bi:
-            r[aug] = bi
-    pivots = _reducer(srows).rref()
+    rows = list(rows)
+    if len(b) != len(rows):
+        raise ValueError("solve: b has %d entries for %d rows" % (len(b), len(rows)))
+    aug = ncols  # extra column carrying b; a zero there is dropped as the row is reduced
+    pivots = _reducer({**r, aug: rat(bi)} for r, bi in zip(rows, b)).rref()
     if aug in pivots:
         return None
-    x = [0] * ncols
-    for p, row in pivots.items():
-        x[p] = row.get(aug, 0)
-    null = nullspace_from_pivots(pivots, ncols)
-    return x, null
+    x = {p: row[aug] for p, row in sorted(pivots.items()) if aug in row}
+    return x, nullspace_from_pivots(pivots, ncols)
 
 
-def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[list]:
-    """The kernel of reduced rows, one dense vector per free column j < ncols, in order.
+def nullspace_from_pivots(pivots: dict[int, dict], ncols: int) -> list[dict]:
+    """The kernel of reduced rows, one sparse vector per free column j < ncols, in order.
 
-    Each row is walked once: its entry c at a free column j puts -c at its
-    pivot in the vector of j.  A reduced row is zero at every other pivot,
-    and columns from ncols on (solve's b) have no vector.
+    Each row is walked once, in ascending pivot order: its entry c at a
+    free column j puts -c at its pivot in the vector of j.  A row has
+    nothing left of its pivot, so the pivots of a vector come before its
+    free column, where it is 1, and its keys ascend.  A reduced row is
+    zero at every other pivot, and columns from ncols on (solve's b) have
+    no vector.
     """
-    basis = {j: [0] * ncols for j in range(ncols) if j not in pivots}
-    for j, v in basis.items():
-        v[j] = 1
-    for p, row in pivots.items():
-        for j, c in row.items():
+    basis = {j: {} for j in range(ncols) if j not in pivots}
+    for p in sorted(pivots):
+        for j, c in pivots[p].items():
             if j in basis:
                 basis[j][p] = -c
+    for j, v in basis.items():
+        v[j] = 1
     return list(basis.values())
 
 
-def nullspace(rows, ncols: int) -> list[list]:
-    """Basis of the exact kernel of M (rows over ncols columns)."""
-    pivots = _reducer(_to_sparse_rows(rows)).rref()
-    return nullspace_from_pivots(pivots, ncols)
+def nullspace(rows, ncols: int) -> list[dict]:
+    """Basis of the exact kernel of M (sparse rows over ncols columns)."""
+    return nullspace_from_pivots(_reducer(rows).rref(), ncols)
 
 
 # ---------------------------------------------------------------------------

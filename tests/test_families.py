@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import quivdef.families as families
 from quivdef.families import (
     _commutator,
+    _socle,
     a_index,
     atilde_cut_isomorphic_to_a,
     b_index,
@@ -32,7 +34,7 @@ from quivdef.families import (
 )
 from quivdef.deformation import psi_target
 from quivdef.hochschild import mu_cocycle
-from quivdef.linalg import ONE, RowReducer, fmt_fraction, nullspace, rank_matrix
+from quivdef.linalg import ONE, RowReducer, fmt_fraction, nullspace, rank_matrix, vec_axpy_inplace
 from quivdef.quiver import (
     Arrow,
     CentralQuotient,
@@ -42,6 +44,7 @@ from quivdef.quiver import (
     Relation,
     bounded_quotient,
 )
+from vectors import dense, sparse
 
 F = Fraction
 
@@ -225,6 +228,7 @@ def test_symmetric_form_exists_with_socle_support():
     alg = make_a(2)
     tau = symmetric_form(alg)
     assert tau is not None
+    tau = dense(tau, alg.dim)
     support = {i for i, c in enumerate(tau) if c}
     assert support == {loop_index(alg, 1), loop_index(alg, 2)}
     assert tau[loop_index(alg, 1)] == tau[loop_index(alg, 2)]
@@ -250,11 +254,11 @@ def gram_rank(alg, tau) -> int:
     gram = [[0] * alg.dim for _ in range(alg.dim)]
     for (i, j), prod in alg.table.items():
         gram[i][j] = sum(c * tau[l] for l, c in prod.items())
-    return rank_matrix(gram)
+    return rank_matrix([sparse(r) for r in gram])
 
 
 def grid_symmetric_form(alg, grid_limit=200000):
-    space = symmetric_space(alg)
+    space = [dense(tau, alg.dim) for tau in symmetric_space(alg)]
     m = len(space)
     if m == 0:
         return None
@@ -321,12 +325,77 @@ def test_symmetric_form_matches_grid_oracle(build):
     tau = symmetric_form(alg)
     assert (tau is None) == (grid_symmetric_form(alg) is None)
     if tau is not None:
+        tau = dense(tau, alg.dim)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 left = sum(c * tau[l] for l, c in alg.mul_basis(i, j).items())
                 right = sum(c * tau[l] for l, c in alg.mul_basis(j, i).items())
                 assert left == right
         assert gram_rank(alg, tau) == alg.dim
+
+
+def dense_symmetric_form(alg):
+    """symmetric_form on dense functionals, as it was before its vectors were sparse: the oracle of its tau."""
+    lines: dict = {}
+    for (w, _), vecs in _socle(alg).items():
+        lines.setdefault(w, []).extend(vecs)
+    if any(len(vecs) > 1 for vecs in lines.values()):
+        return None
+    space = [dense(tau, alg.dim) for tau in symmetric_space(alg)]
+    m = len(space)
+    values = [[sum(c * tau[i] for i, c in vec.items()) for tau in space] for (vec,) in lines.values()]
+    if any(not any(row) for row in values):
+        return None
+    units = ([int(r == s) for r in range(m)] for s in range(m))
+    curve = ([t**r for r in range(m)] for t in range(1, len(values) * (m - 1) + 1))
+    for lam in itertools.chain(units, curve):
+        if all(sum(l * x for l, x in zip(lam, row)) for row in values):
+            return [sum(l * tau[i] for l, tau in zip(lam, space)) for i in range(alg.dim)]
+    return None
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_ALGEBRAS], ids=[n for n, _ in ORACLE_ALGEBRAS])
+def test_symmetric_form_is_the_dense_form_without_zeros(build):
+    alg = build()
+    want = dense_symmetric_form(alg)
+    assert symmetric_form(alg) == (None if want is None else sparse(want))
+
+
+def test_symmetric_form_pinned():
+    # A(2): the unit functional on its two loops; two dual numbers: no unit
+    # functional works, and t = 1 on the moment curve sums all four
+    assert symmetric_form(make_a(2)) == {4: 1, 5: 1}
+    assert symmetric_form(two_dual_numbers()) == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def kernel_support(k, monkeypatch) -> int:
+    """Entries of the kernel vectors that center_basis and symmetric_form of A(k) build, and of the vectors they accumulate."""
+    alg = make_a(k)
+    total = 0
+
+    def counted_nullspace(rows, ncols):
+        nonlocal total
+        out = nullspace(rows, ncols)
+        total += sum(map(len, out))
+        return out
+
+    def counted_axpy(target, c, v):
+        nonlocal total
+        total += len(v)
+        vec_axpy_inplace(target, c, v)
+
+    monkeypatch.setattr(families, "nullspace", counted_nullspace)
+    monkeypatch.setattr(families, "vec_axpy_inplace", counted_axpy)
+    center_basis(alg)
+    total += len(symmetric_form(alg))
+    monkeypatch.undo()
+    return total
+
+
+def test_kernel_support_grows_linearly_in_k(monkeypatch):
+    counts = [kernel_support(k, monkeypatch) for k in (100, 200, 400)]
+    assert counts == [1194, 2394, 4794]
+    assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:]))
 
 
 def test_projective_profile_a3():
@@ -536,7 +605,7 @@ def all_pairs_center_basis(alg):
             for l, c in _commutator(alg, i, b).items():
                 cols.setdefault(l, {})[i] = c
         rows.extend(cols.values())
-    return [{i: c for i, c in enumerate(v) if c} for v in nullspace(rows, alg.dim)]
+    return nullspace(rows, alg.dim)
 
 
 def all_pairs_symmetric_space(alg):

@@ -478,7 +478,7 @@ def transposed_solve(cx, n, c):
     res = solve(rows, [target.get(r, 0) for r in range(len(rows))], len(cols))
     if res is None:
         return None
-    return cx.coords_to_cochain(n - 1, dict(enumerate(res[0])))
+    return cx.coords_to_cochain(n - 1, res[0])
 
 
 def random_cochain(cx, n, rng, size):

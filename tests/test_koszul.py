@@ -164,10 +164,7 @@ def full_radical_resolution(view, vertex, max_hom, max_int):
             for ci, col in enumerate(cols):
                 for r, x in col.items():
                     rows.setdefault(r, {})[ci] = x
-            null = nullspace([rows.get(r, {}) for r in range(nrows)], len(cols))
-            new_kernel[d] = [
-                {i: c for i, c in enumerate(v) if c} for v in null
-            ]
+            new_kernel[d] = nullspace([rows.get(r, {}) for r in range(nrows)], len(cols))
         kernel = new_kernel
 
     euler_ok = True

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from quivdef.linalg import (
     solve,
     vec_axpy_inplace,
 )
+from vectors import dense, sparse
 
 F = Fraction
 
@@ -79,7 +81,7 @@ def small_matrix(draw):
 @given(small_matrix())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_minor_expansion(rows):
-    assert rank_matrix(rows) == minor_rank(rows)
+    assert rank_matrix([sparse(r) for r in rows]) == minor_rank(rows)
 
 
 @given(small_matrix(), st.data())
@@ -88,50 +90,50 @@ def test_solve_then_remultiply(rows, data):
     m = len(rows[0])
     x0 = [data.draw(small_entries) for _ in range(m)]
     b = [sum(r[j] * x0[j] for j in range(m)) for r in rows]
-    res = solve(rows, b, m)
+    res = solve([sparse(r) for r in rows], b, m)
     assert res is not None
-    x, null = res
+    x, null = dense(res[0], m), [dense(v, m) for v in res[1]]
     for i, r in enumerate(rows):
         assert sum(r[j] * x[j] for j in range(m)) == b[i]
     for v in null:
         for r in rows:
             assert sum(r[j] * v[j] for j in range(m)) == 0
-    assert rank_matrix(rows) + len(null) == m
+    assert rank_matrix([sparse(r) for r in rows]) + len(null) == m
 
 
 def test_rank_identity_and_zero():
     eye = [[F(1), F(0)], [F(0), F(1)]]
-    assert rank_matrix(eye) == 2
-    assert rank_matrix([[F(0)] * 5 for _ in range(3)]) == 0
+    assert rank_matrix([sparse(r) for r in eye]) == 2
+    assert rank_matrix([sparse([F(0)] * 5) for _ in range(3)]) == 0
 
 
 def test_solve_identity_and_zero_matrix():
     eye = [[F(1), F(0)], [F(0), F(1)]]
-    x, null = solve(eye, [F(3), F(-7)], 2)
-    assert x == [F(3), F(-7)] and null == []
-    x, null = solve([[F(0), F(0)]], [F(0)], 2)
-    assert x == [F(0), F(0)] and len(null) == 2
+    x, null = solve([sparse(r) for r in eye], [F(3), F(-7)], 2)
+    assert dense(x, 2) == [F(3), F(-7)] and null == []
+    x, null = solve([sparse([F(0), F(0)])], [F(0)], 2)
+    assert dense(x, 2) == [F(0), F(0)] and len(null) == 2
 
 
 def test_solve_inconsistent():
-    assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)], 2) is None
+    assert solve([sparse([F(1), F(1)]), sparse([F(1), F(1)])], [F(0), F(1)], 2) is None
 
 
 def test_nullspace_simple():
-    null = nullspace([[F(1), F(1), F(0)]], 3)
+    null = nullspace([sparse([F(1), F(1), F(0)])], 3)
     assert len(null) == 2
-    for v in null:
+    for v in (dense(v, 3) for v in null):
         assert v[0] + v[1] == 0
 
 
 def test_integral_systems_solve_in_ints():
     # unit pivots only: every value of the solution and the kernel is an int
-    rows = [[1, -1, 0, 2], [0, 1, -1, 0]]
+    rows = [sparse([1, -1, 0, 2]), sparse([0, 1, -1, 0])]
     x, null = solve(rows, [F(3), 1], 4)
-    assert x == [4, 1, 0, 0] and null == [[1, 1, 1, 0], [-2, 0, 0, 1]]
-    assert {type(v) for v in x + [c for vec in null for c in vec]} == {int}
+    assert dense(x, 4) == [4, 1, 0, 0] and [dense(v, 4) for v in null] == [[1, 1, 1, 0], [-2, 0, 0, 1]]
+    assert {type(v) for v in dense(x, 4) + [c for vec in null for c in dense(vec, 4)]} == {int}
     assert nullspace(rows, 4) == null
-    assert {type(c) for vec in nullspace([[2, 1]], 2) for c in vec} == {int, F}
+    assert {type(c) for vec in nullspace([sparse([2, 1])], 2) for c in dense(vec, 2)} == {int, F}
     assert rat(F(6, 3)) == 2 and type(rat(F(6, 3))) is int
     assert rat("-1/2") == F(-1, 2) and type(rat(True)) is int
 
@@ -185,7 +187,7 @@ def rank_dense(rows: list[list[Fraction]]) -> int:
 
 def test_dense_matches_sparse_path():
     rows = [[F(i * j % 5 - 2) for j in range(8)] for i in range(6)]
-    assert rank_dense(rows) == rank_matrix([dict(enumerate(r)) for r in rows]) == rank_matrix(rows)
+    assert rank_dense(rows) == rank_matrix([dict(enumerate(r)) for r in rows]) == rank_matrix([sparse(r) for r in rows])
 
 
 def test_small_matrix_helpers():
@@ -312,10 +314,6 @@ def test_echelon_reducer_matches_gauss_jordan(system, rng):
         assert all(type(x) is int for row in red.rows.values() for x in row.values())
 
 
-def dense(rows, ncols):
-    return [[r.get(j, F(0)) for j in range(ncols)] for r in rows]
-
-
 def mat_vec(m, x):
     return [sum((a * b for a, b in zip(r, x)), F(0)) for r in m]
 
@@ -324,22 +322,85 @@ def mat_vec(m, x):
 @settings(max_examples=100, deadline=None)
 def test_solve_and_nullspace_brute_force(system, data):
     ncols, rows, _, _ = system
-    m = dense(rows, ncols)
+    m = [dense(r, ncols) for r in rows]
     null = nullspace(rows, ncols)
-    assert rank_matrix(rows) == rank_matrix(m) == rank_dense(m)
-    assert rank_matrix(m) + len(null) == ncols
+    assert rank_matrix(rows) == rank_matrix([sparse(r) for r in m]) == rank_dense(m)
+    assert rank_matrix(rows) + len(null) == ncols
     for v in null:
-        assert not any(mat_vec(m, v))
+        assert not any(mat_vec(m, dense(v, ncols)))
     x0 = [data.draw(small_entries) for _ in range(ncols)]
     for b in (mat_vec(m, x0), [data.draw(small_entries) for _ in rows]):
         res = solve(rows, b, ncols)
         if res is None:
-            augmented = [r + [bi] for r, bi in zip(m, b)]
-            assert rank_matrix(augmented) > rank_matrix(m)
+            augmented = [sparse(r + [bi]) for r, bi in zip(m, b)]
+            assert rank_matrix(augmented) > rank_matrix(rows)
         else:
             x, basis = res
-            assert mat_vec(m, x) == b
+            assert mat_vec(m, dense(x, ncols)) == b
             assert basis == null
+
+
+def test_solve_rejects_b_of_another_length():
+    rows = [{0: 1}, {1: 1}]
+    with pytest.raises(ValueError, match="b has 1 entries for 2 rows"):
+        solve(rows, [1], 2)
+    with pytest.raises(ValueError, match="b has 3 entries for 2 rows"):
+        solve(rows, [1, 2, 3], 2)
+
+
+def dense_kernel(pivots, ncols):
+    """The dense kernel rows of reduced rows, as nullspace_from_pivots once returned them: the oracle of their sparse form."""
+    basis = {j: [0] * ncols for j in range(ncols) if j not in pivots}
+    for j, v in basis.items():
+        v[j] = 1
+    for p, row in pivots.items():
+        for j, c in row.items():
+            if j in basis:
+                basis[j][p] = -c
+    return list(basis.values())
+
+
+def typed(vec: dict) -> list:
+    """The entries of a sparse vector in key order, each with its type."""
+    return [(j, type(x), x) for j, x in vec.items()]
+
+
+@given(sparse_system(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_vectors_are_dense_rows_without_zeros(system, data):
+    ncols, rows, order, _ = system
+    for kind in (F, int):
+        system_rows = [{j: kind(x) for j, x in r.items()} for r in rows]
+        b = [kind(data.draw(small_entries)) for _ in rows]
+        m = [dense(r, ncols) for r in system_rows]
+        if data.draw(st.booleans()):
+            b = mat_vec(m, [data.draw(small_entries) for _ in range(ncols)])
+        ref, red = _GaussJordanReducer(), RowReducer()
+        for i in order:
+            ref.add(system_rows[i])
+        for r in system_rows:
+            red.add(r)
+        null = nullspace(system_rows, ncols)
+        # values: the kernel of the Gauss-Jordan oracle; form: the dense rows of the same RREF, zeros dropped
+        assert [dense(v, ncols) for v in null] == dense_kernel(ref.pivots, ncols)
+        assert [typed(v) for v in null] == [typed(sparse(v)) for v in dense_kernel(red.rref(), ncols)]
+        res = solve(system_rows, b, ncols)
+        vectors = list(null)
+        if res is not None:
+            x, basis = res
+            assert [typed(v) for v in basis] == [typed(v) for v in null]
+            aug = RowReducer()
+            for r, bi in zip(system_rows, b):
+                aug.add({**r, ncols: rat(bi)})  # solve reads b through rat
+            want = [0] * ncols
+            for p, row in aug.rref().items():
+                want[p] = row.get(ncols, 0)
+            assert typed(x) == typed(sparse(want)) and mat_vec(m, dense(x, ncols)) == b
+            vectors.append(x)
+        for v in vectors:
+            assert list(v) == sorted(v) and all(v.values())
+            if kind is int and all(type(c) is int for row in red.rref().values() for c in row.values()):
+                assert all(type(c) is int for c in v.values())
 
 
 def gauss_jordan_inverse(a):

@@ -31,6 +31,7 @@ from quivdef.quiver import (
     compose,
     trivial_path,
 )
+from vectors import sparse
 
 F = Fraction
 
@@ -161,7 +162,7 @@ def test_a2_left_multiplication_rank():
     for j in range(alg.dim):
         for l, x in alg.mul({loop: F(1)}, {j: ONE}).items():
             rows[l][j] = x
-    assert rank_matrix(rows) == 1
+    assert rank_matrix([sparse(r) for r in rows]) == 1
 
 
 def test_bhat2_is_a_truncation_not_an_error():
