@@ -64,16 +64,20 @@ class Obstructed(Exception):
 
 
 def multi_indices(m: int, max_total: int, include_zero=True):
-    """All d in Z_+^m with |d| <= max_total, by total degree then lex."""
+    """All d in Z_+^m with |d| <= max_total, by total degree then lex.
+
+    combinations_with_replacement gives each total once, in descending lex order of d.
+    """
     out = []
     for total in range(0 if include_zero else 1, max_total + 1):
+        block = []
         for c in itertools.combinations_with_replacement(range(m), total):
             d = [0] * m
             for i in c:
                 d[i] += 1
-            out.append(tuple(d))
-    seen = sorted(set(out), key=lambda d: (sum(d), d))
-    return seen
+            block.append(tuple(d))
+        out += reversed(block)
+    return out
 
 
 class StarProduct:

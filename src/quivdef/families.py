@@ -265,10 +265,14 @@ def bhat_presentation(k: int, grading: str = "loops_two") -> QuiverPresentation:
     q = Quiver([str(i) for i in range(1, k + 1)], arrows)
 
     rels = []
-    xs = [a for a in arrows if a.name.startswith("x")]
-    ys = [a for a in arrows if a.name.startswith("y")]
-    for xa in xs:
-        for ya in ys:
+    rank = {a: r for r, a in enumerate(arrows)}
+    into: dict = {}
+    for a in arrows:
+        into.setdefault(a.target, []).append(a)
+    for xa in (a for a in arrows if a.name.startswith("x")):
+        # the y-arrows composable with xa, in declaration order
+        ys = {a for a in into[xa.source] + list(q.arrows_from[xa.target]) if a.name.startswith("y")}
+        for ya in sorted(ys, key=rank.get):
             if xa.source == ya.target:
                 rels.append(Relation([(1, q.path_from_arrows([xa.name, ya.name]))]))
             if ya.source == xa.target:
@@ -610,6 +614,9 @@ def projective_profile(alg: FiniteDimAlgebra):
     for r in alg.radical_indices():
         leaving.setdefault(alg.source[r], []).append(r)
     socle = _socle(alg)
+    socle_into: dict = {}  # v -> {w: dim of e_w soc(A) e_v}
+    for (w, v), block in socle.items():
+        socle_into.setdefault(v, {})[w] = len(block)
     out = {}
     for v in alg.quiver.vertices:
         pv = [alg.idempotent[v]] + leaving.get(v, [])
@@ -630,7 +637,7 @@ def projective_profile(alg: FiniteDimAlgebra):
                     if w and red.add(w) is not None:
                         nxt.setdefault(alg.target[r], []).append(w)
             layer = nxt
-        by_vertex = {w: len(socle[w, v]) for w in alg.quiver.vertices if (w, v) in socle}
+        by_vertex = socle_into.get(v, {})
         out[v] = {
             "length": len(pv),
             "loewy": loewy,

@@ -8,14 +8,16 @@ usual Hochschild cohomology; the full bar complex (tuples over the whole
 basis, unconstrained values) is also available as an independent check,
 it just gets large quickly.
 
-The complex is indexed once, so no step scans the basis: tuples extend
-through the radical grouped by target vertex, values are read per
-(target, source) pair from the algebra's `between` index, and a
-differential takes its products from per-element lists of the nonzero
-structure constants.  The differentials of the line algebras are
-integer, so `RowReducer` eliminates them in ints up to the few pivots
-other than 1 and -1.  `solve_coboundary` eliminates d_(n-1) once per
-complex for all right-hand sides.
+The complex is indexed by integers.  An n-tuple is its code in base
+|scope|, the positions of its entries in the scope being the digits, so
+prepending, appending and contracting are arithmetic on codes.  The row
+of the coordinate (T, l) is the first row of T plus the place of l in
+its value slot.  The constructor checks that every structure constant
+stays in its vertex slot, so no term of a differential can leave the
+index.  Tuple and coordinate lists are built only for the cochain
+conversions.  The differentials of the line algebras are integer, so
+`RowReducer` eliminates them in ints up to the few pivots other than 1
+and -1.  `solve_coboundary` eliminates d_(n-1) once per complex.
 
 Each d_n is ranked once per complex, on the columns of C^n off the pivot
 set P of the rows kept for im d_(n-1).  On a complex that is exact: those
@@ -97,7 +99,9 @@ class HochschildComplex:
     """Cochain complex of a basic algebra, reduced over the idempotents.
 
     With reduced=False this is the full bar complex instead, used as an
-    oracle on the small algebras.
+    oracle on the small algebras.  The reduced complex needs each term
+    x b_l of a product b_i b_j in its vertex slot: b_i b_j composable and
+    b_l in e_t(i) A e_s(j).  A table that breaks this raises ValueError.
     """
 
     def __init__(self, alg: FiniteDimAlgebra, reduced=True, max_coords=500000):
@@ -105,127 +109,171 @@ class HochschildComplex:
         self.reduced = reduced
         self.max_coords = max_coords
         self.radical = alg.radical_indices()
+        self.scope = list(self.radical) if reduced else list(range(alg.dim))
         self._tuples: dict[int, list] = {}
         self._basis: dict[int, list] = {}
-        self._basis_index: dict[int, dict] = {}
+        self._codes: dict[int, list] = {}
+        self._first: dict[int, dict] = {}
         self._pivots: dict[int, frozenset] = {}
         self._images: dict[int, RowReducer] = {}
-        self.scope = list(self.radical) if reduced else list(range(alg.dim))
+        source, target = alg.source, alg.target
+        # the values of the empty tuple, and unreduced of every tuple
+        self._loops = [w for w in range(alg.dim) if source[w] == target[w]] if reduced else range(alg.dim)
         # degree n >= 1 -> {(target of the first entry, source of the last): reduced tuples}
-        self._ends: list = [None, Counter((alg.target[i], alg.source[i]) for i in self.radical)]
-        # the radical by target vertex, to extend a composable tuple
+        self._ends: list = [None, Counter((target[i], source[i]) for i in self.radical)]
+        # a code's digits are scope positions; the radical by target vertex extends a tuple
+        pos = self._pos = {c: p for p, c in enumerate(self.scope)}
         self._after: dict = {}
         for j in self.radical:
-            self._after.setdefault(alg.target[j], []).append(j)
-        # the products with a factor c in the scope: w -> [(c, l, x)] for
-        # the terms x b_l of c w, and of w c; and the reverse index
-        # l -> [((i, j), x)] for the terms x b_l of b_i b_j over scope pairs
-        inside = set(self.scope)
-        self._left: dict = {}
-        self._right: dict = {}
-        self._rev: dict = {}
+            self._after.setdefault(target[j], []).append(pos[j])
+        self._tails = [source[c] for c in self.scope]
+        # slots: a reduced tuple's values are read from its first digit and
+        # the source of its last entry; a value's row offset is its place there
+        by_target: dict = {}
+        offset = self._offset = list(range(alg.dim))
+        for (f, s), slot in alg.between.items():
+            by_target.setdefault(f, {})[s] = slot
+            for o, l in enumerate(slot if reduced else ()):
+                offset[l] = o
+        self._heads = [by_target.get(target[c], {}) for c in self.scope]
+        # w -> [(c, offset of l, x)] for the terms x b_l of c w, and of w c, c in the
+        # scope; digit of l -> [(code of (u, v), x)] for those of b_u b_v, u, v in it
+        self._left, self._right = [[] for _ in range(alg.dim)], [[] for _ in range(alg.dim)]
+        self._rev = [[] for _ in self.scope]
         for (i, j), vec in alg.table.items():
+            pi, pj = pos.get(i), pos.get(j)
             for l, x in vec.items():
-                if i in inside:
-                    self._left.setdefault(j, []).append((i, l, x))
-                if j in inside:
-                    self._right.setdefault(i, []).append((j, l, x))
-                    if i in inside:
-                        self._rev.setdefault(l, []).append(((i, j), x))
+                if reduced and (source[i] != target[j] or target[l] != target[i] or source[l] != source[j]):
+                    raise ValueError("the product %s*%s leaves its vertex slot" % (alg.labels[i], alg.labels[j]))
+                if pi is not None:
+                    self._left[j].append((pi, offset[l], x))
+                if pj is not None:
+                    self._right[i].append((pj, offset[l], x))
+                    if pi is not None and l in pos:
+                        self._rev[pos[l]].append((pi * len(pos) + pj, x))
+
+    def _tuple_codes(self, n: int):
+        """The codes sum_i p(t_i) B^(n-1-i) of the composable n-tuples t, ascending as the tuples do."""
+        if n not in self._codes:
+            base, after, tails = len(self.scope), self._after, self._tails
+            if not self.reduced or n < 2:
+                self._codes[n] = range(base**n)
+            else:
+                self._codes[n] = [t * base + q for t in self._tuple_codes(n - 1) for q in after.get(tails[t % base], ())]
+        return self._codes[n]
+
+    def _slots(self, n: int, codes) -> list:
+        """The values of each degree-n code, in row order."""
+        if not self.reduced or n == 0:
+            return [self._loops] * len(codes)
+        top, base, heads, tails = len(self.scope) ** (n - 1), len(self.scope), self._heads, self._tails
+        return [heads[c // top].get(tails[c % base], ()) for c in codes]
+
+    def _index(self, n: int) -> dict:
+        """The first row of each degree-n code with a nonempty slot, counted before any is built."""
+        if n not in self._first:
+            count = self._count(n)
+            if count > self.max_coords:
+                raise ResourceBoundExceeded("C^%d has %d coordinates (> %d)" % (n, count, self.max_coords))
+            codes = self._tuple_codes(n)
+            sizes = [len(slot) for slot in self._slots(n, codes)]
+            rows = itertools.accumulate(sizes, initial=0)
+            self._first[n] = {code: row for code, row, size in zip(codes, rows, sizes) if size}
+        return self._first[n]
 
     def tuples(self, n: int) -> list:
-        if n in self._tuples:
-            return self._tuples[n]
-        if not self.reduced:
-            out = list(itertools.product(range(self.alg.dim), repeat=n))
-        elif n == 0:
-            out = [()]
-        elif n == 1:
-            out = [(i,) for i in self.radical]
-        else:
-            after, source = self._after, self.alg.source
-            out = [t + (j,) for t in self.tuples(n - 1) for j in after.get(source[t[-1]], ())]
-        self._tuples[n] = out
-        return out
+        if n not in self._tuples:
+            base, scope = len(self.scope), self.scope
+            if n == 0:
+                self._tuples[n] = [()]
+            else:  # t is its prefix's code times B plus its last digit
+                prefix = dict(zip(self._tuple_codes(n - 1), self.tuples(n - 1)))
+                self._tuples[n] = [prefix[t // base] + (scope[t % base],) for t in self._tuple_codes(n)]
+        return self._tuples[n]
 
     def _count(self, n: int) -> int:
-        """The number of coordinates of C^n, found without building a tuple.
-
-        A reduced tuple whose first entry ends at f and whose last starts
-        at s takes the values in e_f A e_s.  The tuples are counted by
-        (f, s) degree by degree: one starting at s extends by each radical
-        element that ends at s.
-        """
+        """The number of coordinates of C^n, with no tuple built: tuples are counted by the slot e_f A e_s they take."""
         alg = self.alg
         if not self.reduced:
             return alg.dim ** (n + 1)
         if n == 0:
-            return sum(1 for w in range(alg.dim) if alg.source[w] == alg.target[w])
+            return len(self._loops)
         ends = self._ends
         while len(ends) <= n:
             step = Counter()
             for (f, s), count in ends[-1].items():
-                for j in self._after.get(s, ()):
-                    step[f, alg.source[j]] += count
+                for q in self._after.get(s, ()):
+                    step[f, self._tails[q]] += count
             ends.append(step)
         return sum(count * len(alg.between.get(fs, ())) for fs, count in ends[n].items())
 
     def basis(self, n: int) -> list:
-        """Coordinates of C^n as (tuple, value_index) pairs, counted before any is built."""
-        if n in self._basis:
-            return self._basis[n]
-        count = self._count(n)
-        if count > self.max_coords:
-            raise ResourceBoundExceeded(
-                "C^%d has %d coordinates (> %d)" % (n, count, self.max_coords)
-            )
-        alg = self.alg
-        if not self.reduced:
-            slots = itertools.repeat(range(alg.dim))
-        elif n == 0:
-            slots = [[w for w in range(alg.dim) if alg.source[w] == alg.target[w]]]
-        else:
-            values, target, source = alg.between, alg.target, alg.source
-            slots = [values.get((target[t[0]], source[t[-1]]), ()) for t in self.tuples(n)]
-        out = [(t, w) for t, ws in zip(self.tuples(n), slots) for w in ws]
-        self._basis[n] = out
-        self._basis_index[n] = {bw: r for r, bw in enumerate(out)}
-        return out
+        """Coordinates of C^n as (tuple, value_index) pairs in row order, built on demand."""
+        if n not in self._basis:
+            self._index(n)  # the bound first
+            slots = self._slots(n, self._tuple_codes(n))
+            self._basis[n] = [(t, w) for t, slot in zip(self.tuples(n), slots) for w in slot]
+        return self._basis[n]
+
+    def _groups(self, n: int, skip=()) -> list:
+        """(code, values) for the coordinates of C^n whose rows are not in skip."""
+        index = self._index(n)
+        slots = zip(index.items(), self._slots(n, index))
+        groups = ((code, [w for o, w in enumerate(slot) if first + o not in skip]) for (code, first), slot in slots)
+        return [g for g in groups if g[1]]
+
+    def _locate(self, n: int, t: tuple, values) -> tuple:
+        """The code and first row of the n-tuple t and the row offsets of values; ValueError off C^n."""
+        pos, base, code = self._pos, len(self.scope), 0
+        try:
+            for i in t:
+                code = code * base + pos[i]
+            slot = self._slots(n, [code])[0] if len(t) == n else ()
+            return code, self._index(n)[code], [slot.index(l) for l in values]
+        except (KeyError, ValueError):
+            raise ValueError("cochain outside the reduced complex at %s" % (t,)) from None
 
     def differential_columns(self, n: int) -> list[dict]:
         """Matrix of d: C^n -> C^(n+1), every column."""
-        return self._columns_at(n, self.basis(n))
+        return self._columns_at(n, self._groups(n))
 
-    def _columns_at(self, n: int, coords) -> list[dict]:
-        """Sparse columns of d: C^n -> C^(n+1) at the coordinates `coords` of C^n.
+    def _columns_at(self, n: int, groups) -> list[dict]:
+        """Sparse columns of d: C^n -> C^(n+1) at (T, w) for each (T, values) of groups, w in values.
 
-        The column of the coordinate (t, w) collects c.w on (c,) + t, the
-        alternating contractions of t, and w.c on t + (c,), read from the
-        product indices; a term off the C^(n+1) basis (a tuple that does
-        not compose, or a value in the wrong slot) is dropped.  Integral
-        structure constants give int columns.
+        The column of (T, w) collects c.w on cT, the alternating contractions
+        of T, and w.c on Tc.  A contraction keeps the ends of T, so its rows
+        are found once per code.  Integral structure constants give int columns.
         """
-        self.basis(n + 1)
-        ridx = self._basis_index[n + 1]
-        left, right, rev = self._left, self._right, self._rev
-        sign_last = 1 if n % 2 else -1
+        first = self._index(n + 1)
+        base, left, right, rev, offset = len(self.scope), self._left, self._right, self._rev, self._offset
+        top, sign_last = base**n, 1 if n % 2 else -1
+        # contracting position pos, last first: the place of its digit, the
+        # place the digits above it move to, and the sign
+        places = [(base ** (n - 1 - pos), base ** (n + 1 - pos), 1 if pos % 2 else -1) for pos in reversed(range(n))]
         cols = []
-        for t, w in coords:
-            terms = [((c,) + t, l, x) for c, l, x in left.get(w, ())]
-            for pos in range(n):
-                sign = 1 if pos % 2 else -1
-                terms += [(t[:pos] + uv + t[pos + 1 :], w, sign * x) for uv, x in rev.get(t[pos], ())]
-            terms += [(t + (c,), l, sign_last * x) for c, l, x in right.get(w, ())]
-            col: dict[int, object] = {}
-            for T, l, x in terms:
-                r = ridx.get((T, l))
-                if r is not None:
-                    x += col.get(r, 0)
-                    if x:
-                        col[r] = x
-                    else:
-                        col.pop(r, None)
-            cols.append(col)
+        for code, values in groups:
+            shared, high = [], code
+            for place, lift, sign in places:
+                high, digit = divmod(high, base)
+                if rev[digit]:
+                    rest = high * lift + code % place
+                    shared += [(first[rest + uv * place], sign * x) for uv, x in rev[digit]]
+            tail = code * base
+            for w in values:
+                o = offset[w]
+                terms = [(first[c * top + code] + lo, x) for c, lo, x in left[w]]
+                terms += [(r + o, x) for r, x in shared]
+                terms += [(first[tail + c] + lo, sign_last * x) for c, lo, x in right[w]]
+                col = dict(terms)
+                if len(col) < len(terms):  # a row met twice: add up, drop zeros
+                    col = {}
+                    for r, x in terms:
+                        x += col.get(r, 0)
+                        if x:
+                            col[r] = x
+                        else:
+                            col.pop(r, None)
+                cols.append(col)
         return cols
 
     def differential_rank(self, n: int) -> int:
@@ -233,28 +281,21 @@ class HochschildComplex:
         if n not in self._pivots:
             if n:
                 self.differential_rank(n - 1)
-            skip = self._pivots.get(n - 1, ())
-            coords = [bw for r, bw in enumerate(self.basis(n)) if r not in skip]
             red = RowReducer()
-            for col in sorted(self._columns_at(n, coords), key=len):
+            for col in sorted(self._columns_at(n, self._groups(n, self._pivots.get(n - 1, ()))), key=len):
                 red.add(col)
             self._pivots[n] = frozenset(red.rows)
         return len(self._pivots[n])
 
     def hh_dim(self, i: int) -> int:
         """dim ker d_i - rank d_(i-1), exactly."""
-        return len(self.basis(i)) - self.differential_rank(i) - (self.differential_rank(i - 1) if i else 0)
+        return self._count(i) - self.differential_rank(i) - (self.differential_rank(i - 1) if i else 0)
 
     def cochain_to_coords(self, n: int, c: dict) -> dict:
-        self.basis(n)
-        idx = self._basis_index[n]
         out = {}
         for t, vec in c.items():
-            for l, x in vec.items():
-                r = idx.get((t, l))
-                if r is None:
-                    raise ValueError("cochain outside the reduced complex at %s" % (t,))
-                out[r] = x
+            _, first, offsets = self._locate(n, t, vec)
+            out.update((first + o, x) for o, x in zip(offsets, vec.values()))
         return out
 
     def coords_to_cochain(self, n: int, coords: dict) -> dict:
@@ -269,18 +310,18 @@ class HochschildComplex:
 
     def apply_d(self, n: int, c: dict) -> dict:
         """The differential applied to a cochain given as tuple -> vector."""
-        coords = self.cochain_to_coords(n, c)
-        basis = self.basis(n)
         out: dict[int, object] = {}
-        for x, col in zip(coords.values(), self._columns_at(n, [basis[r] for r in coords])):
-            vec_axpy_inplace(out, x, col)
+        for t, vec in c.items():
+            code = self._locate(n, t, vec)[0]
+            for x, col in zip(vec.values(), self._columns_at(n, [(code, list(vec))])):
+                vec_axpy_inplace(out, x, col)
         return self.coords_to_cochain(n + 1, out)
 
     def _image(self, n: int) -> RowReducer:
         """The columns of d_(n-1), eliminated once with a tag each.
 
         Column ci enters as itself plus 1 at the tag column
-        len(basis(n)) + ci, left of which no tag lies.  A residual whose
+        count(n) + ci, left of which no tag lies.  A residual whose
         pivot is a tag has no part in C^n, so only the others are stored:
         each stored row is a combination of the pivot columns of d_(n-1),
         the columns independent of the ones before them, whose tags it
@@ -288,7 +329,7 @@ class HochschildComplex:
         """
         if n not in self._images:
             red = RowReducer()
-            tag = len(self.basis(n))
+            tag = self._count(n)
             for ci, col in enumerate(self.differential_columns(n - 1)):
                 res = red.reduce({**col, tag + ci: 1})
                 if min(res) < tag:
@@ -306,7 +347,7 @@ class HochschildComplex:
         """
         target = self.cochain_to_coords(n, c)
         red = self._image(n)
-        tag = len(self.basis(n))
+        tag = self._count(n)
         res = red.reduce(target)
         if res and min(res) < tag:
             return None

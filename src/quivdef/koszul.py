@@ -100,13 +100,15 @@ class FreeCover:
         """Basis of the degree-d piece: (gen index, algebra (deg, local))."""
         if d in self._comp:
             return self._comp[d]
-        out = []
+        out, by_source = [], {}  # algebra degree -> source -> local indices
         for g, (v, s) in enumerate(self.gens):
             if d - s < 0:
                 continue
-            for i, (src, _tgt) in enumerate(self.view.comp(d - s)):
-                if src == v:
-                    out.append((g, (d - s, i)))
+            if d - s not in by_source:
+                by_source[d - s] = {}
+                for i, (src, _tgt) in enumerate(self.view.comp(d - s)):
+                    by_source[d - s].setdefault(src, []).append(i)
+            out += [(g, (d - s, i)) for i in by_source[d - s].get(v, ())]
         self._comp[d] = out
         return out
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -47,12 +46,7 @@ class BoundTooSmall(Exception):
     """The degree bound did not capture the whole quotient algebra."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
-    degree: int = 1
+Arrow = namedtuple("Arrow", "name source target degree", defaults=(1,))
 
 
 class Path(namedtuple("Path", "source target arrows degree")):
@@ -328,7 +322,9 @@ class GradedQuotient:
 
     def _degree_zero(self) -> dict:
         paths = self.paths_of_degree(0)
-        self._zero_from = {v: [p for p in paths if p.source == v] for v in self.quiver.vertices}
+        self._zero_from = {v: [] for v in self.quiver.vertices}
+        for p in paths:
+            self._zero_from[p.source].append(p)
         col = {p: i for i, p in enumerate(paths)}
         red = RowReducer()
         for r in self.pres.relations:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import fmt_fraction
@@ -43,33 +43,23 @@ def error_text(exc: Exception) -> str:
     return "error: %s: %s" % (type(exc).__name__, exc)
 
 
-@dataclass
-class Check:
-    name: str
-    anchor: str
-    status: str  # pass / fail / skipped
-    expected: object = None
-    actual: object = None
-    elapsed_ms: float | None = None
+class Check(namedtuple("Check", "name anchor status expected actual elapsed_ms", defaults=(None,) * 3)):
+    """One named check; status is pass / fail / skipped."""
+
+    __slots__ = ()
 
     def as_dict(self, with_timings=False):
-        doc = {
-            "name": self.name,
-            "anchor": self.anchor,
-            "status": self.status,
-            "expected": exact(self.expected),
-            "actual": exact(self.actual),
-        }
+        doc = {field: exact(getattr(self, field)) for field in self._fields[:5]}
         if with_timings:
             doc["elapsed_ms"] = self.elapsed_ms
         return doc
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    checks: list = field(default_factory=list)
+    def __init__(self, command: str, params: dict, checks=None):
+        self.command = command
+        self.params = params
+        self.checks = [] if checks is None else checks
 
     def run(self, name, anchor, expected, fn):
         """Execute a check; exceptions become failures, never crashes."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,17 @@ def mu_dual_numbers(alg):
 def test_multi_indices_counts():
     assert multi_indices(1, 3) == [(0,), (1,), (2,), (3,)]
     assert len(multi_indices(3, 2)) == 10
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_multi_indices_match_the_sorted_grid(m):
+    for top in range(6):
+        grid = sorted(
+            (d for d in itertools.product(range(top + 1), repeat=m) if sum(d) <= top),
+            key=lambda d: (sum(d), d),
+        )
+        assert multi_indices(m, top) == grid
+        assert multi_indices(m, top, include_zero=False) == [d for d in grid if sum(d)]
 
 
 def basis_element(S, i, d=None):

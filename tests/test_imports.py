@@ -10,9 +10,15 @@ A definition counts as named when its name appears, other than in its own
 name or a string constant (bench/instrument.py patches methods by name) in
 any file of src/, tests/ or bench/.  Dunder names are left out: Python
 calls them.
+
+Importing the package and its CLI loads neither `dataclasses` nor the
+`inspect` module it pulls in, which would add to every start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +99,13 @@ def test_every_definition_is_named():
         if name not in named
     ]
     assert dead == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import quivdef, quivdef.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == []
