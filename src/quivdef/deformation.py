@@ -106,12 +106,13 @@ class StarProduct:
                 x = rat(x)
                 if not x:
                     continue
-                d = tuple(int(e) for e in d)
+                d = tuple(map(int, d))
+                total = sum(d)
                 if len(d) != params:
                     raise ValueError("multi-index %r has wrong length" % (d,))
-                if sum(d) == 0:
+                if total == 0:
                     raise ValueError("the zero index is the base multiplication")
-                if sum(d) <= order:
+                if total <= order:
                     poly[d] = x
             if not poly or not c:
                 continue
@@ -274,25 +275,21 @@ def extend_order_by_order(alg: FiniteDimAlgebra, mu1: dict, order: int) -> StarP
     checked to be a 3-cocycle and the coboundary equation is solved for
     mu_k, taking the reduced-echelon particular solution (free variables
     zero) for reproducibility; a zero right-hand side gives mu_k = 0 with
-    no solve.  Raises Obstructed when no solution exists.
+    no solve.  Raises Obstructed when no solution exists, and ValueError
+    when a right-hand side leaves the reduced complex (mu1 not reduced).
     """
     ok, witness = is_cocycle(alg, mu1)
     if not ok:
         raise ValueError("not a 2-cocycle: witness %s" % (witness,))
     cx = HochschildComplex(alg)
     mus = {1: mu1}
-
-    tuples3 = None  # the reduced triples, made at the first nonzero associator
     for k in range(2, order + 1):
-        # the order-k associator of the lower terms, on the reduced triples
+        # the order-k associator of the lower terms; on reduced cochains it
+        # lands on composable radical triples, and apply_d refuses any other
         lower = associator([((i,), c) for i, c in sorted(mus.items())], {(k,)})
         if not lower:
             continue
-        if tuples3 is None:
-            tuples3 = set(cx.tuples(3))
-        neg = {key[:3]: lower[key] for key in sorted(lower) if key[:3] in tuples3}
-        if not neg:
-            continue
+        neg = {key[:3]: lower[key] for key in sorted(lower)}
         rhs = {t: {l: -x for l, x in vec.items()} for t, vec in neg.items()}
         if cx.apply_d(3, rhs):
             raise AssertionError("right-hand side at order %d is not a 3-cocycle" % k)

@@ -4,9 +4,9 @@ The workhorse is the complex relative to the span of the vertex
 idempotents: n-cochains live on composable n-tuples of radical basis
 elements and take values in the vertex-compatible slot e_t(c1) A e_s(cn).
 For a separable idempotent subalgebra this relative complex computes the
-usual Hochschild cohomology; the full bar complex (tuples over the whole
-basis, unconstrained values) is also available as an independent check,
-it just gets large quickly.
+usual Hochschild cohomology.  The full bar complex, an independent check
+that gets large quickly, is the complex relative to the unit alone: the
+same code over one vertex that every basis element starts and ends at.
 
 The complex is indexed by integers.  An n-tuple is its code in base
 |scope|, the positions of its entries in the scope being the digits, so
@@ -14,8 +14,9 @@ prepending, appending and contracting are arithmetic on codes.  The row
 of the coordinate (T, l) is the first row of T plus the place of l in
 its value slot.  The constructor checks that every structure constant
 stays in its vertex slot, so no term of a differential can leave the
-index.  Tuple and coordinate lists are built only for the cochain
-conversions.  The differentials of the line algebras are integer, so
+index.  The codes are the only index: tuple and coordinate lists are
+decoded from them on demand, and a cochain conversion decodes only the
+rows it is given.  The differentials of the line algebras are integer, so
 `RowReducer` eliminates them in ints up to the few pivots other than 1
 and -1.  `solve_coboundary` eliminates d_(n-1) once per complex.
 
@@ -40,6 +41,7 @@ keys and values must be basis indices; anything else raises ValueError.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 
@@ -98,42 +100,45 @@ def validate_cochain(alg: FiniteDimAlgebra, c: dict):
 class HochschildComplex:
     """Cochain complex of a basic algebra, reduced over the idempotents.
 
-    With reduced=False this is the full bar complex instead, used as an
-    oracle on the small algebras.  The reduced complex needs each term
-    x b_l of a product b_i b_j in its vertex slot: b_i b_j composable and
-    b_l in e_t(i) A e_s(j).  A table that breaks this raises ValueError.
+    With reduced=False this is the full bar complex instead, an oracle on
+    the small algebras: one vertex, whose slot and scope are the whole basis.
+    The reduced complex needs each term x b_l of a product b_i b_j in its
+    vertex slot: b_i b_j composable and b_l in e_t(i) A e_s(j).  A table
+    that breaks this raises ValueError.
     """
 
     def __init__(self, alg: FiniteDimAlgebra, reduced=True, max_coords=500000):
         self.alg = alg
         self.reduced = reduced
         self.max_coords = max_coords
-        self.radical = alg.radical_indices()
-        self.scope = list(self.radical) if reduced else list(range(alg.dim))
-        self._tuples: dict[int, list] = {}
-        self._basis: dict[int, list] = {}
+        if reduced:
+            source, target, between = alg.source, alg.target, alg.between
+            self.scope = alg.radical_indices()
+        else:  # one vertex: the full bar complex is relative to the unit alone
+            source = target = [0] * alg.dim
+            between = {(0, 0): list(range(alg.dim))}
+            self.scope = list(range(alg.dim))
         self._codes: dict[int, list] = {}
         self._first: dict[int, dict] = {}
         self._pivots: dict[int, frozenset] = {}
         self._images: dict[int, RowReducer] = {}
-        source, target = alg.source, alg.target
-        # the values of the empty tuple, and unreduced of every tuple
-        self._loops = [w for w in range(alg.dim) if source[w] == target[w]] if reduced else range(alg.dim)
-        # degree n >= 1 -> {(target of the first entry, source of the last): reduced tuples}
-        self._ends: list = [None, Counter((target[i], source[i]) for i in self.radical)]
-        # a code's digits are scope positions; the radical by target vertex extends a tuple
+        # the values of the empty tuple
+        self._loops = [w for w in range(alg.dim) if source[w] == target[w]]
+        # degree n -> {(target of the first entry, source of the last): tuples}, (v, v) for ()
+        self._ends: list = [Counter((v, v) for v in set(target))]
+        # a code's digits are scope positions; the scope by target vertex extends a tuple
         pos = self._pos = {c: p for p, c in enumerate(self.scope)}
         self._after: dict = {}
-        for j in self.radical:
+        for j in self.scope:
             self._after.setdefault(target[j], []).append(pos[j])
         self._tails = [source[c] for c in self.scope]
-        # slots: a reduced tuple's values are read from its first digit and
-        # the source of its last entry; a value's row offset is its place there
-        by_target: dict = {}
+        # slots: a tuple's values are e_f A e_s, f the target of its first entry
+        # and s the source of its last; a value's row offset is its place there
+        by_target = self._by_target = {}
         offset = self._offset = list(range(alg.dim))
-        for (f, s), slot in alg.between.items():
+        for (f, s), slot in between.items():
             by_target.setdefault(f, {})[s] = slot
-            for o, l in enumerate(slot if reduced else ()):
+            for o, l in enumerate(slot):
                 offset[l] = o
         self._heads = [by_target.get(target[c], {}) for c in self.scope]
         # w -> [(c, offset of l, x)] for the terms x b_l of c w, and of w c, c in the
@@ -143,7 +148,7 @@ class HochschildComplex:
         for (i, j), vec in alg.table.items():
             pi, pj = pos.get(i), pos.get(j)
             for l, x in vec.items():
-                if reduced and (source[i] != target[j] or target[l] != target[i] or source[l] != source[j]):
+                if source[i] != target[j] or target[l] != target[i] or source[l] != source[j]:
                     raise ValueError("the product %s*%s leaves its vertex slot" % (alg.labels[i], alg.labels[j]))
                 if pi is not None:
                     self._left[j].append((pi, offset[l], x))
@@ -156,7 +161,7 @@ class HochschildComplex:
         """The codes sum_i p(t_i) B^(n-1-i) of the composable n-tuples t, ascending as the tuples do."""
         if n not in self._codes:
             base, after, tails = len(self.scope), self._after, self._tails
-            if not self.reduced or n < 2:
+            if n < 2:
                 self._codes[n] = range(base**n)
             else:
                 self._codes[n] = [t * base + q for t in self._tuple_codes(n - 1) for q in after.get(tails[t % base], ())]
@@ -164,10 +169,19 @@ class HochschildComplex:
 
     def _slots(self, n: int, codes) -> list:
         """The values of each degree-n code, in row order."""
-        if not self.reduced or n == 0:
+        if n == 0:
             return [self._loops] * len(codes)
         top, base, heads, tails = len(self.scope) ** (n - 1), len(self.scope), self._heads, self._tails
         return [heads[c // top].get(tails[c % base], ()) for c in codes]
+
+    def _slot(self, n: int, code: int):
+        """The values of one degree-n code, in row order."""
+        return self._slots(n, (code,))[0]
+
+    def _tuple(self, n: int, code: int) -> tuple:
+        """The n-tuple of a code: its base-|scope| digits, read as scope positions."""
+        base = len(self.scope)
+        return tuple(self.scope[code // base ** (n - 1 - i) % base] for i in range(n))
 
     def _index(self, n: int) -> dict:
         """The first row of each degree-n code with a nonempty slot, counted before any is built."""
@@ -181,23 +195,8 @@ class HochschildComplex:
             self._first[n] = {code: row for code, row, size in zip(codes, rows, sizes) if size}
         return self._first[n]
 
-    def tuples(self, n: int) -> list:
-        if n not in self._tuples:
-            base, scope = len(self.scope), self.scope
-            if n == 0:
-                self._tuples[n] = [()]
-            else:  # t is its prefix's code times B plus its last digit
-                prefix = dict(zip(self._tuple_codes(n - 1), self.tuples(n - 1)))
-                self._tuples[n] = [prefix[t // base] + (scope[t % base],) for t in self._tuple_codes(n)]
-        return self._tuples[n]
-
     def _count(self, n: int) -> int:
         """The number of coordinates of C^n, with no tuple built: tuples are counted by the slot e_f A e_s they take."""
-        alg = self.alg
-        if not self.reduced:
-            return alg.dim ** (n + 1)
-        if n == 0:
-            return len(self._loops)
         ends = self._ends
         while len(ends) <= n:
             step = Counter()
@@ -205,15 +204,12 @@ class HochschildComplex:
                 for q in self._after.get(s, ()):
                     step[f, self._tails[q]] += count
             ends.append(step)
-        return sum(count * len(alg.between.get(fs, ())) for fs, count in ends[n].items())
+        return sum(count * len(self._by_target.get(f, {}).get(s, ())) for (f, s), count in ends[n].items())
 
     def basis(self, n: int) -> list:
-        """Coordinates of C^n as (tuple, value_index) pairs in row order, built on demand."""
-        if n not in self._basis:
-            self._index(n)  # the bound first
-            slots = self._slots(n, self._tuple_codes(n))
-            self._basis[n] = [(t, w) for t, slot in zip(self.tuples(n), slots) for w in slot]
-        return self._basis[n]
+        """Coordinates of C^n as (tuple, value_index) pairs in row order, decoded from the codes."""
+        index = self._index(n)
+        return [(self._tuple(n, code), w) for code, slot in zip(index, self._slots(n, index)) for w in slot]
 
     def _groups(self, n: int, skip=()) -> list:
         """(code, values) for the coordinates of C^n whose rows are not in skip."""
@@ -228,10 +224,10 @@ class HochschildComplex:
         try:
             for i in t:
                 code = code * base + pos[i]
-            slot = self._slots(n, [code])[0] if len(t) == n else ()
+            slot = self._slot(n, code) if len(t) == n else ()
             return code, self._index(n)[code], [slot.index(l) for l in values]
         except (KeyError, ValueError):
-            raise ValueError("cochain outside the reduced complex at %s" % (t,)) from None
+            raise ValueError("cochain outside the complex at %s" % (t,)) from None
 
     def differential_columns(self, n: int) -> list[dict]:
         """Matrix of d: C^n -> C^(n+1), every column."""
@@ -299,13 +295,14 @@ class HochschildComplex:
         return out
 
     def coords_to_cochain(self, n: int, coords: dict) -> dict:
-        basis = self.basis(n)
+        """The cochain of the nonzero coords, each row decoded to its (tuple, value)."""
+        index = self._index(n)
+        codes, firsts = list(index), list(index.values())
         out: dict = {}
         for r, x in coords.items():
-            if not x:
-                continue
-            t, l = basis[r]
-            out.setdefault(t, {})[l] = x
+            if x:
+                at = bisect.bisect_right(firsts, r) - 1
+                out.setdefault(self._tuple(n, codes[at]), {})[self._slot(n, codes[at])[r - firsts[at]]] = x
         return out
 
     def apply_d(self, n: int, c: dict) -> dict:

@@ -199,8 +199,9 @@ class QuiverPresentation:
                 {"name": a.name, "source": a.source, "target": a.target, "degree": a.degree}
                 for a in self.quiver.arrows
             ],
-            "relations": [
-                [{"coeff": fmt_fraction(c), "path": list(p.arrows)} for c, p in r.terms]
+            "relations": [  # an empty path, a vertex idempotent, names its vertex
+                [{"coeff": fmt_fraction(c), "path": list(p.arrows), **({} if p.arrows else {"vertex": p.source})}
+                 for c, p in r.terms]
                 for r in self.relations
             ],
         }
@@ -209,27 +210,31 @@ class QuiverPresentation:
     @classmethod
     def from_json(cls, text: str) -> "QuiverPresentation":
         """Read `to_json` output; one ValueError names each missing or mistyped
-        key, or else each path entry that names no declared arrow."""
+        key, or else each path entry, or vertex of an empty path, not declared."""
         doc = json.loads(text)
         bad = _misfits(doc, _PRESENTATION)
         if not bad:
-            names = {a["name"] for a in doc["arrows"]}
-            bad = ["relations[%d][%d].path[%d]" % (i, j, k) for i, terms in enumerate(doc["relations"])
-                   for j, t in enumerate(terms) for k, name in enumerate(t["path"]) if name not in names]
+            names, vertices = {a["name"] for a in doc["arrows"]}, set(map(str, doc["vertices"]))
+            for i, terms in enumerate(doc["relations"]):
+                for j, t in enumerate(terms):
+                    bad += ["relations[%d][%d].path[%d]" % (i, j, k) for k, nm in enumerate(t["path"]) if nm not in names]
+                    if not t["path"] and ("vertex" not in t or str(t["vertex"]) not in vertices):
+                        bad.append("relations[%d][%d].vertex" % (i, j))
         if bad:
             raise ValueError("presentation keys missing or mistyped: " + ", ".join(bad))
         quiver = Quiver(doc["vertices"], [
             Arrow(a["name"], str(a["source"]), str(a["target"]), a.get("degree", 1)) for a in doc["arrows"]
         ])
         return cls(quiver, [
-            Relation([(parse_fraction(t["coeff"]), quiver.path_from_arrows(t["path"])) for t in terms])
+            Relation([(parse_fraction(t["coeff"]), quiver.path_from_arrows(t["path"]) if t["path"]
+                       else trivial_path(t["vertex"])) for t in terms])
             for terms in doc["relations"]
         ])
 
 
 _PRESENTATION = {"vertices": [(str, int)],
                  "arrows": [{"name": str, "source": (str, int), "target": (str, int), "degree?": int}],
-                 "relations": [[{"coeff": (str, int), "path": [str]}]]}
+                 "relations": [[{"coeff": (str, int), "path": [str], "vertex?": (str, int)}]]}
 
 
 def _misfits(val, shape, where="") -> list[str]:

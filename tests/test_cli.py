@@ -304,6 +304,9 @@ def test_size_arguments_out_of_range_fail_one_check(args, bounds):
         (["hochschild", "--k", "2", "--max-degree", "12"], "d97640599fa6e3081c4a4d47ef30be8e"),
         # every lookup of A(200) and Atilde(200) reads the vertex-pair index
         (["families", "--k", "200"], "263ecee62611e07bd406046d74155c17"),
+        # each runs the full bar complex: of A(2) to degree 2 and of A(1) to degree 3
+        (["hochschild"], "10691743b582f126d2b80c799af8cb4b"),
+        (["hochschild", "--k", "1"], "be4b683fb2ac71656dbafd2e50174664"),
     ],
 )
 def test_cli_output_is_pinned(args, md5):

@@ -316,6 +316,19 @@ def test_extend_zero_cocycle():
     assert S.family == {}
 
 
+@pytest.mark.parametrize("value", [1, 2], ids=["e1_to_e1", "e1_to_e2"])
+def test_extension_refuses_a_cocycle_with_idempotent_arguments(value):
+    # d f in the full bar complex, f(e1) = e1 or e2, is a 2-cocycle on idempotent
+    # arguments.  The associator of the first vanishes and the star product
+    # refuses it; that of the second lands off the composable radical triples
+    alg = make_a(2)
+    e1 = e_index(alg, 1)
+    c = HochschildComplex(alg, reduced=False).apply_d(1, {(e1,): {e_index(alg, value): ONE}})
+    assert any(e1 in key for key in c)
+    with pytest.raises(ValueError):
+        extend_order_by_order(alg, c, 3)
+
+
 def test_extensions_under_different_complements_agree():
     """Replacing a solved term by a gauge-shifted one changes nothing observable."""
     alg = make_a(2)

@@ -187,7 +187,7 @@ def test_resource_bound_is_checked_before_building():
     cx = HochschildComplex(make_a(4), reduced=False, max_coords=1000)
     with pytest.raises(ResourceBoundExceeded, match="537824"):
         cx.basis(4)
-    assert 4 not in cx._tuples and 4 not in cx._basis
+    assert 4 not in cx._codes and 4 not in cx._first
     # the reduced count is exact: the bound at the true size passes, one less fails
     size = len(HochschildComplex(make_a(4)).basis(4))
     assert len(HochschildComplex(make_a(4), max_coords=size).basis(4)) == size
@@ -202,7 +202,7 @@ def test_reduced_bound_is_checked_before_any_tuple_is_built():
     cx = HochschildComplex(make_a(16), max_coords=1000)
     with pytest.raises(ResourceBoundExceeded, match="166198"):
         cx.basis(9)
-    assert not cx._tuples and not cx._basis
+    assert not cx._codes and not cx._first
 
 
 @pytest.mark.parametrize(
@@ -325,6 +325,14 @@ def test_a_product_off_its_vertex_slot_is_refused():
         HochschildComplex(moved)
     # the full bar complex has no slots to leave
     HochschildComplex(moved, reduced=False)
+
+
+def test_a_cochain_off_the_reduced_complex_is_named():
+    # the tuple (e1, e1, e2) takes idempotent arguments
+    alg = make_a(2)
+    e1, e2 = e_index(alg, 1), e_index(alg, 2)
+    with pytest.raises(ValueError, match=r"at \(%d, %d, %d\)" % (e1, e1, e2)):
+        HochschildComplex(alg).cochain_to_coords(3, {(e1, e1, e2): {e2: ONE}})
 
 
 def rescaled_basis_vector(alg, i, s):
@@ -454,9 +462,9 @@ def scan_tuples(cx, n):
         return [tuple(t) for t in itertools.product(range(alg.dim), repeat=n)]
     if n == 0:
         return [()]
-    out = [(i,) for i in cx.radical]
+    out = [(i,) for i in cx.scope]
     for _ in range(n - 1):
-        out = [t + (j,) for t in out for j in cx.radical if alg.source[t[-1]] == alg.target[j]]
+        out = [t + (j,) for t in out for j in cx.scope if alg.source[t[-1]] == alg.target[j]]
     return out
 
 
@@ -483,7 +491,7 @@ def test_indexed_basis_and_tuples_match_scans(alg):
     for reduced, degrees in ((True, 4), (False, 2)):
         cx = HochschildComplex(alg, reduced=reduced)
         for n in range(degrees + 1):
-            assert cx.tuples(n) == scan_tuples(cx, n)
+            assert [cx._tuple(n, code) for code in cx._tuple_codes(n)] == scan_tuples(cx, n)
             assert cx.basis(n) == scan_basis(cx, n)
 
 

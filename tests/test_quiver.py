@@ -242,6 +242,19 @@ def test_presentation_json_names_every_missing_or_mistyped_key():
     )
 
 
+def test_presentation_json_keeps_the_vertex_of_an_empty_path():
+    # a relation term on a vertex idempotent has no arrows to name its vertex
+    q = Quiver(["1", "2"], [Arrow("a", "1", "2", 1)])
+    pres = QuiverPresentation(q, [Relation([(2, trivial_path("2"))])])
+    doc = json.loads(pres.to_json())
+    assert doc["relations"] == [[{"coeff": "2", "path": [], "vertex": "2"}]]
+    assert QuiverPresentation.from_json(pres.to_json()).relations[0].terms == ((2, trivial_path("2")),)
+    for vertex in ({}, {"vertex": "3"}):
+        doc["relations"][0][0] = {"coeff": "2", "path": [], **vertex}
+        with pytest.raises(ValueError, match=r"mistyped: relations\[0\]\[0\]\.vertex$"):
+            QuiverPresentation.from_json(json.dumps(doc))
+
+
 def test_graded_multiplication_respects_relations():
     gq = GradedQuotient(bhat2_presentation())
     x1 = gq.reduce_path(gq.quiver.arrow_path("x1"))
@@ -359,11 +372,11 @@ def assert_matches_span_oracle(pres, max_degree):
 
 
 @st.composite
-def presentations(draw):
-    """Up to 3 vertices and 5 arrows of degree 0..2, degree-0 arrows
-    following a drawn vertex order (so they form no cycle), and 0..4
+def presentations(draw, max_vertices=3):
+    """Up to max_vertices vertices and 5 arrows of degree 0..2, degree-0
+    arrows following a drawn vertex order (so they form no cycle), and 0..4
     homogeneous relations of degree <= 3 with 1..3 rational terms."""
-    vertices = [str(i) for i in range(1, draw(st.integers(1, 3)) + 1)]
+    vertices = [str(i) for i in range(1, draw(st.integers(1, max_vertices)) + 1)]
     order = draw(st.permutations(vertices))
     arrows = []
     for i in range(draw(st.integers(1, 5))):
@@ -391,6 +404,24 @@ def test_normal_words_match_span_oracle(pres):
     assert_matches_span_oracle(pres, 5)
 
 
+def quotient_or_error(pres, bound=4):
+    """The labels and table of bounded_quotient(pres, bound), or the type and message of its refusal."""
+    try:
+        alg = bounded_quotient(pres, bound)
+    except (BoundTooSmall, ValueError) as err:
+        return type(err), str(err)
+    return alg.labels, {key: dict(row) for key, row in alg.table.items()}
+
+
+@given(presentations(max_vertices=4))
+@settings(max_examples=200, deadline=None, phases=[Phase.generate])
+def test_presentations_round_trip_through_json(pres):
+    text = pres.to_json()
+    back = QuiverPresentation.from_json(text)
+    assert back.to_json() == text
+    assert quotient_or_error(back) == quotient_or_error(pres)
+
+
 def test_presentation_strategy_reaches_the_interesting_cases():
     once = settings(max_examples=500, database=None, phases=[Phase.generate])
 
@@ -401,6 +432,12 @@ def test_presentation_strategy_reaches_the_interesting_cases():
     find(presentations(), lambda pres: any(a.degree == 0 for a in pres.quiver.arrows), settings=once)
     find(presentations(), lambda pres: any(len(r.terms) == 2 for r in pres.relations), settings=once)
     find(presentations(), ideal_is_nonzero, settings=once)
+    find(presentations(), lambda pres: any(not p.arrows for r in pres.relations for _, p in r.terms), settings=once)
+
+    def finite_on_four_vertices(pres):
+        return len(pres.quiver.vertices) == 4 and quotient_or_error(pres)[0] not in (BoundTooSmall, ValueError)
+
+    find(presentations(4), finite_on_four_vertices, settings=once)
 
 
 # the span oracle enumerates the whole path space; in the right_one grading
