@@ -534,6 +534,20 @@ def run_command(args) -> Report:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.output:
+        return _run(args, sys.stdout)
+    # an --output that cannot be written is a bad argument, refused before any check runs
+    try:
+        out = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        print("quivdef: cannot write --output %s: %s" % (args.output, exc.strerror or exc), file=sys.stderr)
+        return 2
+    with out:
+        return _run(args, out)
+
+
+def _run(args, out) -> int:
+    """Run the command of args and print its report, or its side output, to out."""
     command = COMMANDS[args.command]
     report = None
     if command.flag and getattr(args, command.flag) and not _argument_errors(args, command.bounds(args)):
@@ -547,11 +561,7 @@ def main(argv=None) -> int:
         report = run_command(args)
     if report is not None:
         text = report.to_json(with_timings=args.timings)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text, file=out)
     return 0 if report is None or report.failed == 0 else 1
 
 

@@ -254,8 +254,8 @@ def mat_eq(a, b) -> bool:
 # the exact kernel: a rational matrix as (row-major int tuple, denominator)
 # ---------------------------------------------------------------------------
 
-def _normal(flat, den) -> tuple:
-    """The pair of flat / den with a positive denominator and gcd 1 of it and every entry."""
+def qmat_normal(flat, den) -> tuple:
+    """The exact form of the matrix flat / den: a positive denominator, gcd 1 of it and every entry."""
     g = gcd(den, *flat)
     if den < 0:
         g = -g
@@ -287,34 +287,33 @@ def qmat_mul(a, b, m: int) -> tuple:
     (fa, da), (fb, db) = a, b
     k = len(fb) // m if m else 1  # the inner dimension; without columns, any
     rows = [fa[i : i + k] for i in range(0, len(fa), k)]
-    return _normal(int_product(rows, [fb[j::m] for j in range(m)]), da * db)
+    return qmat_normal(int_product(rows, [fb[j::m] for j in range(m)]), da * db)
 
 
 def qmat_comb(terms) -> tuple:
     """sum c q over the pairs (c, q) of terms: an integer combination of exact forms."""
     den = lcm(*(q[1] for _c, q in terms))
     scaled = ([c * (den // d) * x for x in flat] for c, (flat, d) in terms)
-    return _normal(list(map(sum, zip(*scaled))), den)
+    return qmat_normal(list(map(sum, zip(*scaled))), den)
 
 
 def qmat_add_scalar(q, c) -> tuple:
-    """q + c Id for a square exact form q and a rational c."""
+    """q + c Id for a square exact form q and an int or Fraction c."""
     flat, den = q
     dim = isqrt(len(flat))
-    c = fr(c)
     out_den = lcm(den, c.denominator)
-    out = [x * (out_den // den) for x in flat]
+    out = list(flat) if out_den == den else [x * (out_den // den) for x in flat]
     shift = c.numerator * (out_den // c.denominator)
     for i in range(0, len(out), dim + 1):
         out[i] += shift
-    return _normal(out, out_den)
+    return qmat_normal(out, out_den)
 
 
 def qmat_scale(c, q) -> tuple:
     """c q for a rational c."""
     c = fr(c)
     flat, den = q
-    return _normal([c.numerator * x for x in flat], c.denominator * den)
+    return qmat_normal([c.numerator * x for x in flat], c.denominator * den)
 
 
 def qmat_commute(a, b) -> bool:
@@ -359,4 +358,4 @@ def qmat_inv(q):
                 g = gcd(*row)
                 rows[r] = [x // g for x in row] if g > 1 else row
     common = lcm(*(rows[i][i] for i in range(n)))
-    return _normal([x * (den * common // row[i]) for i, row in enumerate(rows) for x in row[n:]], common)
+    return qmat_normal([x * (den * common // row[i]) for i, row in enumerate(rows) for x in row[n:]], common)

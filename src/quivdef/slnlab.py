@@ -47,12 +47,15 @@ the points of the simplex {b_J >= 0, sum of b_J <= d}, where J is the
 coordinates the relation reads and d its degree.  A relation instance is
 a matrix polynomial of degree <= d in b_J, and that set is unisolvent for
 such polynomials, so the formula satisfies every relation at every point
-of every radius.  It feeds the same kernel, taking the class of each
-formula block from (key, its one coordinate), read off each simplex
-point with the coordinate shift of the set-up, and lists no block.  The
-CLI battery uses the certificate and never lists a support;
-verify_relations stays as the certificate's oracle in the tests, and
-compare_modules tells whether stored blocks equal a formula's.
+of every radius.  It feeds the same kernel from a read plan made once
+per n: the distinct (key, coordinate) pairs that the relations read on
+their simplex points, and for each relation prefix the tuple of their
+indices over its points.  A call makes one class per plan entry from the
+formula's integer block, D times the block made in Python ints, and
+lists no block.  The CLI battery uses the certificate and never lists a
+support; verify_relations stays as the certificate's oracle in the
+tests, and compare_modules tells whether stored blocks equal a
+formula's.
 
 recover_x inverts the construction: from the h-blocks and the quadratic
 Casimir at the origin it reconstructs the X_i, taking the polynomial
@@ -91,6 +94,7 @@ from .linalg import (
     qmat_inv,
     qmat_is_nilpotent,
     qmat_mul,
+    qmat_normal,
     qmat_rows,
     qmat_scale,
 )
@@ -199,25 +203,36 @@ class _BlockFormula(dict):
 
     The block of e_(s,t) at b is X_t + (a_t + b_t) Id, a function of
     v = b_t alone; the block of h_i is X_i - X_(i+1) + (a_i - a_(i+1) + v) Id
-    with v = b_i - b_(i+1).  Each block is made on first lookup, at any v.
-    The scale, the lcm of the denominators of the X and the a, times any
-    block is an integer matrix.
+    with v = b_i - b_(i+1).  The scale D, the lcm of the denominators of
+    the X and the a, times any block is an integer matrix, and scaled()
+    makes it in Python ints, D X + (D alpha + D v) Id for the parts X and
+    alpha of key.  A lookup normalises that once, on first lookup, at any v.
     """
 
     def __init__(self, n, a, xs):
         super().__init__()
         self.n = n
-        self.parts = {}  # key -> (matrix part, parameter part)
+        self.scale = scale = math.lcm(1, *(den for _flat, den in xs), *(c.denominator for c in a))
+        self.step = math.isqrt(len(xs[0][0])) + 1  # from one diagonal entry to the next
+        dx = [_scaled(x, scale) for x in xs]
+        da = [c.numerator * (scale // c.denominator) for c in a]
+        self.parts = {}  # key -> (D times its matrix part, D times its parameter part)
         for i in range(1, n):
-            self.parts[("e", i, i + 1)] = (xs[i], a[i])
-            self.parts[("e", i + 1, i)] = (xs[i - 1], a[i - 1])
-            self.parts[("h", i)] = (qmat_comb(((1, xs[i - 1]), (-1, xs[i]))), a[i - 1] - a[i])
-        self.scale = math.lcm(1, *(den for _flat, den in xs), *(c.denominator for c in a))
+            self.parts[("e", i, i + 1)] = (dx[i], da[i])
+            self.parts[("e", i + 1, i)] = (dx[i - 1], da[i - 1])
+            self.parts[("h", i)] = (tuple(map(operator.sub, dx[i - 1], dx[i])), da[i - 1] - da[i])
+
+    def scaled(self, key, v):
+        """D times the block of key at coordinate v, a row-major int tuple."""
+        flat, shift = self.parts[key]
+        shift += self.scale * v
+        out = list(flat)
+        for i in range(0, len(out), self.step):
+            out[i] += shift
+        return tuple(out)
 
     def __missing__(self, key_value):
-        key, v = key_value
-        x, c = self.parts[key]
-        out = self[key_value] = qmat_add_scalar(x, c + v)
+        out = self[key_value] = qmat_normal(self.scaled(*key_value), self.scale)
         return out
 
 
@@ -656,6 +671,41 @@ def _simplex(n: int, free, degree: int):
     return tuple(points)
 
 
+class _ReadPlan(NamedTuple):
+    """What certify_relations reads of a formula for one n.
+
+    entries are the distinct (key, coordinate value) pairs whose formula
+    blocks the relations read on their simplex points, in order of first
+    read.  columns[label] holds, for each prefix of the relation's set-up,
+    the tuple over its simplex points of the index in entries of the
+    block that the prefix's last key reads there.  Equal tuples are one
+    object.
+    """
+
+    entries: tuple
+    columns: dict
+
+
+@functools.cache
+def _read_plan(n: int):
+    """The _ReadPlan of the relations of n, made on the first certificate of n."""
+    index = {}  # (key, v) -> its index in entries
+    shared = {}
+    columns = {}
+    for setup in _relation_setups(n):
+        cols = []
+        for key, j, shift in setup.reads:
+            if key[0] == "h":
+                values = [p[j] - p[j + 1] + shift for p in setup.simplex]
+            else:
+                values = [p[j] + shift for p in setup.simplex]
+            col = tuple([index.setdefault((key, v), len(index)) for v in values])
+            cols.append(shared.setdefault(col, col))
+        cols = tuple(cols)
+        columns[setup.label] = shared.setdefault(cols, cols)
+    return _ReadPlan(tuple(index), columns)
+
+
 def certify_relations(module: LatticeModule):
     """Certify every defining relation of the module's build_f formula, at every radius.
 
@@ -666,9 +716,12 @@ def certify_relations(module: LatticeModule):
     is evaluated on the formula blocks at the simplex set {b_J >= 0, sum
     of b_J <= d} of _relation_simplex, with J the coordinates the relation
     reads and d its degree, off the support too, through the kernel of
-    verify_relations.  The class of a block is made once per (key,
-    coordinate), with the formula's scale as D, and no block is listed, so
-    the cost does not depend on the radius.
+    verify_relations.  What the relations read there depends on n alone,
+    the read plan of _read_plan: a call makes one class per plan entry,
+    from the formula's integer block (_BlockFormula.scaled, with the
+    formula's scale as D), and reads each column of classes off the plan's
+    index tuples.  No block is listed, so the cost does not depend on the
+    radius.
 
     A relation reads only the coordinates in J, and its formula blocks are
     affine in them, so an instance is a matrix polynomial of total degree
@@ -686,21 +739,12 @@ def certify_relations(module: LatticeModule):
     """
     n = module.n
     formula = module.formula
+    plan = _read_plan(n)
     classes = _Classes()
-
-    @functools.cache
-    def class_of(key, v):
-        return classes(_scaled(formula[key, v], formula.scale))
+    read = [classes(formula.scaled(key, v)) for key, v in plan.entries].__getitem__
 
     def columns(setup):
-        points = setup.simplex
-        cols = []
-        for key, j, shift in setup.reads:
-            if key[0] == "h":
-                cols.append([class_of(key, p[j] - p[j + 1] + shift) for p in points])
-            else:
-                cols.append([class_of(key, p[j] + shift) for p in points])
-        return points, cols
+        return setup.simplex, [list(map(read, col)) for col in plan.columns[setup.label]]
 
     checked, _skipped, witness = _check_instances(n, columns, classes, module.fiber_dim, formula.scale)
     return {"checked": checked, "witness": witness}

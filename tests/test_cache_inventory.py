@@ -6,7 +6,7 @@ variable it is assigned to), a dict subclass that fills itself in
 `__missing__`, or an instance attribute whose name ends in `_cache`.  A
 site is named by its module and its enclosing classes and functions, an
 attribute by its class: `families.make_a`,
-`slnlab.certify_relations.class_of`, `quiver.GradedQuotient._arrow_cache`.
+`slnlab.reconstruct_extension.inverse`, `quiver.GradedQuotient._arrow_cache`.
 The inventory is the table under "## Caches" in README.md, one row per
 site: its name, its owner and what bounds it.
 """

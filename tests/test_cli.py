@@ -123,6 +123,19 @@ def test_missing_presentation_file_is_a_failing_check(tmp_path):
     assert load["actual"].startswith("error: FileNotFoundError: ")
 
 
+def test_unwritable_output_fails_before_any_check(monkeypatch, capsys, tmp_path):
+    # a bad argument: exit 2 and one line naming the path and the error
+    ran = []
+    monkeypatch.setattr(cli, "run_command", lambda args: ran.append(args))
+    path = tmp_path / "absent" / "x.json"
+    assert cli.main(["families", "--k", "2", "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "quivdef: cannot write --output %s: No such file or directory\n" % path)
+    assert cli.main(["families", "--k", "2", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "quivdef: cannot write --output %s: Is a directory\n" % tmp_path
+    assert ran == []
+
+
 def test_raising_check_names_the_exception_type():
     report = Report("t", {})
     check = report.run("div", "a check that raises", 1, lambda: 1 // 0)

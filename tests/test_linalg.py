@@ -540,6 +540,27 @@ def test_exact_kernel_matches_fraction_helpers(case, c, d, r):
             assert qmat_mul(q, inv, n) == qmat_add_scalar(qmat_scale(0, q), 1)
 
 
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(mixed_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=-5, max_value=5),
+        st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(min_value=2, max_value=12)),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_add_scalar_takes_int_and_fraction_scalars_as_they_are(rows, den, c):
+    # a matrix over the denominator den, plus c Id, against Fraction arithmetic
+    n = len(rows)
+    a = [[F(x) / den for x in row] for row in rows]
+    shifted = qmat_add_scalar(qmat(a), c)
+    assert _is_normal(shifted)
+    assert qmat_rows(shifted, n) == [[x + (c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
 def fraction_power(a, k):
     """a^k by Fraction triple-loop products, a^0 the identity."""
     n = len(a)

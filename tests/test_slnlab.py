@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import os
@@ -13,7 +14,19 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from quivdef import linalg, slnlab
-from quivdef.linalg import ONE, ZERO, fr, mat_add, mat_eq, mat_mul, mat_scale, qmat, qmat_rows
+from quivdef.linalg import (
+    ONE,
+    ZERO,
+    fr,
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_scale,
+    qmat,
+    qmat_add_scalar,
+    qmat_comb,
+    qmat_rows,
+)
 from quivdef.slnlab import (
     LatticeModule,
     LatticeSupport,
@@ -692,6 +705,105 @@ def test_column_times_row_products_are_the_packed_row_major_product(dim):
         assert slnlab._product(cols, identity) == slnlab._pack(sum(a, []), width)
 
 
+class _FractionBlockFormula(dict):
+    """slnlab._BlockFormula as it made each block, by qmat_add_scalar with a Fraction scalar: the oracle's formula."""
+
+    def __init__(self, n, a, xs):
+        super().__init__()
+        self.n = n
+        self.parts = {}  # key -> (matrix part, parameter part)
+        for i in range(1, n):
+            self.parts[("e", i, i + 1)] = (xs[i], a[i])
+            self.parts[("e", i + 1, i)] = (xs[i - 1], a[i - 1])
+            self.parts[("h", i)] = (qmat_comb(((1, xs[i - 1]), (-1, xs[i]))), a[i - 1] - a[i])
+        self.scale = math.lcm(1, *(den for _flat, den in xs), *(c.denominator for c in a))
+
+    def __missing__(self, key_value):
+        key, v = key_value
+        x, c = self.parts[key]
+        out = self[key_value] = qmat_add_scalar(x, c + v)
+        return out
+
+
+def _planless_certify_relations(module, formula):
+    """certify_relations as it read each block through a class_of memo, of the formula given: the read plan's oracle."""
+    n = module.n
+    classes = slnlab._Classes()
+
+    @functools.cache
+    def class_of(key, v):
+        return classes(slnlab._scaled(formula[key, v], formula.scale))
+
+    def columns(setup):
+        points = setup.simplex
+        cols = []
+        for key, j, shift in setup.reads:
+            if key[0] == "h":
+                cols.append([class_of(key, p[j] - p[j + 1] + shift) for p in points])
+            else:
+                cols.append([class_of(key, p[j] + shift) for p in points])
+        return points, cols
+
+    checked, _skipped, witness = slnlab._check_instances(n, columns, classes, module.fiber_dim, formula.scale)
+    return {"checked": checked, "witness": witness}
+
+
+@st.composite
+def certified_modules(draw):
+    """(module, xs): build_f modules with commuting or unchecked fractional X, build_n modules, and extensions."""
+    kind = draw(st.sampled_from(["commuting", "unchecked", "rank_one", "extension"]))
+    n = 3 if kind == "extension" else draw(st.integers(min_value=2, max_value=6))
+    dim = 1 if kind == "rank_one" else draw(st.integers(min_value=1, max_value=3))
+    radius = draw(st.integers(min_value=1, max_value=2))
+    a = tuple(draw(st.lists(parameters, min_size=n, max_size=n)))
+    if kind == "rank_one":
+        return build_n(n, a, radius), [[[ZERO]]] * n
+    if kind == "unchecked":
+        square = st.lists(st.lists(fractions, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        xs = draw(st.lists(square, min_size=n, max_size=n))
+        return build_f(n, a, xs, radius, check=False), xs
+    xs = [draw(nilpotent_polynomials(dim)) for _ in range(n)]
+    if kind == "commuting":
+        return build_f(n, a, xs, radius), xs
+    # a module of stored blocks, whose formula is read off its blocks at the origin
+    try:
+        module, _log = reconstruct_extension(3, a, build_f(2, a[:2], xs[:2], radius), xs[2], radius)
+    except NoUniqueExtension:
+        reject()
+    return module, xs
+
+
+@given(certified_modules())
+@settings(max_examples=60, deadline=None)
+def test_planned_certificate_matches_the_planless_one(case):
+    # the oracle reads the Fraction formula of the module's inputs, not the module's own formula
+    module, xs = case
+    formula = _FractionBlockFormula(module.n, module.a, [qmat(x) for x in xs])
+    assert certify_relations(module) == _planless_certify_relations(module, formula)
+    # the relations hold at any parameters, so the verdict alone does not see
+    # blocks made at wrong ones: the integer blocks of the plan are the oracle's
+    entries = slnlab._read_plan(module.n).entries
+    assert module.formula.scale == formula.scale
+    assert [module.formula.scaled(*entry) for entry in entries] == [
+        slnlab._scaled(formula[entry], formula.scale) for entry in entries
+    ]
+
+
+def test_certificates_of_the_battery_make_no_fraction_block(monkeypatch):
+    # the 30 certificates of verify-all's lattice battery shift no exact form by a scalar
+    modules = []
+    for n in (2, 3, 4):
+        for seed in range(2011, 2016):
+            rng = random.Random(seed)
+            a = random_parameters(n, rng, extension_safe=True)
+            xs = random_commuting_nilpotents(n, rng.randint(1, 3), rng)
+            modules += [build_n(n, a, 3), build_f(n, a, xs, 3)]
+    shifts = []
+    monkeypatch.setattr(slnlab, "qmat_add_scalar", lambda *args: shifts.append(args))
+    assert [certify_relations(module)["witness"] for module in modules] == [None] * 30
+    assert shifts == []
+
+
 @given(build_f_modules())
 @settings(max_examples=40, deadline=None)
 def test_certificate_fails_whenever_pointwise_fails(case):
@@ -727,7 +839,7 @@ def test_comparison_sees_an_unreached_boundary_block():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_certificates_do_not_depend_on_the_per_n_setups(n):
     # certify modules of one n in one order, then again in reverse order
-    # from a cleared set-up cache: the same dicts, the same witness
+    # from cleared per-n caches: the same dicts, the same witness
     rng = random.Random(50 + n)
     modules = []
     for dim in (1, 2, 3):
@@ -738,7 +850,8 @@ def test_certificates_do_not_depend_on_the_per_n_setups(n):
     modules.append(build_f(n, a, xs, 1, check=False))
     first = [certify_relations(module) for module in modules]
     assert [rep["witness"] is None for rep in first] == [True, True, True, False]
-    slnlab._relation_setups.cache_clear()
+    for per_n in (slnlab._relation_setups, slnlab._simplex, slnlab._read_plan):
+        per_n.cache_clear()
     again = [certify_relations(module) for module in reversed(modules)][::-1]
     assert again == first
     assert again[-1]["witness"] == first[-1]["witness"] == ("[e1,f1]", (0,) * n)
