@@ -42,7 +42,6 @@ from .quiver import (
 from .families import (
     center_basis,
     central_t,
-    hom_dimensions,
     idempotent_cut,
     make_a,
     make_atilde,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import RowReducer, fmt_fraction, rat, vec_axpy_inplace
@@ -103,11 +104,14 @@ class StarProduct:
         for c, coeffs in family:
             poly = {}
             for d, x in coeffs.items():
-                x = rat(x)
+                if type(x) is not int and not (type(x) is Fraction and x.denominator != 1):
+                    x = rat(x)  # anything else, such as an integral Fraction, is made normal
                 if not x:
                     continue
-                d = tuple(map(int, d))
                 total = sum(d)
+                if type(d) is not tuple or type(total) is not int:
+                    d = tuple(map(int, d))
+                    total = sum(d)
                 if len(d) != params:
                     raise ValueError("multi-index %r has wrong length" % (d,))
                 if total == 0:
@@ -388,6 +392,17 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
     element.  Each monomial in the parameter images is multiplied out
     once.  Returns a report dict; the 'witness' field carries the first
     failing pair.
+
+    When the base and the target are `slotted` and every image of b_i
+    lies in e_t(b_i) T e_s(b_i), vertices matched by label, only the pairs
+    with s(b_i) = t(b_j) are multiplied.  On any other pair both sides
+    are 0.  The star product: the base has no product there, and every
+    cochain of S is vertex-consistent (StarProduct validates them), so
+    none takes a value there.  The target: the image of b_i lies in
+    T e_s(b_i), that of b_j in e_t(b_j) T, and a slotted target has no
+    product of b_l and b_m with s(b_l) != t(b_m).  So the homomorphism
+    verdict and the witness, the first failing pair in (i, j) order, are
+    those of the check on every pair.  Otherwise every pair is multiplied.
     """
     alg = S.base
     report = {
@@ -421,9 +436,15 @@ def verify_deformation_map(S: StarProduct, target: FiniteDimAlgebra, images: dic
             vec_axpy_inplace(total, 1, target.mul(img, power(d)))
         return total
 
+    slotted = alg.slotted and target.slotted and all(
+        target.source[l] == alg.source[i] and target.target[l] == alg.target[i] for i, vec in images.items() for l in vec
+    )
+    ending_at: dict = {}
+    for j in range(alg.dim):
+        ending_at.setdefault(alg.target[j], []).append(j)
     ok = True
     for i in range(alg.dim):
-        for j in range(alg.dim):
+        for j in ending_at.get(alg.source[i], ()) if slotted else range(alg.dim):
             want = target.mul(images[i], images[j])
             have = push(S.star_basis(i, j))
             if want != have:

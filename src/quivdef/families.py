@@ -490,12 +490,6 @@ def flatness_dims(k: int, bound: int = 6):
 # structural probes
 # ---------------------------------------------------------------------------
 
-def hom_dimensions(alg: FiniteDimAlgebra):
-    """dim Hom(P_i, P_j) = dim e_i A e_j as a nested dict over vertices."""
-    vertices = alg.quiver.vertices
-    return {w: {v: len(alg.between.get((w, v), ())) for v in vertices} for w in vertices}
-
-
 def _commutator(alg: FiniteDimAlgebra, i: int, j: int) -> dict:
     """b_i b_j - b_j b_i as a sparse vector."""
     out = dict(alg.mul_basis(i, j))

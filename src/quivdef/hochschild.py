@@ -12,13 +12,14 @@ The complex is indexed by integers.  An n-tuple is its code in base
 |scope|, the positions of its entries in the scope being the digits, so
 prepending, appending and contracting are arithmetic on codes.  The row
 of the coordinate (T, l) is the first row of T plus the place of l in
-its value slot.  The constructor checks that every structure constant
-stays in its vertex slot, so no term of a differential can leave the
-index.  The codes are the only index: tuple and coordinate lists are
-decoded from them on demand, and a cochain conversion decodes only the
-rows it is given.  The differentials of the line algebras are integer, so
-`RowReducer` eliminates them in ints up to the few pivots other than 1
-and -1.  `solve_coboundary` eliminates d_(n-1) once per complex.
+its value slot.  The constructor refuses an algebra that is not
+`slotted`, one with a structure constant outside its vertex slot, so no
+term of a differential can leave the index.  The codes are the only
+index: tuple and coordinate lists are decoded from them on demand, and
+a cochain conversion decodes only the rows it is given.  The
+differentials of the line algebras are integer, so `RowReducer`
+eliminates them in ints up to the few pivots other than 1 and -1.
+`solve_coboundary` eliminates d_(n-1) once per complex.
 
 Each d_n is ranked once per complex, on the columns of C^n off the pivot
 set P of the rows kept for im d_(n-1).  On a complex that is exact: those
@@ -103,8 +104,8 @@ class HochschildComplex:
     With reduced=False this is the full bar complex instead, an oracle on
     the small algebras: one vertex, whose slot and scope are the whole basis.
     The reduced complex needs each term x b_l of a product b_i b_j in its
-    vertex slot: b_i b_j composable and b_l in e_t(i) A e_s(j).  A table
-    that breaks this raises ValueError.
+    vertex slot: b_i b_j composable and b_l in e_t(i) A e_s(j), which is
+    the algebra's `slotted`.  A table that breaks this raises ValueError.
     """
 
     def __init__(self, alg: FiniteDimAlgebra, reduced=True, max_coords=500000):
@@ -112,6 +113,8 @@ class HochschildComplex:
         self.reduced = reduced
         self.max_coords = max_coords
         if reduced:
+            if not alg.slotted:
+                raise ValueError("the product %s*%s leaves its vertex slot" % tuple(alg.labels[i] for i in alg.off_slot))
             source, target, between = alg.source, alg.target, alg.between
             self.scope = alg.radical_indices()
         else:  # one vertex: the full bar complex is relative to the unit alone
@@ -148,8 +151,6 @@ class HochschildComplex:
         for (i, j), vec in alg.table.items():
             pi, pj = pos.get(i), pos.get(j)
             for l, x in vec.items():
-                if source[i] != target[j] or target[l] != target[i] or source[l] != source[j]:
-                    raise ValueError("the product %s*%s leaves its vertex slot" % (alg.labels[i], alg.labels[j]))
                 if pi is not None:
                     self._left[j].append((pi, offset[l], x))
                 if pj is not None:

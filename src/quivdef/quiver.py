@@ -9,23 +9,20 @@ combination of parallel paths, homogeneous in degree.
 Quotients are computed degree by degree, bottom-up, as spans of normal
 words: the paths that are not the smallest path of any element of the
 ideal (Bergman, "The diamond lemma for ring theory", Adv. Math. 29
-(1978)).  Degree 0 row-reduces the degree-0 paths modulo all u*r*v.  A
-higher degree d only has the columns z*a*n, n a normal word of lower
-degree, and the rows that the relations and the degree-0 ideal give on
-them once rewritten (see GradedQuotient), so its cost follows the
-dimension of the quotient, not the number of paths.  Elimination is exact
-over Q: integral coefficients are ints (`linalg.rat`), so the line
-algebras and their loop-quiver partners, whose pivots are all 1 or -1,
-have int normal forms and structure constants.  A quotient by an
-element, such as a power of a central element (CentralQuotient), is one
-more presentation: the element's vertex pieces are appended to the
-relations, and the components below their degree are the base's own.
-When all components from some bound on vanish, the quotient is finite
-dimensional, and GradedQuotient.to_algebra, the one packaging path, makes
-it a FiniteDimAlgebra with a structure table, which the algebra stores as
-given.  The tail b' of a normal word b = a*b', a its leftmost arrow, is
-normal, so each product b*c = a*(b'*c) is one arrow step on the table
-entry of b'*c.
+(1978)).  A degree d > 0 only has the columns z*a*n, n a normal word of
+lower degree, found in integer tables by (z, a, index of n) (see
+GradedQuotient), so its cost follows the dimension of the quotient, not
+the number of paths.  Elimination is exact over Q: integral coefficients
+are ints (`linalg.rat`), so the line algebras and their loop-quiver
+partners, whose pivots are all 1 or -1, have int normal forms and
+structure constants.  A quotient by an element, such as a power of a
+central element (CentralQuotient), is one more presentation: the
+element's vertex pieces are appended to the relations, and the
+components below their degree are the base's own.
+GradedQuotient.to_algebra, the one packaging path, makes a finite
+quotient a FiniteDimAlgebra, one arrow step per product on the row of a
+normal tail; the algebra reads its table by rows and records whether
+every product stays in its vertex slot (`slotted`).
 `associator` is the one sparse associativity check: it serves the
 algebra's own check_associativity and the cocycle and star-product checks.
 It clears the denominators of all its tables once and runs in ints.
@@ -60,9 +57,7 @@ class Path(namedtuple("Path", "source target arrows degree")):
 
     @property
     def label(self):
-        if not self.arrows:
-            return "e%s" % self.source
-        return "*".join(self.arrows)
+        return "*".join(self.arrows) if self.arrows else "e%s" % self.source
 
     def __repr__(self):
         return self.label
@@ -110,10 +105,9 @@ class Quiver:
             raise ValueError("use trivial_path for empty words")
         p = self.arrow_path(names[-1])
         for nm in reversed(names[:-1]):
-            p2 = compose(self.arrow_path(nm), p)
-            if p2 is None:
+            p = compose(self.arrow_path(nm), p)
+            if p is None:
                 raise ValueError("arrows %r do not compose" % (names,))
-            p = p2
         return p
 
     def path_key(self, p: Path):
@@ -156,9 +150,7 @@ class Quiver:
             for p in frontier:
                 for a in self.arrows_from[p.target]:
                     if p.degree + a.degree <= max_degree:
-                        new.append(
-                            Path(p.source, a.target, (a.name,) + p.arrows, p.degree + a.degree)
-                        )
+                        new.append(Path(p.source, a.target, (a.name,) + p.arrows, p.degree + a.degree))
             out.extend(new)
             frontier = new
         return sorted(out, key=self.path_key)
@@ -250,29 +242,23 @@ def _misfits(val, shape, where="") -> list[str]:
     return [] if isinstance(val, shape) and not isinstance(val, bool) else [where]
 
 
-def _finish_component(paths, col, red) -> dict:
-    """A component: its columns, their reducer, the non-pivot columns as
-    the basis, and that basis by target vertex ("into"), in basis order."""
+def _finish_component(columns, red, triples, **tables) -> dict:
+    """A component: the reducer of its columns, the non-pivot columns as the
+    basis, their places in it, the basis triples, the basis indices by
+    target vertex ("into"), and the column tables."""
     pivots = set(red.pivot_columns())
-    basis = [p for i, p in enumerate(paths) if i not in pivots]
+    free = [j for j in range(len(columns)) if j not in pivots]
     into: dict = {}
-    for p in basis:
-        into.setdefault(p.target, []).append(p)
-    return {
-        "paths": paths,
-        "col": col,
-        "reducer": red,
-        "basis": basis,
-        "local": {p: i for i, p in enumerate(basis)},
-        "into": into,
-    }
+    for l, j in enumerate(free):
+        into.setdefault(columns[j].target, []).append(l)
+    return {"reducer": red, "basis": [columns[j] for j in free],
+            "place": {j: l for l, j in enumerate(free)}, "triples": [triples[j] for j in free], "into": into, **tables}
 
 
-def _normal_form(comp: dict, w: Path) -> dict:
-    """Basis coordinates of the column w of a component."""
-    paths, local = comp["paths"], comp["local"]
-    res = comp["reducer"].reduce({comp["col"][w]: 1})
-    return {local[paths[j]]: x for j, x in res.items()}
+def _normal_form(comp: dict, j: int) -> dict:
+    """Basis coordinates of the column j of a component; a non-pivot column is a unit vector."""
+    place = comp["place"]
+    return {place[j]: 1} if j in place else {place[c]: x for c, x in comp["reducer"].reduce({j: 1}).items()}
 
 
 class GradedQuotient:
@@ -304,14 +290,28 @@ class GradedQuotient:
     column.  Both eliminations leave dim(quotient) non-pivot columns, so
     the non-pivot columns are exactly the normal words.  Normal forms are
     unique, so reduce_path agrees too.
+
+    No path is built to find a column.  Degree 0 keeps its columns
+    ("paths"), "col", (source, arrow word) -> column, and "leaving", the
+    columns by source, trivial path first; degree d > 0 keeps "cols",
+    (z, a, i) -> column of z*a*n_i, n_i basis path i of degree d - deg(a),
+    and no path but its basis.  A basis path z*a*n_i has the triple
+    (z, a, i), a basis path z of degree 0 (z, None, None).  Relation terms
+    are split once at their leftmost arrow a of positive degree, so
+    u*term*n is read at (u*prefix, a, index).
     """
 
     def __init__(self, presentation: QuiverPresentation):
         self.pres = presentation
         self.quiver = presentation.quiver
         self._components: dict[int, dict] = {}
-        self._zero_from: dict = {}  # degree-0 paths by source vertex
         self._arrow_cache: dict = {}
+        arrow = self.quiver.arrow_by_name
+        self._split = []  # each relation of positive degree, its terms as (c, prefix, a, tail)
+        for r in presentation.relations:
+            if r.degree:
+                ks = [next(k for k, x in enumerate(p.arrows) if arrow[x].degree) for _, p in r.terms]
+                self._split.append((r, [(c, p.arrows[:k], p.arrows[k], p.arrows[k + 1 :]) for (c, p), k in zip(r.terms, ks)]))
 
     def paths_of_degree(self, d: int) -> list[Path]:
         """Every path of degree d; components enumerate degree 0 only."""
@@ -319,7 +319,7 @@ class GradedQuotient:
 
     def _component(self, d: int) -> dict:
         if d < 0:
-            return _finish_component([], {}, RowReducer())
+            return _finish_component([], RowReducer(), [])
         comps = self._components
         for g in range(len(comps), d + 1):
             comps[g] = self._degree_zero() if g == 0 else self._positive_degree(g)
@@ -327,84 +327,87 @@ class GradedQuotient:
 
     def _degree_zero(self) -> dict:
         paths = self.paths_of_degree(0)
-        self._zero_from = {v: [] for v in self.quiver.vertices}
-        for p in paths:
-            self._zero_from[p.source].append(p)
-        col = {p: i for i, p in enumerate(paths)}
+        col = {(p.source, p.arrows): j for j, p in enumerate(paths)}
+        leaving: dict = {v: [] for v in self.quiver.vertices}
+        for j, p in enumerate(paths):
+            leaving[p.source].append(j)
         red = RowReducer()
-        for r in self.pres.relations:
-            if r.degree:
-                continue
-            for u in self._zero_from[r.target]:
+        for r in (r for r in self.pres.relations if not r.degree):
+            for u in leaving[r.target]:
                 for v in paths:
                     if v.target == r.source:
                         vec: dict = {}
                         for c, term in r.terms:
-                            vec_axpy_inplace(vec, c, {col[compose(compose(u, term), v)]: 1})
+                            vec_axpy_inplace(vec, c, {col[v.source, paths[u].arrows + term.arrows + v.arrows]: 1})
                         red.add(vec)
-        return _finish_component(paths, col, red)
+        return _finish_component(paths, red, [(j, None, None) for j in range(len(paths))], paths=paths, col=col, leaving=leaving)
 
     def _positive_degree(self, d: int) -> dict:
-        comps = self._components
-        # every a*n, a of positive degree; the columns are the z*a*n
-        arrow_basis = [
-            compose(self.quiver.arrow_path(a.name), n)
-            for a in self.quiver.arrows
-            if 0 < a.degree <= d
-            for n in comps[d - a.degree]["into"].get(a.source, ())
-        ]
-        paths = [compose(z, an) for an in arrow_basis for z in self._zero_from[an.target]]
-        paths.sort(key=self.quiver.path_key)
-        col = {p: i for i, p in enumerate(paths)}
+        comps, zero, arrow = self._components, self._components[0], self.quiver.arrow_by_name
+        # every a*n_i, a of positive degree; the columns are the z*a*n_i
+        arrow_basis = [(a, i) for a in self.quiver.arrows if 0 < a.degree <= d
+                       for i in comps[d - a.degree]["into"].get(a.source, ())]
+        entries = []
+        for a, i in arrow_basis:
+            n = comps[d - a.degree]["basis"][i]
+            for z in zero["leaving"][a.target]:
+                w = zero["paths"][z]
+                entries.append((Path(n.source, w.target, w.arrows + (a.name,) + n.arrows, d), (z, a.name, i)))
+        entries.sort(key=lambda e: self.quiver.path_key(e[0]))
+        cols = {t: j for j, (_, t) in enumerate(entries)}
         red = RowReducer()
-        for r in self.pres.relations:
-            if not 0 < r.degree <= d:
+        for r, terms in self._split:
+            if r.degree > d:
                 continue
-            for n in comps[d - r.degree]["into"].get(r.source, ()):
-                for u in self._zero_from[r.target]:
+            # u*term*n = (u*prefix)*a*(tail*n), and tail*n is a combination of the n_i
+            heads = [[(zero["col"][arrow[a].target, zero["paths"][u].arrows + pre], a) for _, pre, a, _ in terms]
+                     for u in zero["leaving"][r.target]]
+            for i in comps[d - r.degree]["into"].get(r.source, ()):
+                prods = [(c, self._left_multiply(tail, d - r.degree, {i: 1})) for c, _, _, tail in terms]
+                for keys in heads:
                     vec: dict = {}
-                    for c, term in r.terms:
-                        vec_axpy_inplace(vec, c, self._rewrite(u, term, n, col))
+                    for (c, prod), (z, a) in zip(prods, keys):
+                        vec_axpy_inplace(vec, c, {cols[z, a, l]: x for l, x in prod.items()})
                     red.add(vec)
-        zero = comps[0]
         for row in zero["reducer"].rows.values():
-            w = [(zero["paths"][j], x) for j, x in row.items()]
-            for an in arrow_basis:
-                if an.target == w[0][0].source:
-                    red.add({col[compose(z, an)]: x for z, x in w})
-        return _finish_component(paths, col, red)
-
-    def _rewrite(self, u: Path, term: Path, n: Path, col: dict) -> dict:
-        """u*term*n = z*a*p' as z*a*NF(p'), in the columns `col`.
-
-        a is the leftmost arrow of positive degree; u has degree 0, so a
-        lies in the term, and p' is the rest of the term times n.
-        """
-        arrow = self.quiver.arrow_by_name
-        k = next(k for k, name in enumerate(term.arrows) if arrow[name].degree)
-        a = arrow[term.arrows[k]]
-        tail = Path(term.source, a.source, term.arrows[k + 1 :], term.degree - a.degree)
-        head = u.arrows + term.arrows[: k + 1]
-        basis = self._components[tail.degree + n.degree]["basis"]
-        degree = term.degree + n.degree
-        return {
-            col[Path(n.source, u.target, head + basis[i].arrows, degree)]: x
-            for i, x in self.mul_paths(tail, n).items()
-        }
+            source = zero["paths"][next(iter(row))].source
+            for a, i in arrow_basis:
+                if a.target == source:
+                    red.add({cols[z, a.name, i]: x for z, x in row.items()})
+        return _finish_component([p for p, _ in entries], red, [t for _, t in entries], cols=cols)
 
     def _arrow_times(self, name: str, d: int, i: int) -> dict:
         """Coordinates of arrow * (basis path i of degree d), cached.
 
-        The product is a column of its degree: a degree-0 path, e*a*n for
-        an arrow of positive degree, or (a*z)*b*n' for a degree-0 arrow and
-        a basis path z*b*n' (n' is normal, as a tail of a normal word).
+        The product is a column of its degree: e*a*n_i for an arrow a of
+        positive degree; for a degree-0 arrow a, (a*z)*b*n for a basis path
+        z*b*n (n is normal, as a tail of a normal word), or a*z in degree 0.
         """
         key = (name, d, i)
         nf = self._arrow_cache.get(key)
         if nf is None:
-            w = compose(self.quiver.arrow_path(name), self._components[d]["basis"][i])
-            nf = self._arrow_cache[key] = _normal_form(self._component(w.degree), w)
+            a, comp, zero = self.quiver.arrow_by_name[name], self._components[d], self._components[0]
+            if a.degree:
+                d += a.degree
+                j = self._component(d)["cols"][zero["col"][a.target, ()], name, i]
+            else:
+                z, b, n = comp["triples"][i]
+                w = zero["paths"][z]
+                j = zero["col"][w.source, (name,) + w.arrows]
+                if d:
+                    j = comp["cols"][j, b, n]
+            nf = self._arrow_cache[key] = _normal_form(self._components[d], j)
         return nf
+
+    def _tail(self, d: int, l: int):
+        """The leftmost arrow of the nontrivial basis path l of degree d, and the rest's degree and index."""
+        zero, comp = self._components[0], self._components[d]
+        z, a, i = comp["triples"][l]
+        w = zero["paths"][z]
+        if not w.arrows:
+            return a, d - self.quiver.arrow_by_name[a].degree, i
+        rest = zero["col"][w.source, w.arrows[1:]]
+        return w.arrows[0], d, comp["place"][comp["cols"][rest, a, i] if d else rest]
 
     def _left_multiply(self, arrows, d: int, vec: dict) -> dict:
         """Coordinates of word*v for v = vec of degree d, one arrow at a time."""
@@ -424,8 +427,8 @@ class GradedQuotient:
 
     def reduce_path(self, p: Path) -> dict:
         """Coordinates of the class of p in the basis of its degree."""
-        start = _normal_form(self._component(0), trivial_path(p.source))
-        return self._left_multiply(p.arrows, 0, start)
+        zero = self._component(0)
+        return self._left_multiply(p.arrows, 0, _normal_form(zero, zero["col"][p.source, ()]))
 
     def reduce_combination(self, terms, d: int) -> dict:
         out: dict = {}
@@ -439,7 +442,7 @@ class GradedQuotient:
         """Coordinates of p*q for a basis path q; {} when they do not compose."""
         if p.source != q.target:
             return {}
-        return self._left_multiply(p.arrows, q.degree, {self._component(q.degree)["local"][q]: 1})
+        return self._left_multiply(p.arrows, q.degree, {self.component(q.degree).index(q): 1})
 
     def mul(self, d1: int, v1: dict, d2: int, v2: dict) -> dict:
         """Product of homogeneous vectors; the result lives in degree d1+d2."""
@@ -447,7 +450,8 @@ class GradedQuotient:
         out: dict = {}
         for i1, c1 in v1.items():
             for i2, c2 in v2.items():
-                vec_axpy_inplace(out, c1 * c2, self.mul_paths(comp1[i1], comp2[i2]))
+                if comp1[i1].source == comp2[i2].target:
+                    vec_axpy_inplace(out, c1 * c2, self._left_multiply(comp1[i1].arrows, d2, {i2: 1}))
         return out
 
     def to_algebra(self, bound: int) -> FiniteDimAlgebra:
@@ -459,23 +463,19 @@ class GradedQuotient:
         path has a prefix landing inside the window).  If they do not
         vanish the quotient was not captured: raise BoundTooSmall.
 
-        Row i, the products b_i*b_j, is a times row i' for b_i = a*b_i'.
-        Rows are filled shortest word first, because a leftmost arrow of
-        degree 0 can sort a word before its tail (a0*a1 before a1); the
-        table is emitted in ascending (i, j) order.
+        Row i, the products b_i*b_j, is a times row i' for b_i = a*b_i',
+        read off b_i's triple.  Rows are filled shortest word first, as a
+        leftmost arrow of degree 0 can sort a word before its tail (a0*a1
+        before a1); the table is emitted in ascending (i, j) order.
         """
-        width = max(1, self.quiver.max_arrow_degree())
-        leftover = [d for d in range(bound, bound + width) if self.dim(d) > 0]
+        leftover = [d for d in range(bound, bound + max(1, self.quiver.max_arrow_degree())) if self.dim(d) > 0]
         if leftover:
-            raise BoundTooSmall(
-                "components in degrees %s survive past the bound %d" % (leftover, bound)
-            )
+            raise BoundTooSmall("components in degrees %s survive past the bound %d" % (leftover, bound))
         basis: list = []
         start = []  # index of the first basis path of each degree
         for d in range(bound):
             start.append(len(basis))
             basis += self.component(d)
-        alg_index = {p: i for i, p in enumerate(basis)}
         ending_at: dict = {}
         for j, q in enumerate(basis):
             ending_at.setdefault(q.target, []).append(j)
@@ -486,17 +486,17 @@ class GradedQuotient:
             if p.is_trivial:
                 rows[i] = {j: {j: 1} for j in ending_at.get(p.source, ())}
                 continue
-            a = self.quiver.arrow_by_name[p.arrows[0]]
-            tail = Path(p.source, a.source, p.arrows[1:], p.degree - a.degree)
+            name, g, t = self._tail(p.degree, i - start[p.degree])
+            step = self.quiver.arrow_by_name[name].degree
             row = rows[i] = {}
-            for j, vec in rows[alg_index[tail]].items():
-                d = tail.degree + basis[j].degree
-                if d + a.degree < bound:
+            for j, vec in rows[start[g] + t].items():
+                d = g + basis[j].degree
+                if d + step < bound:
                     out: dict = {}
                     for l, x in vec.items():
-                        vec_axpy_inplace(out, x, self._arrow_times(a.name, d, l - start[d]))
+                        vec_axpy_inplace(out, x, self._arrow_times(name, d, l - start[d]))
                     if out:
-                        row[j] = {l + start[d + a.degree]: x for l, x in out.items()}
+                        row[j] = {l + start[d + step]: x for l, x in out.items()}
         table = {(i, j): prod for i in range(len(basis)) for j, prod in rows[i].items()}
         return FiniteDimAlgebra(self.quiver, basis, table)
 
@@ -506,11 +506,15 @@ class FiniteDimAlgebra:
 
     `table` maps the basis pairs (i, j) with b_i*b_j nonzero to that
     product as a sparse vector; the algebra stores it read-only (a write
-    to the table or a row raises TypeError) and multiplies nothing itself.
-    GradedQuotient.to_algebra emits it in ascending (i, j) order, and
-    families.idempotent_cut restricts a parent's table.  `between`, as
+    to the table or a product raises TypeError) and multiplies nothing
+    itself.  GradedQuotient.to_algebra emits it in ascending (i, j) order,
+    and families.idempotent_cut restricts a parent's table.  `between`, as
     read-only, maps each vertex pair (w, v) with e_w*A*e_v nonzero to the
-    ascending indices of the basis paths from v to w.
+    ascending indices of the basis paths from v to w.  `mul` and
+    `mul_basis` read the products by row, i -> {j: b_i*b_j}, from a tuple
+    nothing writes after __init__.  `off_slot` is the first pair whose
+    product does not compose or leaves e_t(b_i) A e_s(b_j), else None,
+    when the algebra is `slotted`.
     """
 
     def __init__(self, quiver: Quiver, basis: list[Path], table: dict):
@@ -519,36 +523,44 @@ class FiniteDimAlgebra:
         self.dim = len(self.basis)
         self.index = {p: i for i, p in enumerate(self.basis)}
         self.labels = [p.label for p in self.basis]
-        self.source = [p.source for p in self.basis]
-        self.target = [p.target for p in self.basis]
+        self.source = source = [p.source for p in self.basis]
+        self.target = target = [p.target for p in self.basis]
         self.degrees = [p.degree for p in self.basis]
-        self.idempotent = {}
-        for i, p in enumerate(self.basis):
-            if p.is_trivial:
-                self.idempotent[p.source] = i
+        self.idempotent = {p.source: i for i, p in enumerate(self.basis) if p.is_trivial}
         for v in quiver.vertices:
             if v not in self.idempotent:
                 raise ValueError("missing idempotent at vertex %s" % v)
-        self.table = MappingProxyType({key: MappingProxyType(row) for key, row in table.items()})
         between: dict = {}
         for i, p in enumerate(self.basis):
             between.setdefault((p.target, p.source), []).append(i)
         self.between = MappingProxyType({key: tuple(ids) for key, ids in between.items()})
+        self.table = MappingProxyType({key: MappingProxyType(vec) for key, vec in table.items()})
+        rows: list = [{} for _ in self.basis]
+        self.off_slot = None
+        for (i, j), vec in self.table.items():
+            rows[i][j] = vec
+            for l in vec if self.off_slot is None else ():
+                if source[i] != target[j] or target[l] != target[i] or source[l] != source[j]:
+                    self.off_slot = (i, j)
+        self._rows = tuple(rows)
+        self.slotted = self.off_slot is None
         self.alt_gradings = MappingProxyType({})
 
     def unit(self) -> dict:
         return {i: 1 for i in self.idempotent.values()}
 
     def mul_basis(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
+        return self._rows[i].get(j, {})
 
     def mul(self, u: dict, v: dict) -> dict:
-        out = {}
+        out: dict = {}
         for i, c1 in u.items():
-            for j, c2 in v.items():
-                t = self.table.get((i, j))
-                if t:
-                    vec_axpy_inplace(out, c1 * c2, t)
+            row = self._rows[i]
+            if row:
+                for j, c2 in v.items():
+                    t = row.get(j)
+                    if t:
+                        vec_axpy_inplace(out, c1 * c2, t)
         return out
 
     def radical_indices(self) -> list[int]:
@@ -557,11 +569,7 @@ class FiniteDimAlgebra:
 
     def check_identity(self) -> bool:
         one = self.unit()
-        for i in range(self.dim):
-            b = {i: 1}
-            if self.mul(one, b) != b or self.mul(b, one) != b:
-                return False
-        return True
+        return all(self.mul(one, {i: 1}) == {i: 1} == self.mul({i: 1}, one) for i in range(self.dim))
 
     def check_associativity(self):
         """None when associative, else the first failing triple of labels."""
@@ -574,10 +582,8 @@ class FiniteDimAlgebra:
     def check_graded(self, degrees):
         """Products must respect the grading; None or a witness pair."""
         for (i, j), prod in self.table.items():
-            d = degrees[i] + degrees[j]
-            for l in prod:
-                if degrees[l] != d:
-                    return (self.labels[i], self.labels[j])
+            if any(degrees[l] != degrees[i] + degrees[j] for l in prod):
+                return (self.labels[i], self.labels[j])
         return None
 
     def attach_grading(self, name: str, arrow_degrees: dict):
@@ -616,10 +622,7 @@ def associator(terms, keep) -> dict:
     indexed = []
     for d, table in terms:
         s = lam ** (sum(d) + 1)
-        table = {
-            key: {l: x.numerator * (s // x.denominator) for l, x in vec.items()}
-            for key, vec in table.items()
-        }
+        table = {key: {l: x.numerator * (s // x.denominator) for l, x in vec.items()} for key, vec in table.items()}
         first: dict = {}
         second: dict = {}
         for (i, j), vec in table.items():
@@ -640,11 +643,7 @@ def associator(terms, keep) -> dict:
                         vec_axpy_inplace(out.setdefault((h, i, j, d), {}), -x, v)
     if lam == 1:
         return {key: vec for key, vec in out.items() if vec}
-    return {
-        key: {l: rat(Fraction(x, lam ** (sum(key[3]) + 2))) for l, x in vec.items()}
-        for key, vec in out.items()
-        if vec
-    }
+    return {key: {l: rat(Fraction(x, lam ** (sum(key[3]) + 2))) for l, x in vec.items()} for key, vec in out.items() if vec}
 
 
 def bounded_quotient(pres: QuiverPresentation, bound: int) -> FiniteDimAlgebra:
@@ -684,5 +683,5 @@ class CentralQuotient(GradedQuotient):
         super().__init__(QuiverPresentation(gq.quiver, gq.pres.relations + relations))
         # finished components are read-only, so sharing them is safe
         self._components.update((g, gq._components[g]) for g in range(deg))
-        self._zero_from, arrow = gq._zero_from, self.quiver.arrow_by_name
+        arrow = self.quiver.arrow_by_name
         self._arrow_cache.update((k, nf) for k, nf in gq._arrow_cache.items() if k[1] + arrow[k[0]].degree < deg)

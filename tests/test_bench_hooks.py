@@ -14,6 +14,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
+
+from quivdef.families import make_bhat
+from quivdef.quiver import CentralQuotient, FiniteDimAlgebra, GradedQuotient
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,6 +96,19 @@ def _run_on_bench_path(code, *args):
 
 def test_bench_tracer_installs_on_the_program():
     _run_on_bench_path("import instrument; instrument.install(instrument.Tracer())")
+
+
+def test_quotient_classes_define_plain_functions_only():
+    """instrument.install wraps every callable of vars(GradedQuotient) and
+    vars(CentralQuotient) and sets it back as a plain function, so a
+    staticmethod there would receive self and a classmethod would lose
+    its class under --trace 1.  The names the bench reads stay."""
+    for cls in (GradedQuotient, CentralQuotient):
+        odd = [name for name, value in vars(cls).items() if isinstance(value, (staticmethod, classmethod))]
+        assert odd == [], cls.__name__
+    assert isinstance(vars(GradedQuotient)["paths_of_degree"], FunctionType)
+    assert isinstance(vars(FiniteDimAlgebra)["mul"], FunctionType)
+    assert make_bhat(2)._component(1)["basis"] == make_bhat(2).component(1)
 
 
 def test_bench_tracer_counts_graded_components():

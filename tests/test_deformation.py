@@ -23,6 +23,7 @@ from quivdef.deformation import (
 from quivdef.families import a_index, b_index, e_index, loop_index, make_a
 from quivdef.hochschild import HochschildComplex, mu_cocycle
 from quivdef.linalg import ONE, vec_axpy_inplace
+from quivdef.quiver import FiniteDimAlgebra
 
 F = Fraction
 
@@ -444,3 +445,106 @@ def test_identity_map_on_trivial_deformation():
     images = {i: {i: ONE} for i in range(alg.dim)}
     report = verify_deformation_map(S, alg, images, [alg.unit()], reduction=lambda v: v)
     assert report["ok"]
+
+
+def table_product(alg, u, v):
+    """u*v read from the (i, j) table one basis pair at a time."""
+    out = {}
+    for i, c1 in u.items():
+        for j, c2 in v.items():
+            vec_axpy_inplace(out, c1 * c2, alg.table.get((i, j), {}))
+    return out
+
+
+def all_pairs_homomorphism(S, target, images, param_images):
+    """The homomorphism verdict and witness of the check on every basis pair."""
+    alg = S.base
+
+    def power(d):
+        out = target.unit()
+        for t, e in zip(param_images, d):
+            for _ in range(e):
+                out = table_product(target, out, t)
+        return out
+
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            have = {}
+            for d, vec in S.star_basis(i, j).items():
+                img = {}
+                for l, c in vec.items():
+                    vec_axpy_inplace(img, c, images[l])
+                vec_axpy_inplace(have, 1, table_product(target, img, power(d)))
+            if table_product(target, images[i], images[j]) != have:
+                return False, (alg.labels[i], alg.labels[j])
+    return True, None
+
+
+def psi_map_arguments(monkeypatch, k, order, scale):
+    """The arguments verify_psi hands verify_deformation_map, the report, and
+    the number of basis pairs it multiplied."""
+    seen, calls = [], [0]
+    real_map, real_star = deformation.verify_deformation_map, StarProduct.star_basis
+
+    def record(*args):
+        seen.append(args)
+        return real_map(*args)
+
+    def star_basis(self, i, j):
+        calls[0] += 1
+        return real_star(self, i, j)
+
+    monkeypatch.setattr(deformation, "verify_deformation_map", record)
+    monkeypatch.setattr(StarProduct, "star_basis", star_basis)
+    report = verify_psi(k, order, scale=scale)
+    monkeypatch.undo()
+    return seen[0], report, calls[0]
+
+
+# the psi_tower benchmark instances (k, order, scale); the last is the rescaled negative control
+PSI_TOWER = [(4, 4, 1), (5, 4, 1), (6, 4, 1), (3, 5, 1), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("k, order, scale", PSI_TOWER)
+def test_psi_checks_the_composable_pairs_only_with_the_all_pairs_verdict(monkeypatch, k, order, scale):
+    (S, target, images, params, _), report, calls = psi_map_arguments(monkeypatch, k, order, scale)
+    assert S.base.slotted and target.slotted
+    assert (report["homomorphism"], report["witness"]) == all_pairs_homomorphism(S, target, images, params)
+    alg = S.base
+    composable = [(i, j) for i in range(alg.dim) for j in range(alg.dim) if alg.source[i] == alg.target[j]]
+    if report["witness"] is None:
+        assert calls == len(composable)
+    else:
+        i, j = (alg.labels.index(x) for x in report["witness"])
+        assert calls == composable.index((i, j)) + 1
+
+
+def test_psi_tower_multiplies_250_of_its_1140_pairs():
+    dims = [make_a(k).dim for k, _, _ in PSI_TOWER]
+    assert sum(d * d for d in dims) == 1140
+    assert sum(
+        sum(1 for i in range(alg.dim) for j in range(alg.dim) if alg.source[i] == alg.target[j])
+        for alg in (make_a(k) for k, _, _ in PSI_TOWER)
+    ) == 250
+
+
+def test_an_off_slot_target_product_is_multiplied(monkeypatch):
+    # a1 does not compose with itself, but its image does in the mutant target
+    (S, target, images, params, reduction), _, _ = psi_map_arguments(monkeypatch, 2, 2, 1)
+    a1 = S.base.labels.index("a1")
+    x = next(iter(images[a1]))
+    mutant = FiniteDimAlgebra(target.quiver, target.basis, {**target.table, (x, x): {x: 1}})
+    assert not mutant.slotted
+    report = verify_deformation_map(S, mutant, images, params, reduction)
+    want = all_pairs_homomorphism(S, mutant, images, params)
+    assert (report["homomorphism"], report["witness"]) == want == (False, ("a1", "a1"))
+
+
+def test_an_image_off_its_slot_falls_back_to_every_pair(monkeypatch):
+    (S, target, images, params, reduction), _, _ = psi_map_arguments(monkeypatch, 2, 2, 1)
+    a1, b1 = S.base.labels.index("a1"), S.base.labels.index("b1")
+    moved = {**images, a1: {**images[a1], **images[b1]}}
+    report = verify_deformation_map(S, target, moved, params, reduction)
+    want = all_pairs_homomorphism(S, target, moved, params)
+    # e1 and a1 do not compose, yet e1 times the moved image of a1 is not 0
+    assert (report["homomorphism"], report["witness"]) == want == (False, ("e1", "a1"))

@@ -22,6 +22,7 @@ from quivdef.quiver import (
     Arrow,
     BoundTooSmall,
     CentralQuotient,
+    FiniteDimAlgebra,
     GradedQuotient,
     Path,
     Quiver,
@@ -586,6 +587,25 @@ def test_central_quotient_bound_too_small(power):
     assert bounded_quotient(cq.pres, 2 * power + 1).dim == power * 6
 
 
+def column_words(gq, d):
+    """The columns of degree d from the public API, (z, a, i) -> z*a*n_i:
+    z a degree-0 path (by its place in paths_of_degree(0)), a an arrow of
+    positive degree, n_i basis path i of degree d - deg(a); degree 0 has
+    the degree-0 paths, as (z, None, None)."""
+    q, zero = gq.quiver, gq.paths_of_degree(0)
+    if d == 0:
+        return {(z, None, None): w for z, w in enumerate(zero)}
+    return {
+        (z, a.name, i): compose(compose(w, q.arrow_path(a.name)), n)
+        for a in q.arrows
+        if 0 < a.degree <= d
+        for i, n in enumerate(gq.component(d - a.degree))
+        if n.target == a.source
+        for z, w in enumerate(zero)
+        if w.source == a.target
+    }
+
+
 def assert_shares_lower_degrees(gq, cq, deg, last):
     """cq holds gq's own components below deg, and up to `last` it agrees
     with a quotient of the same presentation that shares nothing."""
@@ -595,7 +615,7 @@ def assert_shares_lower_degrees(gq, cq, deg, last):
     for d in range(last + 1):
         assert cq.component(d) == plain.component(d), d
         # every column of the degree, normal word or not
-        for p in plain._component(d)["paths"]:
+        for p in column_words(plain, d).values():
             assert cq.reduce_path(p) == plain.reduce_path(p), p
 
 
@@ -727,4 +747,85 @@ def test_each_component_records_its_basis_by_target(k, grading):
     for d in range(7):
         comp = gq._component(d)
         targets = {p.target for p in comp["basis"]}
-        assert comp["into"] == {v: [p for p in comp["basis"] if p.target == v] for v in targets}
+        assert comp["into"] == {v: [l for l, p in enumerate(comp["basis"]) if p.target == v] for v in targets}
+
+
+def assert_column_tables_name_their_paths(gq, top):
+    """Components 0..top: each basis triple (z, a, i) recomposes to its
+    basis path z*a*n_i, and the table maps each (z, a, i) to the place of
+    z*a*n_i in the path_key-sorted list of all columns."""
+    q = gq.quiver
+    for d in range(top + 1):
+        comp, words = gq._component(d), column_words(gq, d)
+        place = {w: j for j, w in enumerate(sorted(words.values(), key=q.path_key))}
+        assert [words[t] for t in comp["triples"]] == comp["basis"], d
+        if d == 0:
+            assert comp["paths"] == list(place)
+            assert comp["col"] == {(p.source, p.arrows): j for p, j in place.items()}
+            assert comp["leaving"] == {v: [j for p, j in place.items() if p.source == v] for v in q.vertices}
+        else:
+            assert comp["cols"] == {t: place[w] for t, w in words.items()}, d
+
+
+@pytest.mark.parametrize(
+    "quotient, top",
+    [(partial(GradedQuotient, a_presentation(k)), 5) for k in range(1, 7)]
+    + [(partial(GradedQuotient, atilde_presentation(k)), 5) for k in range(1, 5)]
+    + [(partial(GradedQuotient, bhat_presentation(k, g)), 7) for k in range(2, 6) for g in BHAT_GRADINGS]
+    + [(partial(psi_quotient, 3, 2), 9)],
+)
+def test_column_tables_name_their_paths(quotient, top):
+    assert_column_tables_name_their_paths(quotient(), top)
+
+
+def pairwise_product(alg, u, v):
+    """u*v read from the (i, j) table one basis pair at a time."""
+    out = {}
+    for i, c1 in u.items():
+        for j, c2 in v.items():
+            for l, x in alg.table.get((i, j), {}).items():
+                out[l] = out.get(l, 0) + c1 * c2 * x
+    return {l: x for l, x in out.items() if x}
+
+
+def off_slot_mutant():
+    """A(3) with one product b_i*b_j = b_i on the non-composable pair (a1, a1)."""
+    alg = make_a(3)
+    a1 = alg.labels.index("a1")
+    return FiniteDimAlgebra(alg.quiver, alg.basis, {**alg.table, (a1, a1): {a1: 1}}), (a1, a1)
+
+
+PRODUCT_ALGEBRAS = [
+    lambda: make_a(3),
+    lambda: make_atilde(2),
+    lambda: psi_target(2, 2)[1],
+    lambda: off_slot_mutant()[0],
+]
+
+
+def sparse_vectors(dim):
+    coeffs = st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    return st.dictionaries(st.integers(0, dim - 1), coeffs, max_size=6)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_algebra_mul_matches_the_pairwise_table(data):
+    alg = data.draw(st.sampled_from(PRODUCT_ALGEBRAS))()
+    u, v = data.draw(sparse_vectors(alg.dim)), data.draw(sparse_vectors(alg.dim))
+    assert alg.mul(u, v) == pairwise_product(alg, u, v)
+    i, j = data.draw(st.integers(0, alg.dim - 1)), data.draw(st.integers(0, alg.dim - 1))
+    assert alg.mul_basis(i, j) == alg.table.get((i, j), {})
+
+
+def test_slotted_flags_the_first_product_off_its_slot():
+    for make in PRODUCT_ALGEBRAS[:3]:
+        alg = make()
+        assert alg.slotted and alg.off_slot is None
+    alg, pair = off_slot_mutant()
+    assert not alg.slotted and alg.off_slot == pair
+    # a product that composes but lands outside e_t(i) A e_s(j)
+    base = make_a(3)
+    e1, a1 = base.labels.index("e1"), base.labels.index("a1")
+    moved = FiniteDimAlgebra(base.quiver, base.basis, {**base.table, (e1, e1): {a1: 1}})
+    assert not moved.slotted and moved.off_slot == (e1, e1)
